@@ -25,6 +25,7 @@ from .levy import (
     PropertyFlags,
     abruptness_integral_estimate,
     classify,
+    derived_seed,
     sample_path,
     stable_increment,
     stable_increments,

@@ -38,8 +38,15 @@ from .levy import (
     abruptness_integral_estimate,
     sample_path,
 )
-from .regen import independence_test, regen_report, rst_scan
-from .shocks import extract_shocks, refinement_study
+from .regen import (
+    RegenReport,
+    independence_report,
+    regen_report,
+    replicate_features,
+    rst_scan,
+    solved_replicates,
+)
+from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
 from .solver import solve
 
 SUBCOMMANDS = ("simulate", "solve", "shocks", "regen", "refine", "integral")
@@ -155,6 +162,12 @@ def _write_json(path: Path, header_meta: dict, payload: dict) -> None:
         fh.write("\n")
 
 
+def _replicate_row(r: int, rep: RegenReport | None) -> tuple:
+    """replicates.csv row; a replicate whose solve failed has no report."""
+    vals = (None, None, None) if rep is None else (rep.R, rep.S, rep.T_first)
+    return (r, int(None not in vals), *("" if v is None else repr(v) for v in vals))
+
+
 def run_experiment(
     config: ExperimentConfig, subcommand: str, out_dir: str | Path
 ) -> list[Path]:
@@ -171,6 +184,11 @@ def run_experiment(
         p = out / name
         _write_csv(p, meta, columns, rows)
         written.append(p)
+
+    def emit_records(name, cls, records):
+        # one column per dataclass field, in declaration order
+        fields = [f.name for f in dataclasses.fields(cls)]
+        emit_csv(name, fields, (dataclasses.astuple(r) for r in records))
 
     eff = out / "effective_config.json"
     _write_json(
@@ -223,67 +241,27 @@ def run_experiment(
         path = config.build_path()
         sol = solve(path, config.t)
         rep = extract_shocks(sol)
-        emit_csv(
-            "shocks.csv",
-            ["x", "a_minus", "a_plus", "mass", "velocity", "boundary_affected"],
-            (
-                (s.x, s.a_minus, s.a_plus, s.mass, s.velocity, s.boundary_affected)
-                for s in rep.shocks
-            ),
-        )
+        emit_records("shocks.csv", Shock, rep.shocks)
         emit_csv("zero_set.csv", ["y"], ((y,) for y in rep.zero_set))
-        emit_csv(
-            "rarefactions.csv",
-            ["vertex_y", "x_lo", "x_hi", "length", "boundary_affected"],
-            (
-                (r.vertex_y, r.x_lo, r.x_hi, r.length, r.boundary_affected)
-                for r in rep.rarefactions
-            ),
-        )
+        emit_records("rarefactions.csv", Rarefaction, rep.rarefactions)
         return written
 
     if subcommand == "regen":
         path = config.build_path()
         rep = regen_report(path, config.t, k_max=config.k_max)
-        payload = {
-            "R": rep.R,
-            "S": rep.S,
-            "T_first": rep.T_first,
-            "rk": rep.rk,
-            "s_equals_t": rep.s_equals_t,
-            "rk_converged": rep.rk_converged,
-            "steps": rep.steps,
-        }
-        rows = []
+        payload = dataclasses.asdict(rep)
         if config.n_rep > 1 and config.family not in FIXTURE_FAMILIES:
-            params = config.levy_params()
-            grid = config.grid()
-            for r in range(config.n_rep):
-                seed_r = int(
-                    np.random.SeedSequence(
-                        (config.seed & (2**64 - 1), 0, r)
-                    ).generate_state(1, dtype=np.uint64)[0]
-                )
-                p_r = sample_path(params, grid, seed_r)
-                try:
-                    rr = rst_scan(p_r, config.t)
-                except WindowTooSmallError:
-                    rows.append((r, 0, "", "", ""))
-                    continue
-                found = rr.R is not None and rr.S is not None and rr.T_first is not None
-                rows.append(
-                    (
-                        r,
-                        int(found),
-                        "" if rr.R is None else repr(rr.R),
-                        "" if rr.S is None else repr(rr.S),
-                        "" if rr.T_first is None else repr(rr.T_first),
-                    )
-                )
+            replicates = solved_replicates(
+                config.levy_params(), config.grid(), config.t, config.n_rep, config.seed
+            )
+            # the scans and the independence features share each solve
+            rows, features = [], []
+            for r, (p_r, sol) in enumerate(replicates):
+                rr = None if sol is None else rst_scan(p_r, config.t, sol)
+                rows.append(_replicate_row(r, rr))
+                features.append(replicate_features(sol, config.w))
             if config.n_rep >= 100:
-                ind = independence_test(
-                    params, grid, config.t, config.w, config.n_rep, config.seed
-                )
+                ind = independence_report(features, config.seed)
                 payload["independence"] = {
                     "p_value_global": ind.p_value_global,
                     "dcor": ind.dcor,
@@ -292,16 +270,7 @@ def run_experiment(
                     "n_dropped": ind.n_dropped,
                 }
         else:
-            found = rep.R is not None and rep.S is not None and rep.T_first is not None
-            rows.append(
-                (
-                    0,
-                    int(found),
-                    "" if rep.R is None else repr(rep.R),
-                    "" if rep.S is None else repr(rep.S),
-                    "" if rep.T_first is None else repr(rep.T_first),
-                )
-            )
+            rows = [_replicate_row(0, rep)]
         rj = out / "regen_report.json"
         _write_json(rj, {"config_hash": chash, "seed": config.seed}, payload)
         written.append(rj)
@@ -319,30 +288,7 @@ def run_experiment(
             config.seed,
             window=window,
         )
-        emit_csv(
-            "refine.csv",
-            [
-                "h",
-                "n",
-                "median_contacts",
-                "median_zero",
-                "median_max_rarefaction",
-                "median_contact_fraction",
-                "n_failed",
-            ],
-            (
-                (
-                    r.h,
-                    r.n,
-                    r.median_contacts,
-                    r.median_zero,
-                    r.median_max_rarefaction,
-                    r.median_contact_fraction,
-                    r.n_failed,
-                )
-                for r in rows
-            ),
-        )
+        emit_records("refine.csv", RefinementRow, rows)
         return written
 
     # integral

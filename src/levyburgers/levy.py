@@ -283,6 +283,16 @@ def _tag_jumps(
     return [(int(landing[k]), float(embedded[k])) for k in np.flatnonzero(mask)]
 
 
+def derived_seed(seed: int, *key: int) -> int:
+    """64-bit seed of the stream keyed by (seed, *key), e.g. (seed, 0, replicate).
+
+    Replicate streams are pure functions of their key, so replicates are
+    order-independent; seeds are masked to 64 bits as in sample_path.
+    """
+    ss = np.random.SeedSequence((int(seed) & (2**64 - 1), *key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     """Sample psi0 on the grid; pure function of (params, grid, seed).
 
@@ -351,13 +361,6 @@ def classify(params: LevyParams) -> PropertyFlags:
     return PropertyFlags(True, False, False, True, False, "unknown")
 
 
-def _marginal_draws(
-    params: LevyParams, x: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n draws of psi0(x) for x > 0 (one increment of the step-x law)."""
-    return _cell_increments(params, x, n, rng)
-
-
 def abruptness_integral_estimate(
     params: LevyParams,
     a: float,
@@ -395,7 +398,8 @@ def abruptness_integral_estimate(
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     prob = np.empty(nodes.size)
     for k, x in enumerate(nodes):
-        draws = _marginal_draws(params, float(x), n_mc, rng)
+        # psi0(x) for x > 0 is one increment of the step-x law
+        draws = _cell_increments(params, float(x), n_mc, rng)
         prob[k] = np.mean((draws >= a * x) & (draws <= b * x))
 
     # cumulative trapezoid in u = ln x, integrating down from 1

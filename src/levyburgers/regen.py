@@ -14,13 +14,13 @@ falsify; it never proves full-process independence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .errors import InsufficientDataError, ParameterError, WindowTooSmallError
-from .levy import GridSpec, LevyParams, LevyPath, sample_path
+from .errors import InputError, InsufficientDataError, ParameterError, WindowTooSmallError
+from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 from .shocks import zero_set_indices
 from .solver import BurgersSolution, solve
 
@@ -78,6 +78,13 @@ def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> i
     return None
 
 
+def _first_zero(sol: BurgersSolution) -> float | None:
+    """Smallest nonnegative element of the zero set, over the whole grid."""
+    zy = sol.vertex_ys[zero_set_indices(sol)]
+    zy = zy[zy >= 0.0]
+    return float(zy[0]) if len(zy) else None
+
+
 def rst_scan(path: LevyPath, t: float, sol: BurgersSolution | None = None) -> RegenReport:
     """Direct O(n^2) scan for (R, S) plus T from the zero set.
 
@@ -96,10 +103,7 @@ def rst_scan(path: LevyPath, t: float, sol: BurgersSolution | None = None) -> Re
 
     r_idx = _scan_r_index(values, ys, i0, t)
     s_idx = _scan_s_index(values, ys, r_idx, t) if r_idx is not None else None
-
-    zy = sol.vertex_ys[zero_set_indices(sol)]
-    zy = zy[zy >= 0.0]
-    t_first = float(zy[0]) if len(zy) else None
+    t_first = _first_zero(sol)
 
     s_val = float(ys[s_idx]) if s_idx is not None else None
     return RegenReport(
@@ -159,15 +163,7 @@ def regen_report(path: LevyPath, t: float, k_max: int = 64) -> RegenReport:
     if base.R is None:
         return base
     walk = rk_sequence(path, t, k_max=k_max, r0=base.R)
-    return RegenReport(
-        R=base.R,
-        S=base.S,
-        T_first=base.T_first,
-        rk=walk.rk,
-        s_equals_t=base.s_equals_t,
-        rk_converged=walk.converged,
-        steps=walk.steps,
-    )
+    return replace(base, rk=walk.rk, rk_converged=walk.converged, steps=walk.steps)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -177,18 +173,31 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sd
 
 
-def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample distance correlation between row-paired observations."""
-    a = squareform(pdist(np.atleast_2d(x)))
-    b = squareform(pdist(np.atleast_2d(y)))
-    aa = a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean()
-    bb = b - b.mean(axis=0) - b.mean(axis=1)[:, None] + b.mean()
-    dcov2 = (aa * bb).mean()
-    dvar_x = (aa * aa).mean()
-    dvar_y = (bb * bb).mean()
+def _centred_distances(x: np.ndarray) -> np.ndarray:
+    """Double-centred Euclidean distance matrix between the rows of x;
+    a 1-D x holds one observation per entry."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+    return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
+
+
+def _dcor(aa: np.ndarray, bb: np.ndarray, dvar_x: float, dvar_y: float) -> float:
     if dvar_x <= 0 or dvar_y <= 0:
         return 0.0
-    return math.sqrt(max(dcov2, 0.0)) / (dvar_x * dvar_y) ** 0.25
+    return math.sqrt(max((aa * bb).mean(), 0.0)) / (dvar_x * dvar_y) ** 0.25
+
+
+def _centred_pair(x: np.ndarray, y: np.ndarray):
+    """(aa, bb, dVar_x, dVar_y) for row-paired observations x and y."""
+    if len(x) != len(y):
+        raise InputError(f"row counts differ: {len(x)} vs {len(y)}")
+    aa, bb = _centred_distances(x), _centred_distances(y)
+    return aa, bb, (aa * aa).mean(), (bb * bb).mean()
+
+
+def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample distance correlation between row-paired observations."""
+    return _dcor(*_centred_pair(x, y))
 
 
 def permutation_pvalue(
@@ -202,25 +211,16 @@ def permutation_pvalue(
 
     Exact under the null by construction: p = (1 + #{perm >= obs}) /
     (1 + n_perm), so p-values are approximately uniform for independent
-    features and never zero.
+    features and never zero.  Double centring commutes with permuting
+    rows and columns together and dVar_y is permutation invariant, so the
+    centred matrix of f_post is built once and permuted.
     """
-    obs = distance_correlation(f_pre, f_post)
-    a = squareform(pdist(np.atleast_2d(f_pre)))
-    aa = a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean()
-    dvar_x = (aa * aa).mean()
-    b_full = squareform(pdist(np.atleast_2d(f_post)))
-    n = len(b_full)
+    aa, bb, dvar_x, dvar_y = _centred_pair(f_pre, f_post)
+    obs = _dcor(aa, bb, dvar_x, dvar_y)
     count = 0
     for _ in range(n_perm):
-        perm = rng.permutation(n)
-        b = b_full[np.ix_(perm, perm)]
-        bb = b - b.mean(axis=0) - b.mean(axis=1)[:, None] + b.mean()
-        dvar_y = (bb * bb).mean()
-        if dvar_x <= 0 or dvar_y <= 0:
-            stat = 0.0
-        else:
-            stat = math.sqrt(max((aa * bb).mean(), 0.0)) / (dvar_x * dvar_y) ** 0.25
-        if stat >= obs:
+        perm = rng.permutation(len(bb))
+        if _dcor(aa, bb[np.ix_(perm, perm)], dvar_x, dvar_y) >= obs:
             count += 1
     return obs, (1 + count) / (1 + n_perm)
 
@@ -244,60 +244,57 @@ def _side_features(
     return np.array([u.mean(), u.min(), float(n_shocks)])
 
 
-def _derived_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence((int(seed) & (2**64 - 1), *key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def independence_test(
-    params: LevyParams,
-    grid: GridSpec,
-    t: float,
-    window_w: float,
-    n_rep: int,
-    seed: int,
-    n_perm: int = 999,
-) -> IndependenceReport:
-    """Permutation test of dependence between the flow before and after T.
-
-    Per replicate, feature vectors (mean u, min u, shock count) are built
-    on [T-w, T) and (T, T+w]; across replicates the features are
-    standardized and tested with distance correlation.  Replicates where T
-    is not found or [T-w, T+w] leaves the analysis window are dropped and
-    counted; more than 20% drops aborts.
-    """
-    if n_rep < 100:
-        raise ParameterError("need n_rep >= 100")
-    pre_rows, post_rows, t_vals = [], [], []
-    n_dropped = 0
+def solved_replicates(
+    params: LevyParams, grid: GridSpec, t: float, n_rep: int, seed: int
+) -> Iterator[tuple[LevyPath, BurgersSolution | None]]:
+    """Yield (path, solution) for replicates 0..n_rep-1, replicate r drawn
+    with derived_seed(seed, 0, r); the solution is None when the grid
+    window is too small."""
     for rep in range(n_rep):
-        path = sample_path(params, grid, _derived_seed(seed, 0, rep))
+        path = sample_path(params, grid, derived_seed(seed, 0, rep))
         try:
             sol = solve(path, t)
         except WindowTooSmallError:
-            n_dropped += 1
-            continue
-        zy = sol.vertex_ys[zero_set_indices(sol)]
-        zy = zy[zy >= 0.0]
-        if len(zy) == 0:
-            n_dropped += 1
-            continue
-        T = float(zy[0])
-        if T - window_w < sol.window[0] or T + window_w > sol.window[1]:
-            n_dropped += 1
-            continue
-        pre_rows.append(_side_features(sol, T - window_w, T, closed_right=False))
-        post_rows.append(_side_features(sol, T, T + window_w, closed_right=True))
-        t_vals.append(T)
+            sol = None
+        yield path, sol
 
-    if n_dropped > 0.2 * n_rep:
+
+def replicate_features(
+    sol: BurgersSolution | None, window_w: float
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(T, pre, post) of one replicate: T is the first nonnegative zero
+    point, pre and post the features on [T-w, T) and (T, T+w].  None drops
+    the replicate: it has no solution, T is not found or [T-w, T+w]
+    leaves the analysis window."""
+    T = None if sol is None else _first_zero(sol)
+    if T is None or T - window_w < sol.window[0] or T + window_w > sol.window[1]:
+        return None
+    return (
+        T,
+        _side_features(sol, T - window_w, T, closed_right=False),
+        _side_features(sol, T, T + window_w, closed_right=True),
+    )
+
+
+def independence_report(
+    features: list, seed: int, n_perm: int = 999
+) -> IndependenceReport:
+    """Distance-correlation test over per-replicate features.
+
+    ``features`` holds one replicate_features result per replicate, None
+    for a dropped one; more than 20% drops aborts.  Features are
+    standardized across replicates before testing.
+    """
+    kept = [f for f in features if f is not None]
+    n_rep, n_dropped = len(features), len(features) - len(kept)
+    if not kept or n_dropped > 0.2 * n_rep:
         raise InsufficientDataError(
             f"{n_dropped}/{n_rep} replicates dropped; shrink w or enlarge the grid"
         )
 
-    f_pre = _standardize(np.array(pre_rows))
-    f_post = _standardize(np.array(post_rows))
-    rng = np.random.default_rng(_derived_seed(seed, 1))
+    f_pre = _standardize(np.array([f[1] for f in kept]))
+    f_post = _standardize(np.array([f[2] for f in kept]))
+    rng = np.random.default_rng(derived_seed(seed, 1))
     dcor, p = permutation_pvalue(f_pre, f_post, rng, n_perm=n_perm)
 
     corrs = []
@@ -312,9 +309,32 @@ def independence_test(
         p_value_global=p,
         dcor=dcor,
         feature_correlations=tuple(corrs),
-        n_valid=len(t_vals),
+        n_valid=len(kept),
         n_dropped=n_dropped,
-        T_values=np.array(t_vals),
+        T_values=np.array([f[0] for f in kept]),
         f_pre=f_pre,
         f_post=f_post,
     )
+
+
+def independence_test(
+    params: LevyParams,
+    grid: GridSpec,
+    t: float,
+    window_w: float,
+    n_rep: int,
+    seed: int,
+    n_perm: int = 999,
+) -> IndependenceReport:
+    """Permutation test of dependence between the flow before and after T.
+
+    Builds each solved replicate's feature vectors (mean u, min u, shock
+    count) with replicate_features and tests them with independence_report.
+    """
+    if n_rep < 100:
+        raise ParameterError("need n_rep >= 100")
+    features = [
+        replicate_features(sol, window_w)
+        for _, sol in solved_replicates(params, grid, t, n_rep, seed)
+    ]
+    return independence_report(features, seed, n_perm)

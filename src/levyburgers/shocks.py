@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, WindowTooSmallError
-from .levy import GridSpec, LevyParams, LevyPath, sample_path
+from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 from .solver import BurgersSolution, solve
 
 # One-cell tolerance when deciding that a vertex is attained from one side
@@ -321,11 +321,6 @@ def window_stats(
     return n_contacts, n_zero, max_rare, fraction
 
 
-def _derived_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence((int(seed) & (2**64 - 1), *key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def refinement_study(
     params: LevyParams,
     t: float,
@@ -353,7 +348,7 @@ def refinement_study(
         stats = []
         n_failed = 0
         for rep in range(n_rep):
-            path = sample_path(params, grid, _derived_seed(seed, hk, rep))
+            path = sample_path(params, grid, derived_seed(seed, hk, rep))
             try:
                 sol = solve(path, t)
             except WindowTooSmallError:

@@ -117,7 +117,11 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
 
 
 def _owning_vertex(sol: BurgersSolution, x: float) -> int:
-    """Index of the vertex whose X-interval contains x (right at ties)."""
+    """Index of the vertex whose X-interval contains the window point x
+    (right at ties)."""
+    lo, hi = sol.window
+    if x < lo or x > hi:
+        raise OutOfDomainError(f"x={x} outside the analysis window [{lo}, {hi}]")
     return int(np.searchsorted(sol.edge_x, x, side="right"))
 
 
@@ -128,10 +132,7 @@ def evaluate_solution(sol: BurgersSolution, x: float) -> EulerianValues:
     a(x) only when x is exactly a shock location, where it is the left
     vertex.
     """
-    lo, hi = sol.window
-    if x < lo or x > hi:
-        raise OutOfDomainError(f"x={x} outside the analysis window [{lo}, {hi}]")
-    kr = int(np.searchsorted(sol.edge_x, x, side="right"))
+    kr = _owning_vertex(sol, x)
     kl = int(np.searchsorted(sol.edge_x, x, side="left"))
     a = float(sol.vertex_ys[kr])
     a_minus = float(sol.vertex_ys[kl])
@@ -181,9 +182,6 @@ def moreau_envelope(sol: BurgersSolution, x: float) -> float:
     Evaluated as C(a(x)) + x a(x)/t - x^2/(2t) with C the shifted-potential
     majorant value at the selected vertex.
     """
-    lo, hi = sol.window
-    if x < lo or x > hi:
-        raise OutOfDomainError(f"x={x} outside the analysis window [{lo}, {hi}]")
     k = _owning_vertex(sol, x)
     t = sol.t
     return float(sol.vertex_values[k] + x * sol.vertex_ys[k] / t - x * x / (2.0 * t))

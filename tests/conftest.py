@@ -1,12 +1,7 @@
-import numpy as np
 import pytest
 
-from levyburgers import GridSpec
-
-
-def derived_seed(*key: int) -> int:
-    """Deterministic 64-bit seed from an integer key tuple."""
-    return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
+# the tests derive their path seeds with the library helper
+from levyburgers import GridSpec, derived_seed  # noqa: F401
 
 
 @pytest.fixture(scope="session")

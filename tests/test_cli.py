@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyburgers
 from levyburgers import LevyParams, extract_shocks, sample_path, solve
+from levyburgers import cli, regen
 from levyburgers.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -16,6 +21,7 @@ from levyburgers.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+SUBS_DETERMINISTIC = ("simulate", "solve", "shocks", "regen", "integral")
 
 
 def read_csv(path: Path):
@@ -104,11 +110,18 @@ class TestShocksSubcommand:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("sub", ["simulate", "solve", "shocks", "regen", "integral"])
-    def test_byte_identical_outputs(self, tmp_path, sub):
+    @pytest.mark.parametrize(
+        "sub,n_rep",
+        [
+            *(pytest.param(s, 1, id=s) for s in SUBS_DETERMINISTIC),
+            # n_rep >= 100 adds the replicate loop and the independence test
+            pytest.param("regen", 100, id="regen-replicates"),
+        ],
+    )
+    def test_byte_identical_outputs(self, tmp_path, sub, n_rep):
         cfg = ExperimentConfig(
             family="stable", alpha=1.5, scale=0.4, n=1025, L=8.0, seed=11,
-            eps_list=[0.1, 0.05], n_mc=1000,
+            eps_list=[0.1, 0.05], n_mc=1000, n_rep=n_rep,
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         files1 = run_experiment(cfg, sub, out1)
@@ -144,6 +157,45 @@ class TestRegenSubcommand:
         _, cols, rows = read_csv(tmp_path / "replicates.csv")
         assert cols == ["replicate", "found", "R", "S", "T_first"]
         assert len(rows) == 1
+
+    def test_one_solve_per_replicate(self, tmp_path, monkeypatch):
+        # the replicate scans and the independence features share one solve;
+        # the extra solve is the report's own path at the base seed
+        calls = []
+
+        def counting_solve(path, t):
+            calls.append(path.seed)
+            return solve(path, t)
+
+        for module in (cli, regen):
+            monkeypatch.setattr(module, "solve", counting_solve)
+        n_rep = 100
+        rc = main(
+            [
+                "regen", "--family", "stable", "--alpha", "1.5", "--scale", "0.4",
+                "--n", "257", "--reps", str(n_rep), "--seed", "11",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert "independence" in json.loads((tmp_path / "regen_report.json").read_text())
+        assert len(calls) == len(set(calls)) == n_rep + 1
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; a fresh interpreter shows what the
+        # package itself imports
+        src = str(Path(levyburgers.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, levyburgers; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestErrors:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 from scipy.stats import kstest
 
 from levyburgers import (
     GridSpec,
+    InputError,
     InsufficientDataError,
     LevyParams,
     ParameterError,
@@ -20,6 +24,18 @@ from levyburgers import (
     zero_path,
 )
 from conftest import derived_seed
+
+
+def dcor_pdist_reference(x, y):
+    """Distance correlation from scipy's pdist, the textbook double centring."""
+    a = squareform(pdist(x))
+    b = squareform(pdist(y))
+    aa = a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean()
+    bb = b - b.mean(axis=0) - b.mean(axis=1)[:, None] + b.mean()
+    dvar_x, dvar_y = (aa * aa).mean(), (bb * bb).mean()
+    if dvar_x <= 0 or dvar_y <= 0:
+        return 0.0
+    return math.sqrt(max((aa * bb).mean(), 0.0)) / (dvar_x * dvar_y) ** 0.25
 
 
 class TestFixtureScans:
@@ -92,6 +108,33 @@ class TestPermutationMachinery:
         x = rng.normal(size=(400, 2))
         y = rng.normal(size=(400, 2))
         assert distance_correlation(x, y) < 0.2
+
+    def test_matches_pdist_reference_exactly(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(5, 121))
+            x = rng.normal(size=(n, int(rng.integers(1, 6))))
+            y = rng.standard_cauchy(size=(n, int(rng.integers(1, 6))))
+            # a standardized integer column, like the shock-count feature
+            counts = rng.integers(0, 4, size=n).astype(float)
+            y[:, -1] = (counts - counts.mean()) / (counts.std() or 1.0)
+            assert distance_correlation(x, y) == dcor_pdist_reference(x, y)
+
+    def test_1d_input_is_one_column(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=100)
+        assert abs(distance_correlation(x, x) - 1.0) < 1e-9
+        assert distance_correlation(x, x) == distance_correlation(x[:, None], x[:, None])
+        dcor, p = permutation_pvalue(x, x.copy(), rng, n_perm=99)
+        assert abs(dcor - 1.0) < 1e-9 and p == 0.01
+
+    def test_row_count_mismatch_raises(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(80, 3)), rng.normal(size=(60, 3))
+        with pytest.raises(InputError):
+            distance_correlation(x, y)
+        with pytest.raises(InputError):
+            permutation_pvalue(x, y, rng, n_perm=9)
 
     def test_degenerate_dependence_min_pvalue(self):
         rng = np.random.default_rng(3)
