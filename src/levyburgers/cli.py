@@ -47,7 +47,7 @@ from .regen import (
     solved_replicates,
 )
 from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
-from .solver import solve
+from .solver import owning_vertices, solve
 
 SUBCOMMANDS = ("simulate", "solve", "shocks", "regen", "refine", "integral")
 
@@ -232,8 +232,7 @@ def run_experiment(
         lo, hi = sol.window
         ys = path.grid.points()
         xs = ys[(ys >= lo) & (ys <= hi)]
-        owners = np.searchsorted(sol.edge_x, xs, side="right")
-        a = sol.vertex_ys[owners]
+        a = sol.vertex_ys[owning_vertices(sol, xs)]
         emit_csv("eulerian.csv", ["x", "a", "u"], zip(xs, a, (xs - a) / config.t))
         return written
 

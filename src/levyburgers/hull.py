@@ -1,9 +1,15 @@
 """Upper concave majorant of a finite point cloud.
 
-The majorant is the minimal concave function dominating the points; its
-vertex chain is computed by a single left-to-right monotone-chain pass.
-Slope queries expose the left/right derivative, with +/-inf sentinels at
-the chain ends where the majorant is unconstrained by the data.
+The majorant is the minimal concave function dominating the points.  Its
+vertex chain is found in three vectorized stages: a dyadic chord filter
+drops the points lying strictly below a chord of two other input points,
+a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996) splits
+every open segment of a level at its farthest point, and one orientation
+check over consecutive candidate triples confirms the chain.  Only when
+that check flags a triple does a monotone-chain pass run, over the
+candidates alone.  Slope queries expose the left/right derivative, with
++/-inf sentinels at the chain ends where the majorant is unconstrained by
+the data.
 """
 
 from __future__ import annotations
@@ -14,11 +20,18 @@ import numpy as np
 
 from .errors import InputError, OutOfDomainError
 
-# Collinearity threshold: triples whose cross product is below
-# COLLINEAR_RTOL times the largest coordinate magnitude in the triple are
-# flattened, keeping the extreme points of each collinear run.  Avoids
-# slope-tie vertices that would break strict slope monotonicity.
-COLLINEAR_RTOL = 1e-12
+# Relative forward error bound of the orientation determinant of _pops
+# (Shewchuk 1997, "ccwerrboundA").  A triple whose determinant lies within
+# this bound times the sum of the magnitudes of its two products cannot be
+# told apart from collinear and is flattened, keeping the extreme points of
+# each collinear run; slope-tie vertices would break strict slope
+# monotonicity.
+_EPS = float(np.finfo(float).eps)
+COLLINEAR_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
+
+# Points per block of the chord filter: its scratch buffers stay at
+# 128 KiB each whatever n is, so the filter adds little to peak memory.
+FILTER_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -52,10 +65,94 @@ class ConcaveMajorant:
         return float(self.slopes[k]) if k < len(self.ys) - 1 else -np.inf
 
 
-def _cross(y1, v1, y2, v2, y3, v3) -> float:
-    """Cross product of (p2-p1, p3-p1); negative iff p2 lies strictly
-    above the chord p1-p3 (a concave triple)."""
-    return (y2 - y1) * (v3 - v1) - (v2 - v1) * (y3 - y1)
+def _pops(y1, v1, y2, v2, y3, v3):
+    """True where p2 is not certainly above the chord p1-p3 (below it, on
+    it, or within rounding of it), so the chain drops p2.  Elementwise on
+    arrays, or on scalars."""
+    p = (y2 - y1) * (v3 - v1)
+    q = (v2 - v1) * (y3 - y1)
+    return p - q >= -COLLINEAR_ERRBOUND * (abs(p) + abs(q))
+
+
+def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Sorted int32 indices of the points that survive the dyadic filter.
+
+    For k = 1, 2, 4, ... < n/2, every point certainly below the chord of
+    its neighbours at index distance k is dropped; a point below a chord
+    of two input points is never a vertex.  Each level runs in place over
+    blocks of FILTER_BLOCK points with three block-sized buffers.
+    """
+    n = len(ys)
+    size = min(n, FILTER_BLOCK)
+    p, q, w = np.empty(size), np.empty(size), np.empty(size)
+    keep = np.empty(size, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    k = 1
+    while 2 * k < n:
+        for start in range(k, n - k, FILTER_BLOCK):
+            stop = min(start + FILTER_BLOCK, n - k)
+            lo, hi = slice(start - k, stop - k), slice(start + k, stop + k)
+            mid = slice(start, stop)
+            m = stop - start
+            P, Q, W, K = p[:m], q[:m], w[:m], keep[:m]
+            np.subtract(ys[mid], ys[lo], out=P)
+            np.subtract(vs[hi], vs[lo], out=W)
+            P *= W
+            np.subtract(vs[mid], vs[lo], out=Q)
+            np.subtract(ys[hi], ys[lo], out=W)
+            Q *= W
+            np.subtract(P, Q, out=W)  # > 0 where the middle point is below
+            np.abs(P, out=P)
+            np.abs(Q, out=Q)
+            P += Q
+            P *= COLLINEAR_ERRBOUND
+            np.less_equal(W, P, out=K)
+            alive[mid] &= K
+        k *= 2
+    return np.flatnonzero(alive).astype(np.int32)
+
+
+def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Vertex candidates among the sorted indices idx, ends included.
+
+    Level-synchronous farthest-point recursion: each level measures every
+    open point against the chord of its segment, drops the points on or
+    below it, and turns each segment's farthest points into vertices.
+    """
+    verts = idx[[0, -1]]
+    rest = idx[1:-1]
+    yr, vr = ys[rest], vs[rest]
+    seg = np.zeros(len(rest), dtype=np.int32)  # left vertex of each open point
+    while len(rest):
+        ya, va = ys[verts], vs[verts]
+        slope = np.diff(va) / np.diff(ya)
+        d = (vr - va[seg]) - slope[seg] * (yr - ya[seg])
+        above = d > 0
+        rest, seg, d, yr, vr = rest[above], seg[above], d[above], yr[above], vr[above]
+        if not len(rest):
+            break
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        dmax = np.maximum.reduceat(d, starts)
+        far = d == np.repeat(dmax, np.diff(starts, append=len(seg)))
+        verts = np.insert(verts, seg[far] + 1, rest[far])
+        # every new vertex left of an open point shifts its segment by one
+        seg += np.cumsum(far, dtype=np.int32)
+        near = ~far
+        rest, seg, yr, vr = rest[near], seg[near], yr[near], vr[near]
+    return verts
+
+
+def _chain(ys: list[float], vs: list[float]) -> list[int]:
+    """Positions of the monotone-chain vertices of sorted points."""
+    stack: list[int] = []
+    for j in range(len(ys)):
+        while len(stack) >= 2:
+            i1, i2 = stack[-2], stack[-1]
+            if not _pops(ys[i1], vs[i1], ys[i2], vs[i2], ys[j], vs[j]):
+                break
+            stack.pop()
+        stack.append(j)
+    return stack
 
 
 def upper_concave_majorant(
@@ -63,34 +160,26 @@ def upper_concave_majorant(
 ) -> ConcaveMajorant:
     """Vertex chain of the upper concave hull of points sorted by y.
 
-    Needs >= 2 points with strictly increasing y (collapse duplicate y to
-    the max v beforehand).  Single monotone-chain pass, amortized O(n);
-    interior points collinear with their neighbors are removed.
+    Needs >= 2 finite points with strictly increasing y (collapse duplicate
+    y to the max v beforehand).  Interior points collinear with their
+    neighbours are removed.  The filter and the QuickHull levels are
+    O(n log n) array work; the Python chain pass runs only on the
+    candidates, and only when one of their triples fails the check.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise InputError("need at least 2 points of shape (n, 2)")
-    ys, vs = pts[:, 0], pts[:, 1]
+    if not np.isfinite(pts).all():
+        raise InputError("point coordinates must be finite")
+    ys, vs = np.ascontiguousarray(pts.T)  # a copy only for row-major input
     if np.any(np.diff(ys) <= 0):
         raise InputError("y coordinates must be strictly increasing")
 
-    stack: list[int] = []
-    for j in range(len(ys)):
-        while len(stack) >= 2:
-            i1, i2 = stack[-2], stack[-1]
-            c = _cross(ys[i1], vs[i1], ys[i2], vs[i2], ys[j], vs[j])
-            scale = max(
-                abs(ys[i1]), abs(ys[i2]), abs(ys[j]),
-                abs(vs[i1]), abs(vs[i2]), abs(vs[j]),
-            )
-            # pop the middle point if it is below the chord or collinear
-            if c >= -COLLINEAR_RTOL * scale:
-                stack.pop()
-            else:
-                break
-        stack.append(j)
-
-    idx = np.asarray(stack, dtype=np.intp)
+    idx = _quickhull(ys, vs, _chord_filter(ys, vs))
+    cy, cv = ys[idx], vs[idx]
+    if _pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any():
+        idx = idx[_chain(cy.tolist(), cv.tolist())]
+    idx = idx.astype(np.intp)
     return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 
 

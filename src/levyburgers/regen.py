@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError, ParameterError, WindowTooSmallError
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 from .shocks import zero_set_indices
-from .solver import BurgersSolution, solve
+from .solver import BurgersSolution, owning_vertices, solve
 
 # u is sampled at this many equispaced points on each side of T when
 # building the feature vectors.
@@ -239,8 +239,7 @@ def _side_features(
     else:
         xs = lo + (hi - lo) * j / N_FEATURE_SAMPLES
         n_shocks = np.count_nonzero(macro & (sol.edge_x >= lo) & (sol.edge_x < hi))
-    owners = np.searchsorted(sol.edge_x, xs, side="right")
-    u = (xs - sol.vertex_ys[owners]) / t
+    u = (xs - sol.vertex_ys[owning_vertices(sol, xs)]) / t
     return np.array([u.mean(), u.min(), float(n_shocks)])
 
 

@@ -90,7 +90,8 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
             "shifted potential is maximal at a grid endpoint; enlarge the grid"
         )
 
-    cm = upper_concave_majorant(np.column_stack([ys, shifted]))
+    # column-major, so the hull reads both columns without a copy
+    cm = upper_concave_majorant(np.array([ys, shifted]).T)
     m = len(cm)
     x_lo = np.empty(m)
     x_hi = np.empty(m)
@@ -116,13 +117,22 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     )
 
 
+def owning_vertices(sol: BurgersSolution, xs) -> np.ndarray:
+    """Indices of the vertices whose X-intervals contain the points xs.
+
+    A shock location belongs to the right vertex (right continuity of a,
+    largest argmax).  No window check: callers pass window points.
+    """
+    return np.searchsorted(sol.edge_x, xs, side="right")
+
+
 def _owning_vertex(sol: BurgersSolution, x: float) -> int:
     """Index of the vertex whose X-interval contains the window point x
     (right at ties)."""
     lo, hi = sol.window
     if x < lo or x > hi:
         raise OutOfDomainError(f"x={x} outside the analysis window [{lo}, {hi}]")
-    return int(np.searchsorted(sol.edge_x, x, side="right"))
+    return int(owning_vertices(sol, x))
 
 
 def evaluate_solution(sol: BurgersSolution, x: float) -> EulerianValues:

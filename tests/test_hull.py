@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyburgers import (
+    GridSpec,
     InputError,
+    LevyParams,
     OutOfDomainError,
+    jump_down,
+    jump_up,
     query,
+    sample_path,
     upper_concave_majorant,
+    zero_path,
 )
+from levyburgers import hull
 
 
 def brute_force_vertices(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -27,6 +34,26 @@ def brute_force_vertices(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         if not np.any(chord > vs[j]):
             keep.append(j)
     return np.asarray(keep, dtype=np.intp)
+
+
+def reference_chain(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Left-to-right monotone chain over every point, the per-point loop
+    the vectorized hull replaces.  Pops the middle of a triple unless its
+    orientation determinant is certainly negative (below minus its
+    forward error bound)."""
+    ys, vs = ys.tolist(), vs.tolist()
+    tol = hull.COLLINEAR_ERRBOUND
+    stack: list[int] = []
+    for j in range(len(ys)):
+        while len(stack) >= 2:
+            i1, i2 = stack[-2], stack[-1]
+            p = (ys[i2] - ys[i1]) * (vs[j] - vs[i1])
+            q = (vs[i2] - vs[i1]) * (ys[j] - ys[i1])
+            if p - q < -tol * (abs(p) + abs(q)):
+                break
+            stack.pop()
+        stack.append(j)
+    return np.asarray(stack, dtype=np.intp)
 
 
 def random_cloud(rng, n):
@@ -55,6 +82,10 @@ class TestExamples:
     def test_input_errors(self):
         with pytest.raises(InputError):
             upper_concave_majorant([(0, 0)])
+        with pytest.raises(InputError):
+            upper_concave_majorant([(0, 0), (1, np.inf)])
+        with pytest.raises(InputError):
+            upper_concave_majorant([(0, np.nan), (1, 0)])
         with pytest.raises(InputError):
             upper_concave_majorant([(0, 0), (0, 1)])
         with pytest.raises(InputError):
@@ -152,3 +183,70 @@ def test_hypothesis_hull_matches_oracle(points):
         val, _, _ = query(cm, y)
         assert val >= v - 1e-9 * (1 + abs(v))
     assert np.all(np.diff(cm.slopes) < 0)
+
+
+def _shifted(path):
+    """Grid and shifted potential at t = 1, the cloud solve() hands the hull."""
+    ys = path.grid.points()
+    return ys, path.values - ys * ys / 2.0
+
+
+LEVY_FAMILIES = {
+    "brownian": LevyParams.brownian(1.0),
+    "stable1.5": LevyParams.stable(1.5, 0.0, 1.0),
+    "stable0.75": LevyParams.stable(0.75, 0.0, 1.0),
+    "cauchy": LevyParams.cauchy(1.0),
+}
+
+
+class TestMatchesMonotoneChain:
+    """The vectorized hull returns exactly the vertex indices of the
+    per-point monotone chain on the inputs the solver sees."""
+
+    @pytest.mark.parametrize("n", [4097, 65537])
+    @pytest.mark.parametrize("family", sorted(LEVY_FAMILIES))
+    def test_levy_families(self, family, n):
+        grid = GridSpec.symmetric(16.0, n)
+        for seed in (1, 2):
+            ys, vs = _shifted(sample_path(LEVY_FAMILIES[family], grid, seed))
+            cm = upper_concave_majorant(np.column_stack([ys, vs]))
+            assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+    def test_near_flat_brownian(self):
+        grid = GridSpec.symmetric(16.0, 16385)
+        for seed in range(3):
+            ys, vs = _shifted(sample_path(LevyParams.brownian(1e-3), grid, seed))
+            cm = upper_concave_majorant(np.column_stack([ys, vs]))
+            assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+    @pytest.mark.parametrize("fixture", [zero_path, jump_up, jump_down])
+    def test_fixtures(self, fixture):
+        grid = GridSpec.symmetric(16.0, 16385)
+        ys, vs = _shifted(fixture(grid))
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+        if fixture is zero_path:
+            assert len(cm) == grid.n
+
+    @pytest.mark.parametrize(
+        "ys, vs",
+        [
+            (np.linspace(0.0, 1.0, 1001), 0.1 * np.linspace(0.0, 1.0, 1001) + 3.0),
+            (np.linspace(-3.0, 7.0, 4097), np.pi * np.linspace(-3.0, 7.0, 4097) - 1 / 3),
+            (
+                np.linspace(-16.0, 16.0, 4097),
+                0.7 * np.linspace(-16.0, 16.0, 4097)
+                + 1e-15 * np.random.default_rng(0).standard_normal(4097),
+            ),
+        ],
+        ids=["rounded-line", "rounded-steep-line", "line-with-noise"],
+    )
+    def test_chain_fallback(self, ys, vs):
+        """Rounded lines leave candidate triples within rounding of
+        collinear, so the final check flags them and the chain pass over
+        the candidates decides."""
+        cand = hull._quickhull(ys, vs, hull._chord_filter(ys, vs))
+        cy, cv = ys[cand], vs[cand]
+        assert hull._pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from levyburgers import (
     GridSpec,
+    LevyBurgersError,
     LevyParams,
     LevyPath,
     OutOfDomainError,
@@ -244,6 +245,85 @@ def test_hypothesis_tie_conventions_agree(halves):
     xs = pts[(pts >= lo) & (pts <= hi)]
     a_hull = np.array([evaluate_solution(sol, float(x)).a for x in xs])
     assert np.array_equal(a_hull, solve_naive(path, 1.0, xs))
+
+
+def _window_points(sol):
+    ys = sol.path.grid.points()
+    lo, hi = sol.window
+    return ys[(ys >= lo) & (ys <= hi)]
+
+
+def _mismatches(sol, xs):
+    a_hull = np.array([evaluate_solution(sol, float(x)).a for x in xs])
+    return int(np.count_nonzero(a_hull != solve_naive(sol.path, sol.t, xs)))
+
+
+class TestNearCollinearVertices:
+    """Real vertices whose orientation determinant is tiny next to the
+    coordinate magnitudes but far above its rounding error must stay
+    vertices; a tolerance in coordinate units flattened them."""
+
+    def test_heavy_tailed_stable_large_scale(self):
+        path = sample_path(LevyParams.stable(0.55, 0.0, 50.0), GridSpec.symmetric(8.0, 4097), 195)
+        sol = solve(path, 1.0)
+        assert len(sol) == 13
+        assert _mismatches(sol, _window_points(sol)) == 0
+
+    @pytest.mark.parametrize("seed, m", [(1002, 22), (1007, 34)])
+    def test_sweep_family(self, seed, m):
+        grid = GridSpec.symmetric(16.0, 65537)
+        sol = solve(sample_path(LevyParams.stable(0.75, 0.0, 1.0), grid, seed), 1.0)
+        assert len(sol) == m
+        # a flattened vertex shows next to the shocks that bound its
+        # X-interval, so the oracle checks the grid points around each shock
+        xs = _window_points(sol)
+        near = np.searchsorted(xs, sol.edge_x)
+        near = np.unique(np.clip(np.concatenate([near - 2, near - 1, near, near + 1]), 0, len(xs) - 1))
+        assert _mismatches(sol, xs[near]) == 0
+
+
+def _adversarial_params():
+    return st.one_of(
+        st.builds(
+            LevyParams.stable,
+            st.floats(0.5, 0.6, exclude_min=True),
+            st.floats(-1.0, 1.0),
+            st.floats(1e-3, 1e3),
+        ),
+        st.builds(
+            LevyParams.stable,
+            st.floats(0.5, 2.0, exclude_min=True).filter(lambda a: a != 1.0),
+            st.floats(-1.0, 1.0),
+            st.floats(1e-3, 1e3),
+        ),
+        st.builds(LevyParams.cauchy, st.floats(1e-3, 1e3)),
+        st.builds(LevyParams.brownian, st.sampled_from([0.0, 1e-300, 1e-12, 1e-6])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=_adversarial_params(),
+    half=st.integers(1, 32),
+    half_width=st.sampled_from([1.0, 4.0, 16.0]),
+    t=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32),
+)
+def test_hypothesis_adversarial_regimes_match_oracle(params, half, half_width, t, seed):
+    """Heavy tails near alpha = 1/2, scales up to 1e3, t over twelve
+    decades, near-zero sigma and grids of 3 to 65 points: every case
+    either raises a typed error or gives finite outputs equal to the
+    oracle at every window grid point."""
+    grid = GridSpec.symmetric(half_width, 2 * half + 1)
+    try:
+        sol = solve(sample_path(params, grid, seed), t)
+    except LevyBurgersError:
+        return
+    xs = _window_points(sol)
+    evs = [evaluate_solution(sol, float(x)) for x in xs]
+    assert np.all(np.isfinite([(ev.a, ev.u) for ev in evs]))
+    assert np.all(np.isfinite(sol.x_hi[:-1]))
+    assert np.array_equal([ev.a for ev in evs], solve_naive(sol.path, t, xs))
 
 
 class TestErrors:
