@@ -27,7 +27,6 @@ from .levy import (
     classify,
     derived_seed,
     sample_path,
-    stable_increment,
     stable_increments,
 )
 from .regen import (

@@ -185,11 +185,6 @@ def run_experiment(
         _write_csv(p, meta, columns, rows)
         written.append(p)
 
-    def emit_records(name, cls, records):
-        # one column per dataclass field, in declaration order
-        fields = [f.name for f in dataclasses.fields(cls)]
-        emit_csv(name, fields, (dataclasses.astuple(r) for r in records))
-
     eff = out / "effective_config.json"
     _write_json(
         eff,
@@ -240,9 +235,9 @@ def run_experiment(
         path = config.build_path()
         sol = solve(path, config.t)
         rep = extract_shocks(sol)
-        emit_records("shocks.csv", Shock, rep.shocks)
+        emit_csv("shocks.csv", Shock._fields, rep.shocks)
         emit_csv("zero_set.csv", ["y"], ((y,) for y in rep.zero_set))
-        emit_records("rarefactions.csv", Rarefaction, rep.rarefactions)
+        emit_csv("rarefactions.csv", Rarefaction._fields, rep.rarefactions)
         return written
 
     if subcommand == "regen":
@@ -287,7 +282,7 @@ def run_experiment(
             config.seed,
             window=window,
         )
-        emit_records("refine.csv", RefinementRow, rows)
+        emit_csv("refine.csv", RefinementRow._fields, rows)
         return written
 
     # integral

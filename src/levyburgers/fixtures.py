@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -25,6 +27,8 @@ def step_path(grid: GridSpec, delta: float, location: float = 0.0) -> LevyPath:
     ``location`` must be a grid point.  Note psi0(0) = delta when the jump
     sits at the origin; these are synthetic test paths, not Levy samples.
     """
+    if not math.isfinite(delta):
+        raise ParameterError(f"jump size must be finite, got {delta}")
     ys = grid.points()
     idx = int(np.searchsorted(ys, location))
     if idx >= grid.n or ys[idx] != location:

@@ -44,6 +44,8 @@ class GridSpec:
             raise GridError(f"need at least 3 grid points, got n={self.n}")
         if not (self.x_min < 0.0 < self.x_max):
             raise GridError("grid must straddle the origin: x_min < 0 < x_max")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise GridError("grid endpoints must be finite")
         off = abs(self.x_min + self.zero_index * self.h)
         if off > 1e-9 * (self.x_max - self.x_min):
             raise GridError(
@@ -82,6 +84,8 @@ class JumpDist:
     def __post_init__(self):
         if self.kind not in ("normal", "uniform", "fixed"):
             raise ParameterError(f"unknown jump-size kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ParameterError("jump law parameters must be finite")
         if self.kind == "normal" and self.b < 0:
             raise ParameterError("normal jump std must be >= 0")
         if self.kind == "uniform" and not self.a < self.b:
@@ -116,14 +120,14 @@ class LevyParams:
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family == "brownian":
-            if self.sigma < 0:
-                raise ParameterError("sigma must be >= 0")
+            if not 0.0 <= self.sigma < math.inf:
+                raise ParameterError("sigma must be finite and >= 0")
         elif self.family in ("stable", "cauchy"):
             a, b = self.effective_alpha_beta()
             _check_stable(a, b, self.scale)
         else:
-            if self.rate <= 0:
-                raise ParameterError("compound Poisson rate must be > 0")
+            if not 0.0 < self.rate < math.inf:
+                raise ParameterError("compound Poisson rate must be finite and > 0")
             if self.jump_dist is None:
                 raise ParameterError("compound Poisson needs a jump-size law")
 
@@ -188,8 +192,8 @@ def _check_stable(alpha: float, beta: float, c: float) -> None:
         raise ParameterError(f"alpha must lie in (1/2, 2], got {alpha}")
     if not -1.0 <= beta <= 1.0:
         raise ParameterError(f"beta must lie in [-1, 1], got {beta}")
-    if c <= 0:
-        raise ParameterError(f"scale must be > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"scale must be finite and > 0, got {c}")
     if alpha == 1.0 and beta != 0.0:
         # asymmetric alpha=1 needs a centering drift, excluded by the
         # zero-drift convention
@@ -228,13 +232,6 @@ def stable_increments(
             * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
         )
     return c * h ** (1.0 / alpha) * x
-
-
-def stable_increment(
-    alpha: float, beta: float, c: float, h: float, rng: np.random.Generator
-) -> float:
-    """Single increment; see stable_increments."""
-    return float(stable_increments(alpha, beta, c, h, 1, rng)[0])
 
 
 def _cell_increments(
@@ -378,7 +375,7 @@ def abruptness_integral_estimate(
     is a trend diagnostic (bounded vs. growing as eps decreases), not a
     binary verdict.
     """
-    if a > b:
+    if not a <= b:
         raise ParameterError("need a <= b")
     if n_mc < 1000:
         raise ParameterError("need n_mc >= 1000")

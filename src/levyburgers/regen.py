@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, InsufficientDataError, ParameterError, WindowTooSmallError
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
-from .shocks import zero_set_indices
+from .shocks import macroscopic_edges, zero_set_indices
 from .solver import BurgersSolution, owning_vertices, solve
 
 # u is sampled at this many equispaced points on each side of T when
@@ -131,6 +131,8 @@ def rk_sequence(
     (ties to the larger index); the walk stops at the first fixed point.
     Exceeding k_max is reported, not fatal.
     """
+    if not 0.0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     ys = path.grid.points()
@@ -229,9 +231,9 @@ def _side_features(
     sol: BurgersSolution, lo: float, hi: float, closed_right: bool
 ) -> np.ndarray:
     """(mean u, min u, #shocks) on (lo, hi] or [lo, hi); shocks are the
-    macroscopic edges (grid-index gap >= 2)."""
+    macroscopic edges."""
     t = sol.t
-    macro = np.diff(sol.vertex_grid_indices) >= 2
+    macro = macroscopic_edges(sol)
     j = np.arange(N_FEATURE_SAMPLES, dtype=float)
     if closed_right:
         xs = lo + (hi - lo) * (j + 1.0) / N_FEATURE_SAMPLES
@@ -265,6 +267,8 @@ def replicate_features(
     point, pre and post the features on [T-w, T) and (T, T+w].  None drops
     the replicate: it has no solution, T is not found or [T-w, T+w]
     leaves the analysis window."""
+    if not 0.0 < window_w < math.inf:
+        raise ParameterError(f"w must be finite and > 0, got {window_w}")
     T = None if sol is None else _first_zero(sol)
     if T is None or T - window_w < sol.window[0] or T + window_w > sol.window[1]:
         return None

@@ -1,18 +1,19 @@
-"""Shock structure extraction and statistics from a solved flow.
+"""Shock structure extraction and statistics, read off the hull as arrays.
 
-A shock is a hull edge whose Lagrangian interval swallows at least one
-interior grid point (location -t * edge slope, interval the two
-vertices); vertices whose own X-interval contains them form the zero set
-(zero-velocity points); each vertex's X-interval, clipped to the analysis
-window, is its constancy (rarefaction) record.  On a finite grid every
-vertex has a positive-length constancy interval, so rarefaction claims
-are studied through refinement trends rather than per-grid booleans.
+A shock is a macroscopic hull edge at location -t * edge slope; vertices
+whose own X-interval contains them form the zero set (zero-velocity
+points); each vertex's X-interval, clipped to the analysis window, is its
+constancy (rarefaction) record.  Records are NamedTuples: one record is one
+CSV row under the columns ``_fields``.  On a finite grid every vertex has a
+positive-length constancy interval, so rarefaction claims are studied
+through refinement trends rather than per-grid booleans.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .solver import BurgersSolution, solve
 ONE_SIDED_TOL_CELLS = 1.0
 
 
-@dataclass(frozen=True)
-class Shock:
+class Shock(NamedTuple):
     """A jump of x -> a(x): the Eulerian location, the Lagrangian interval
     of aggregated particles, its mass and the cluster velocity."""
 
@@ -38,8 +38,7 @@ class Shock:
     boundary_affected: bool
 
 
-@dataclass(frozen=True)
-class Rarefaction:
+class Rarefaction(NamedTuple):
     """Constancy interval of a(.) owned by one vertex, clipped to the
     window."""
 
@@ -83,8 +82,7 @@ class JumpSignReport:
     untracked: int
 
 
-@dataclass(frozen=True)
-class RefinementRow:
+class RefinementRow(NamedTuple):
     h: float
     n: int
     median_contacts: float
@@ -122,13 +120,29 @@ def epsilon_regular_indices(sol: BurgersSolution, eps: float | None = None) -> n
     return np.flatnonzero((left_gap < eps) & (right_gap < eps))
 
 
+def macroscopic_edges(sol: BurgersSolution) -> np.ndarray:
+    """Mask of the hull edges whose interval swallows at least one interior
+    grid point (grid-index gap >= 2): single-cell edges are the
+    discretization of a continuous increase of a(.), not discontinuities."""
+    return np.diff(sol.vertex_grid_indices) >= 2
+
+
+def _window_zero_indices(sol: BurgersSolution, lo: float, hi: float) -> np.ndarray:
+    """zero_set_indices restricted to vertices in [lo, hi]."""
+    z = zero_set_indices(sol)
+    return z[(sol.vertex_ys[z] >= lo) & (sol.vertex_ys[z] <= hi)]
+
+
+def _clip_intervals(sol: BurgersSolution, lo: float, hi: float) -> tuple:
+    """(x_lo, x_hi) of every vertex clipped to [lo, hi]; empty where x_hi <= x_lo."""
+    return np.maximum(sol.x_lo, lo), np.minimum(sol.x_hi, hi)
+
+
 def extract_shocks(sol: BurgersSolution) -> ShockReport:
     """Windowed shock structure of a solved flow.
 
-    A hull edge is a shock only when its interval swallows at least one
-    interior grid point (grid-index gap >= 2): single-cell edges are the
-    discretization of a continuous increase of a(.), not discontinuities.
-    Shock velocities are computed from the potential difference across the
+    Shocks are the macroscopic edges located in the window.  Shock
+    velocities are computed from the potential difference across the
     shock interval; the average-of-one-sided-u identity is exact algebra
     on the same hull coordinates and is asserted by the tests rather than
     recomputed here.
@@ -136,49 +150,27 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     lo, hi = sol.window
     ys = sol.vertex_ys
     gidx = sol.vertex_grid_indices
-    vals = sol.path.values
-    t = sol.t
+    ba = sol.boundary_affected
 
-    in_win = (sol.edge_x >= lo) & (sol.edge_x <= hi)
-    macroscopic = np.diff(gidx) >= 2
-    shocks = []
-    for k in np.flatnonzero(in_win & macroscopic):
-        a_minus = float(ys[k])
-        a_plus = float(ys[k + 1])
-        mass = a_plus - a_minus
-        dpsi = float(vals[gidx[k + 1]] - vals[gidx[k]])
-        shocks.append(
-            Shock(
-                x=float(sol.edge_x[k]),
-                a_minus=a_minus,
-                a_plus=a_plus,
-                mass=mass,
-                velocity=-dpsi / mass,
-                boundary_affected=bool(
-                    sol.boundary_affected[k] or sol.boundary_affected[k + 1]
-                ),
-            )
-        )
+    k = np.flatnonzero((sol.edge_x >= lo) & (sol.edge_x <= hi) & macroscopic_edges(sol))
+    a_minus, a_plus = ys[k], ys[k + 1]
+    mass = a_plus - a_minus
+    dpsi = sol.path.values[gidx[k + 1]] - sol.path.values[gidx[k]]
+    shocks = list(map(
+        Shock, sol.edge_x[k].tolist(), a_minus.tolist(), a_plus.tolist(),
+        mass.tolist(), (-dpsi / mass).tolist(), (ba[k] | ba[k + 1]).tolist(),
+    ))
+
+    r_lo, r_hi = _clip_intervals(sol, lo, hi)
+    r = np.flatnonzero(r_hi > r_lo)
+    r_lo, r_hi = r_lo[r], r_hi[r]
+    rarefactions = list(map(
+        Rarefaction, ys[r].tolist(), r_lo.tolist(), r_hi.tolist(),
+        (r_hi - r_lo).tolist(), ba[r].tolist(),
+    ))
 
     in_window = np.flatnonzero((ys >= lo) & (ys <= hi))
-    zero_all = zero_set_indices(sol)
-    zero_idx = zero_all[(ys[zero_all] >= lo) & (ys[zero_all] <= hi)]
-
-    rarefactions = []
-    for k in range(len(ys)):
-        r_lo = max(float(sol.x_lo[k]), lo)
-        r_hi = min(float(sol.x_hi[k]), hi)
-        if r_hi > r_lo:
-            rarefactions.append(
-                Rarefaction(
-                    vertex_y=float(ys[k]),
-                    x_lo=r_lo,
-                    x_hi=r_hi,
-                    length=r_hi - r_lo,
-                    boundary_affected=bool(sol.boundary_affected[k]),
-                )
-            )
-
+    zero_idx = _window_zero_indices(sol, lo, hi)
     return ShockReport(
         shocks=shocks,
         contacts=ys[in_window],
@@ -190,62 +182,73 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     )
 
 
-def _gap_samples(sol: BurgersSolution, z1: float, z2: float) -> list[tuple[float, float]]:
-    """(x, u) samples inside the open gap (z1, z2): one-sided u at every
-    shock strictly inside, plus u at the midpoint of every constancy
-    interval's overlap with the gap."""
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, i) over the concatenated index ranges [starts[g], stops[g])."""
+    counts = stops - starts
+    g = np.repeat(np.arange(len(counts)), counts)
+    return g, np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+
+
+def _gap_samples(
+    sol: BurgersSolution, z1: np.ndarray, z2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gap, x, u) samples inside the open gaps (z1[g], z2[g]), ordered by
+    gap, then x: one-sided u at every shock strictly inside, plus u at the
+    midpoint of every constancy interval's overlap with the gap.
+
+    edge_x, x_lo and x_hi are nondecreasing (t > 0), so each gap's shocks
+    and overlapping intervals are contiguous index ranges.
+    """
     ys = sol.vertex_ys
-    t = sol.t
-    samples = []
-    for k in np.flatnonzero((sol.edge_x > z1) & (sol.edge_x < z2)):
-        x = float(sol.edge_x[k])
-        samples.append((x, (x - float(ys[k])) / t))      # u(x-)
-        samples.append((x, (x - float(ys[k + 1])) / t))  # u(x)
-    for k in np.flatnonzero((sol.x_hi > z1) & (sol.x_lo < z2)):
-        o_lo = max(float(sol.x_lo[k]), z1)
-        o_hi = min(float(sol.x_hi[k]), z2)
-        if o_hi > o_lo:
-            mid = 0.5 * (o_lo + o_hi)
-            samples.append((mid, (mid - float(ys[k])) / t))
-    samples.sort(key=lambda s: s[0])
-    return samples
+    g_e, e = _ranges(
+        np.searchsorted(sol.edge_x, z1, side="right"),
+        np.searchsorted(sol.edge_x, z2, side="left"),
+    )
+    g_k, k = _ranges(
+        np.searchsorted(sol.x_hi, z1, side="right"),
+        np.searchsorted(sol.x_lo, z2, side="left"),
+    )
+    o_lo = np.maximum(sol.x_lo[k], z1[g_k])
+    o_hi = np.minimum(sol.x_hi[k], z2[g_k])
+    keep = o_hi > o_lo
+    k = k[keep]
+
+    # u(x-) then u(x) at each shock, then the interval midpoints; the
+    # stable sort keeps that order among equal x
+    gap = np.concatenate([np.repeat(g_e, 2), g_k[keep]])
+    xs = np.concatenate([np.repeat(sol.edge_x[e], 2), 0.5 * (o_lo[keep] + o_hi[keep])])
+    a = np.concatenate([np.column_stack([ys[e], ys[e + 1]]).ravel(), ys[k]])
+    order = np.lexsort((xs, gap))
+    return gap[order], xs[order], ((xs - a) / sol.t)[order]
 
 
 def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
-    """Scan u between consecutive zero-set points.
+    """Scan u between consecutive zero-set points of the window.
 
     Between two consecutive zero-velocity points u must be first positive
     then negative: u only jumps downward, so any observed passage from
     u < 0 to u > 0 without an intervening zero-set point is a violation.
     Empty zero set yields an empty report.
     """
-    report = extract_shocks(sol)
-    zs = report.zero_set
-    violations = []
-    gap_stats = []
+    zs = sol.vertex_ys[_window_zero_indices(sol, *sol.window)]
     # zero elements one cell apart are a single connected component of the
     # closed zero set at grid resolution, not a gap
-    h = sol.path.grid.h
-    for z1, z2 in zip(zs[:-1], zs[1:]):
-        if z2 - z1 <= h * (1.0 + 1e-9):
-            continue
-        samples = _gap_samples(sol, float(z1), float(z2))
-        seen_negative = False
-        has_pos = False
-        has_neg = False
-        for x, u in samples:
-            if u > 0:
-                has_pos = True
-                if seen_negative:
-                    violations.append((float(z1), float(z2), x))
-            elif u < 0:
-                has_neg = True
-                seen_negative = True
-        gap_stats.append(
-            GapStat(gap=(float(z1), float(z2)),
-                    has_positive_phase=has_pos,
-                    has_negative_phase=has_neg)
-        )
+    g = np.flatnonzero(np.diff(zs) > sol.path.grid.h * (1.0 + 1e-9))
+    z1, z2 = zs[g], zs[g + 1]
+    gap, xs, us = _gap_samples(sol, z1, z2)
+    neg, pos = us < 0, us > 0
+
+    # negatives seen earlier in the same gap
+    neg_before = np.cumsum(neg) - neg
+    neg_before -= neg_before[np.searchsorted(gap, gap)]
+    bad = pos & (neg_before > 0)
+    violations = list(zip(z1[gap[bad]].tolist(), z2[gap[bad]].tolist(), xs[bad].tolist()))
+
+    gap_stats = list(map(
+        GapStat, zip(z1.tolist(), z2.tolist()),
+        (np.bincount(gap[pos], minlength=len(g)) > 0).tolist(),
+        (np.bincount(gap[neg], minlength=len(g)) > 0).tolist(),
+    ))
     return SignPatternReport(violations=violations, gap_stats=gap_stats)
 
 
@@ -306,11 +309,9 @@ def window_stats(
     hi = min(hi, sol.window[1])
     ys = sol.vertex_ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
-    zero_all = zero_set_indices(sol)
-    n_zero = int(np.count_nonzero((ys[zero_all] >= lo) & (ys[zero_all] <= hi)))
+    n_zero = len(_window_zero_indices(sol, lo, hi))
 
-    clip_lo = np.maximum(sol.x_lo, lo)
-    clip_hi = np.minimum(sol.x_hi, hi)
+    clip_lo, clip_hi = _clip_intervals(sol, lo, hi)
     lengths = np.clip(clip_hi - clip_lo, 0.0, None)
     lengths[sol.boundary_affected] = 0.0
     max_rare = float(lengths.max()) if len(lengths) else 0.0
@@ -339,6 +340,8 @@ def refinement_study(
     """
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise GridError("h_list must be strictly decreasing")
+    if not all(0.0 < v < math.inf for v in (L, *h_list)):
+        raise GridError("L and every h must be finite and > 0")
     rows = []
     for hk, h in enumerate(h_list):
         cells = 2.0 * L / h
@@ -356,16 +359,6 @@ def refinement_study(
                 continue
             stats.append(window_stats(sol, window))
         arr = np.array(stats) if stats else np.full((1, 4), math.nan)
-        med = np.median(arr, axis=0)
-        rows.append(
-            RefinementRow(
-                h=h,
-                n=grid.n,
-                median_contacts=float(med[0]),
-                median_zero=float(med[1]),
-                median_max_rarefaction=float(med[2]),
-                median_contact_fraction=float(med[3]),
-                n_failed=n_failed,
-            )
-        )
+        # the four medians in window_stats order
+        rows.append(RefinementRow(h, grid.n, *np.median(arr, axis=0).tolist(), n_failed))
     return rows

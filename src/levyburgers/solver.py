@@ -79,8 +79,8 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     the shifted potential: the global argmax may then lie off-grid and no
     window statistic would be trustworthy.
     """
-    if t <= 0:
-        raise ParameterError(f"t must be > 0, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
     ys = path.grid.points()
     shifted = path.values - ys * ys / (2.0 * t)
 
@@ -158,8 +158,8 @@ def solve_naive(path: LevyPath, t: float, xs) -> np.ndarray:
     floating-point ties break to the larger index.  This is the
     independent oracle for the hull solver.
     """
-    if t <= 0:
-        raise ParameterError(f"t must be > 0, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
     ys = path.grid.points()
     vals = path.values
     out = np.empty(len(xs))

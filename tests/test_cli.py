@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,45 @@ from levyburgers.cli import (
 
 DATA = Path(__file__).parent / "data"
 SUBS_DETERMINISTIC = ("simulate", "solve", "shocks", "regen", "integral")
+
+# sha256 of every output file of solve and shocks on the fixture configs in
+# DATA; these paths involve no sampling and no libm calls, so the bytes are
+# the same on every platform
+PINNED_DIGESTS = {
+    ("zero", "solve"): {
+        "effective_config.json": "c8f92c39ab3abc7723df1ed59deb734dd656175043e01f3288d30497b376db3f",
+        "eulerian.csv": "83b2d53b2c80c568c7d5330aa8db6f7c57e0b39f8ff6d26cca8e934bb3b64403",
+        "vertices.csv": "9358c85db3ef7c2d22c5ae9e95fbb9d5ec7854d841ee8fa22ddbb4ffda3700da",
+    },
+    ("zero", "shocks"): {
+        "effective_config.json": "08886f2b5654cb911431cf0a0c900fc6bf702873b7d90302f05d14cdb18fc3b0",
+        "rarefactions.csv": "a0a07b7d163a29f5107930e798ae7cd3f16ae7731569545f0332d6acf3f8f5ca",
+        "shocks.csv": "c180ff359a157085f70fa0469300880664756322f604add5fcd52047632088a0",
+        "zero_set.csv": "916e79cc6529fe0029e25e5ae751c2db9c7bdefd8ddd92e0c53acc29b6cfeb9a",
+    },
+    ("jump_up", "solve"): {
+        "effective_config.json": "be396b6bbbd3f01b3a0d1907181b02d223836bcbce6aabbd1121888c269e0550",
+        "eulerian.csv": "b952b2b78914181c41b2c68bc7e0359cde2faa2fcd9ffdad03ab712bd644639f",
+        "vertices.csv": "767bd49149b843ebfff974f9c8921ac06af3f4a6dbf23a9b2fae5cf35d0c16a2",
+    },
+    ("jump_up", "shocks"): {
+        "effective_config.json": "0772015fcf456a4cef0737394549a78bd70cda2692d7b3224b19b066fb6e4f01",
+        "rarefactions.csv": "47459a14c581c88296437547496a2d971f81773ea0b3f0379e970b47f2141e49",
+        "shocks.csv": "3d796d00a05574e10fba020eb0902e70bc97130744bbd1a49c7f857d2bf65665",
+        "zero_set.csv": "914ada90dfad2e32732f703f8a4b77fe9ad4c0f7b87a654502e9f1d4f561ba20",
+    },
+    ("jump_down", "solve"): {
+        "effective_config.json": "92040a379c242f83de7593b5ce0679bf4030e04945747cec432c9d2de1ef1ba1",
+        "eulerian.csv": "625aca69930f4d214fe8bbba59069ce0fde4ceaf4d2d907d328072194ecb98a2",
+        "vertices.csv": "f6065110d6e015ba03772854cb29695b05b09b6132fd47d64685591f668f96c0",
+    },
+    ("jump_down", "shocks"): {
+        "effective_config.json": "2d952ceed5bcfa4ea2adeebefe0083e1dfafe45b437e2aa81e733703139e3a76",
+        "rarefactions.csv": "b79a40fdf4d1b510f6ad9ab71af5b9afa1768a4b4d8f393da3605b0f89b92287",
+        "shocks.csv": "670af34da739351543c474fe809311a3600a457a9d9df2a8b8fd912816069024",
+        "zero_set.csv": "ec0bfc60f2210deb1112c76874563214ae46e32f87a02355fe3493a825d32c68",
+    },
+}
 
 
 def read_csv(path: Path):
@@ -130,6 +170,16 @@ class TestDeterminism:
         for f1, f2 in zip(files1, files2):
             assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "family,sub", [pytest.param(f, s, id=f"{f}-{s}") for f, s in PINNED_DIGESTS]
+    )
+    def test_fixture_outputs_pinned(self, tmp_path, family, sub):
+        argv = [sub, "--config", str(DATA / f"{family}_fixture.json"), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == PINNED_DIGESTS[family, sub]
+
     def test_refine_deterministic(self, tmp_path):
         cfg = ExperimentConfig(
             family="brownian", sigma=1.0, L=4.0, h_list=[2**-4, 2**-5], n_rep=4, seed=2
@@ -205,10 +255,37 @@ class TestErrors:
         rc = main(["solve", "--config", str(bad), "--out-dir", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
 
-    def test_bad_parameter(self, tmp_path):
-        rc = main(["solve", "--family", "stable", "--alpha", "0.2",
-                   "--out-dir", str(tmp_path)])
-        assert rc == EXIT_BAD_CONFIG
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["solve", "--family", "stable", "--alpha", "0.2"], id="alpha"),
+            # t, w and the path and grid parameters must be finite and in range
+            pytest.param(["solve", "--t", "inf"], id="t-inf"),
+            pytest.param(["solve", "--t", "nan"], id="t-nan"),
+            pytest.param(["regen", "--family", "stable", "--scale", "0.4", "--n", "257",
+                          "--reps", "100", "--w", "nan"], id="w-nan"),
+            pytest.param(["regen", "--family", "stable", "--scale", "0.4", "--n", "257",
+                          "--reps", "100", "--w", "-1"], id="w-negative"),
+            pytest.param(["solve", "--L", "inf"], id="L-inf"),
+            pytest.param(["solve", "--family", "cpoisson", "--rate", "inf"], id="rate-inf"),
+            pytest.param(["solve", "--family", "cpoisson", "--rate", "nan"], id="rate-nan"),
+            pytest.param(["solve", "--family", "cpoisson", "--jump-kind", "uniform",
+                          "--jump-b", "inf"], id="jump-b-inf"),
+            pytest.param(["solve", "--family", "cpoisson", "--jump-b", "nan"],
+                         id="jump-b-nan"),
+            pytest.param(["solve", "--sigma", "nan"], id="sigma-nan"),
+            pytest.param(["integral", "--sigma", "inf"], id="integral-sigma-inf"),
+            pytest.param(["solve", "--family", "stable", "--scale", "inf"], id="scale-inf"),
+            pytest.param(["solve", "--family", "jump_up", "--delta", "nan"], id="delta-nan"),
+            pytest.param(["solve", "--family", "jump_up", "--delta", "inf"], id="delta-inf"),
+            pytest.param(["integral", "--a", "nan"], id="integral-a-nan"),
+            pytest.param(["refine", "--h-list", "0.5,nan"], id="refine-h-nan"),
+            pytest.param(["refine", "--h-list", "0.5,0"], id="refine-h-zero"),
+            pytest.param(["refine", "--L", "inf"], id="refine-L-inf"),
+        ],
+    )
+    def test_bad_parameter(self, tmp_path, argv):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
 
     def test_window_error_exit_code(self, tmp_path):
         # a seed whose shifted potential peaks at the grid end on a tiny grid

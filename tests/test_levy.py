@@ -14,7 +14,6 @@ from levyburgers import (
     abruptness_integral_estimate,
     classify,
     sample_path,
-    stable_increment,
     stable_increments,
 )
 from conftest import derived_seed
@@ -162,11 +161,6 @@ class TestStableIncrement:
         rng = np.random.default_rng(4)
         x = stable_increments(1.5, 0.0, 1.0, 1.0, 400_000, rng)
         assert abs(np.quantile(x, 0.75) - q_oracle) < 0.02 * q_oracle
-
-    def test_scalar_wrapper(self):
-        rng = np.random.default_rng(5)
-        v = stable_increment(1.5, 0.5, 1.0, 0.1, rng)
-        assert isinstance(v, float)
 
     @pytest.mark.parametrize(
         "alpha,beta,c",

@@ -23,6 +23,7 @@ from levyburgers import (
     step_path,
     zero_path,
 )
+from levyburgers.regen import replicate_features
 from conftest import derived_seed
 
 
@@ -96,6 +97,11 @@ class TestScanInvariants:
         with pytest.raises(ParameterError):
             rk_sequence(zero_path(grid_fixture), 1.0, k_max=0)
 
+    @pytest.mark.parametrize("t", [0.0, np.inf, np.nan])
+    def test_rk_requires_finite_positive_t(self, grid_fixture, t):
+        with pytest.raises(ParameterError):
+            rk_sequence(zero_path(grid_fixture), t)
+
 
 class TestPermutationMachinery:
     def test_dcor_self_is_one(self):
@@ -156,6 +162,12 @@ class TestIndependenceTest:
     def test_needs_enough_reps(self, grid_standard):
         with pytest.raises(ParameterError):
             independence_test(LevyParams.stable(1.5, 0, 0.2), grid_standard, 1.0, 0.5, 50, 1)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, np.inf, np.nan])
+    def test_feature_window_must_be_finite_positive(self, grid_fixture, w):
+        sol = solve(jump_down(grid_fixture, 0.5), 1.0)
+        with pytest.raises(ParameterError):
+            replicate_features(sol, w)
 
     def test_insufficient_data_when_window_too_wide(self, grid_standard):
         with pytest.raises(InsufficientDataError):

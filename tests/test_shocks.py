@@ -3,7 +3,13 @@ import pytest
 
 from levyburgers import (
     GridError,
+    GridSpec,
+    JumpDist,
     LevyParams,
+    Rarefaction,
+    Shock,
+    ShockReport,
+    SignPatternReport,
     contact_jump_signs,
     epsilon_regular_indices,
     extract_shocks,
@@ -17,6 +23,7 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
+from levyburgers.shocks import GapStat, _gap_samples
 from conftest import derived_seed
 
 
@@ -259,3 +266,147 @@ class TestRefinementStudy:
     def test_h_must_divide_domain(self):
         with pytest.raises(GridError):
             refinement_study(LevyParams.brownian(1.0), 1.0, 4.0, [0.3], 2, seed=0)
+
+
+# -- the per-vertex extraction and the full-scan sign pattern, kept as
+# references for the array expressions of the library
+
+
+def reference_extract_shocks(sol) -> ShockReport:
+    lo, hi = sol.window
+    ys = sol.vertex_ys
+    gidx = sol.vertex_grid_indices
+    vals = sol.path.values
+
+    in_win = (sol.edge_x >= lo) & (sol.edge_x <= hi)
+    macroscopic = np.diff(gidx) >= 2
+    shocks = []
+    for k in np.flatnonzero(in_win & macroscopic):
+        a_minus = float(ys[k])
+        a_plus = float(ys[k + 1])
+        mass = a_plus - a_minus
+        dpsi = float(vals[gidx[k + 1]] - vals[gidx[k]])
+        shocks.append(Shock(
+            x=float(sol.edge_x[k]), a_minus=a_minus, a_plus=a_plus, mass=mass,
+            velocity=-dpsi / mass,
+            boundary_affected=bool(sol.boundary_affected[k] or sol.boundary_affected[k + 1]),
+        ))
+
+    in_window = np.flatnonzero((ys >= lo) & (ys <= hi))
+    zero_all = zero_set_indices(sol)
+    zero_idx = zero_all[(ys[zero_all] >= lo) & (ys[zero_all] <= hi)]
+
+    rarefactions = []
+    for k in range(len(ys)):
+        r_lo = max(float(sol.x_lo[k]), lo)
+        r_hi = min(float(sol.x_hi[k]), hi)
+        if r_hi > r_lo:
+            rarefactions.append(Rarefaction(
+                vertex_y=float(ys[k]), x_lo=r_lo, x_hi=r_hi, length=r_hi - r_lo,
+                boundary_affected=bool(sol.boundary_affected[k]),
+            ))
+    return ShockReport(
+        shocks=shocks, contacts=ys[in_window], contact_indices=in_window,
+        zero_set=ys[zero_idx], zero_indices=zero_idx, rarefactions=rarefactions,
+        window=sol.window,
+    )
+
+
+def reference_gap_samples(sol, z1, z2):
+    ys = sol.vertex_ys
+    t = sol.t
+    samples = []
+    for k in np.flatnonzero((sol.edge_x > z1) & (sol.edge_x < z2)):
+        x = float(sol.edge_x[k])
+        samples.append((x, (x - float(ys[k])) / t))
+        samples.append((x, (x - float(ys[k + 1])) / t))
+    for k in np.flatnonzero((sol.x_hi > z1) & (sol.x_lo < z2)):
+        o_lo = max(float(sol.x_lo[k]), z1)
+        o_hi = min(float(sol.x_hi[k]), z2)
+        if o_hi > o_lo:
+            mid = 0.5 * (o_lo + o_hi)
+            samples.append((mid, (mid - float(ys[k])) / t))
+    samples.sort(key=lambda s: s[0])
+    return samples
+
+
+def reference_sign_pattern(sol) -> SignPatternReport:
+    zs = reference_extract_shocks(sol).zero_set
+    violations = []
+    gap_stats = []
+    h = sol.path.grid.h
+    for z1, z2 in zip(zs[:-1], zs[1:]):
+        if z2 - z1 <= h * (1.0 + 1e-9):
+            continue
+        seen_negative = has_pos = has_neg = False
+        for x, u in reference_gap_samples(sol, float(z1), float(z2)):
+            if u > 0:
+                has_pos = True
+                if seen_negative:
+                    violations.append((float(z1), float(z2), x))
+            elif u < 0:
+                has_neg = seen_negative = True
+        gap_stats.append(GapStat((float(z1), float(z2)), has_pos, has_neg))
+    return SignPatternReport(violations=violations, gap_stats=gap_stats)
+
+
+def _assert_same_records(got, want):
+    assert got == want
+    for r_got, r_want in zip(got, want):
+        assert list(map(type, r_got)) == list(map(type, r_want))
+
+
+LEVY_FAMILIES = (
+    LevyParams.stable(0.75, 0.0),
+    LevyParams.stable(1.5, 0.0),
+    LevyParams.brownian(1.0),
+    LevyParams.cauchy(1.0),
+    LevyParams.compound_poisson(2.0, JumpDist("normal", 0.0, 1.0)),
+)
+DENSE_GRID = GridSpec.symmetric(16.0, 16385)
+
+
+def _equivalence_paths():
+    grid = GridSpec.symmetric(8.0, 4097)
+    for fi, par in enumerate(LEVY_FAMILIES):
+        for rep in range(20):
+            yield sample_path(par, grid, derived_seed(4300, fi, rep))
+    yield zero_path(DENSE_GRID)
+    yield jump_up(DENSE_GRID, 0.5)
+    yield jump_down(DENSE_GRID, 0.5)
+    for rep in range(3):
+        yield sample_path(LevyParams.brownian(1e-3), DENSE_GRID, derived_seed(4301, rep))
+
+
+def test_array_extraction_matches_per_vertex_reference():
+    n_paths = 0
+    for path in _equivalence_paths():
+        sol = solve(path, 1.0)
+        got, want = extract_shocks(sol), reference_extract_shocks(sol)
+        _assert_same_records(got.shocks, want.shocks)
+        _assert_same_records(got.rarefactions, want.rarefactions)
+        for name in ("contacts", "contact_indices", "zero_set", "zero_indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.window == want.window
+
+        assert sign_pattern(sol) == reference_sign_pattern(sol)
+        n_paths += 1
+    assert n_paths == 106
+
+
+def test_gap_samples_match_full_scan_on_arbitrary_gaps():
+    # gaps that need not end at zero points, overlap or leave the window
+    rng = np.random.default_rng(4302)
+    grid = GridSpec.symmetric(8.0, 4097)
+    for fi, par in enumerate(LEVY_FAMILIES):
+        sol = solve(sample_path(par, grid, derived_seed(4302, fi)), 1.0)
+        ends = np.sort(rng.uniform(-9.0, 9.0, (40, 2)), axis=1)
+        on = min(10, len(sol.edge_x) // 2)  # gaps ending on shocks
+        ends[:on] = rng.choice(sol.edge_x, 2 * on, replace=False).reshape(on, 2)
+        ends.sort(axis=1)
+        z1, z2 = ends[:, 0], ends[:, 1]
+        gap, xs, us = _gap_samples(sol, z1, z2)
+        for g in range(len(z1)):
+            got = list(zip(xs[gap == g].tolist(), us[gap == g].tolist()))
+            assert got == reference_gap_samples(sol, float(z1[g]), float(z2[g]))

@@ -333,6 +333,13 @@ class TestErrors:
         with pytest.raises(ParameterError):
             solve_naive(zero_path(grid_fixture), -1.0, [0.0])
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_t(self, grid_fixture, t):
+        with pytest.raises(ParameterError):
+            solve(zero_path(grid_fixture), t)
+        with pytest.raises(ParameterError):
+            solve_naive(zero_path(grid_fixture), t, [0.0])
+
     def test_window_too_small(self, grid_fixture):
         # a steep ramp keeps the shifted potential maximal at the grid end
         values = 100.0 * grid_fixture.points()
