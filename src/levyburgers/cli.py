@@ -44,10 +44,9 @@ from .regen import (
     regen_report,
     replicate_features,
     rst_scan,
-    solved_replicates,
 )
 from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
-from .solver import owning_vertices, solve
+from .solver import owning_vertices, solve, solved_replicates
 
 SUBCOMMANDS = ("simulate", "solve", "shocks", "regen", "refine", "integral")
 
@@ -197,11 +196,9 @@ def run_experiment(
         path = config.build_path()
         ys = path.grid.points()
         emit_csv("path.csv", ["y", "psi0"], zip(ys, path.values))
-        emit_csv(
-            "jumps.csv",
-            ["index", "y", "size"],
-            ((i, ys[i], s) for i, s in path.tracked_jumps),
-        )
+        jumps = path.tracked_jumps
+        cols = (jumps["index"], ys[jumps["index"]], jumps["size"])
+        emit_csv("jumps.csv", ["index", "y", "size"], zip(*(c.tolist() for c in cols)))
         return written
 
     if subcommand == "solve":
@@ -246,7 +243,8 @@ def run_experiment(
         payload = dataclasses.asdict(rep)
         if config.n_rep > 1 and config.family not in FIXTURE_FAMILIES:
             replicates = solved_replicates(
-                config.levy_params(), config.grid(), config.t, config.n_rep, config.seed
+                config.levy_params(), config.grid(), config.t, config.n_rep, config.seed,
+                key=0,
             )
             # the scans and the independence features share each solve
             rows, features = [], []
@@ -303,36 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Burgers shock structure from Levy potential paths",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    defaults = ExperimentConfig()
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out-dir", type=str, default="out")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None, dest="n_rep")
-        p.add_argument("--family", type=str, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--scale", type=float, default=None)
-        p.add_argument("--rate", type=float, default=None)
-        p.add_argument("--jump-kind", type=str, default=None, dest="jump_kind")
-        p.add_argument("--jump-a", type=float, default=None, dest="jump_a")
-        p.add_argument("--jump-b", type=float, default=None, dest="jump_b")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--location", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--w", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--n-mc", type=int, default=None, dest="n_mc")
-        p.add_argument("--k-max", type=int, default=None, dest="k_max")
-        p.add_argument("--h-list", type=_float_list, default=None, dest="h_list")
-        p.add_argument("--eps-list", type=_float_list, default=None, dest="eps_list")
-        p.add_argument(
-            "--stats-window", type=_float_list, default=None, dest="stats_window"
-        )
+        # one flag per config field, typed by its default; lists and the
+        # None default take comma-separated floats
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(defaults, f.name)
+            kind = type(value) if isinstance(value, (int, float, str)) else _float_list
+            flag = "--reps" if f.name == "n_rep" else "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=kind, default=None, dest=f.name)
     return parser
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .levy import GridSpec, LevyPath
+from .levy import GridSpec, LevyPath, jump_array
 
 
 def zero_path(grid: GridSpec) -> LevyPath:
@@ -15,7 +15,7 @@ def zero_path(grid: GridSpec) -> LevyPath:
     return LevyPath(
         grid=grid,
         values=np.zeros(grid.n),
-        tracked_jumps=(),
+        tracked_jumps=jump_array([], []),
         params=None,
         seed=None,
     )
@@ -37,7 +37,7 @@ def step_path(grid: GridSpec, delta: float, location: float = 0.0) -> LevyPath:
     return LevyPath(
         grid=grid,
         values=values,
-        tracked_jumps=((idx, float(delta)),),
+        tracked_jumps=jump_array([idx], [delta]),
         params=None,
         seed=None,
     )

@@ -22,6 +22,9 @@ FAMILIES = ("brownian", "stable", "cauchy", "cpoisson")
 # macroscopic jumps; separates jumps from bulk noise at desk scale.
 JUMP_THRESHOLD_SCALES = 6.0
 
+# Largest mean numpy's Poisson sampler accepts (its own bound).
+POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
 # Quadrature resolution of the integral diagnostic (the integrand varies
 # on log scale).
 NODES_PER_DECADE = 40
@@ -166,19 +169,32 @@ class PropertyFlags:
     assumption_B: str  # "assumed" | "not_applicable" | "unknown"
 
 
+# Record of one tracked jump; ``.tolist()`` gives (int, float) pairs.
+JUMP_DTYPE = np.dtype([("index", np.intp), ("size", np.float64)])
+
+
+def jump_array(index, size) -> np.ndarray:
+    """Tracked jumps from their grid indices and signed sizes."""
+    jumps = np.empty(len(index), JUMP_DTYPE)
+    jumps["index"] = index
+    jumps["size"] = size
+    return jumps
+
+
 @dataclass(frozen=True)
 class LevyPath:
     """Discretized two-sided potential path.
 
-    ``values[i]`` is psi0 at ``grid.points()[i]``; ``tracked_jumps`` holds
-    (grid index, signed size) pairs for increments tagged as jumps, the
-    index being the first grid point whose value includes the jump.
-    Arrays are treated as immutable after construction.
+    ``values[i]`` is psi0 at ``grid.points()[i]``; ``tracked_jumps`` is a
+    JUMP_DTYPE array with one (grid index, signed size) record per
+    increment tagged as a jump, the index being the first grid point whose
+    value includes the jump.  Indices are strictly increasing.  Arrays are
+    treated as immutable after construction.
     """
 
     grid: GridSpec
     values: np.ndarray
-    tracked_jumps: tuple[tuple[int, float], ...]
+    tracked_jumps: np.ndarray
     params: LevyParams | None
     seed: int | None
 
@@ -245,7 +261,13 @@ def _cell_increments(
         return stable_increments(a, b, params.scale, h, size, rng)
     # compound Poisson: jump times snapped to the owning cell, multiple
     # jumps in one cell summed
-    counts = rng.poisson(params.rate * h, size)
+    lam = params.rate * h
+    if lam > POISSON_LAM_MAX:
+        raise ParameterError(
+            f"compound Poisson rate {params.rate:g} means {lam:g} jumps per cell of "
+            f"width {h:g}, above the sampler's limit {POISSON_LAM_MAX:g}"
+        )
+    counts = rng.poisson(lam, size)
     total = int(counts.sum())
     sums = np.zeros(size)
     if total:
@@ -255,29 +277,26 @@ def _cell_increments(
 
 
 def _tag_jumps(
-    params: LevyParams,
-    incr: np.ndarray,
-    embedded: np.ndarray,
-    h: float,
-    landing: np.ndarray,
-) -> list[tuple[int, float]]:
-    """Tag macroscopic jumps in a block of cell increments.
+    params: LevyParams, incr: np.ndarray, embedded: np.ndarray, h: float
+) -> np.ndarray:
+    """Tag macroscopic jumps among the cell increments, in grid order.
 
+    ``incr[c]`` and ``embedded[c]`` are the raw and the embedded increment
+    over cell c, so grid point c + 1 is the first to include it.
     Detection thresholds the raw increments; the stored size is the
-    increment embedded in the path values (``embedded``), so jumps
-    reproduce the value differences bit for bit.  ``landing[k]`` is the
-    grid index whose value first includes increment k.
+    increment embedded in the path values, so jumps reproduce the value
+    differences bit for bit.
     """
     if params.family == "brownian":
-        return []
+        return jump_array([], [])
     if params.family in ("stable", "cauchy"):
         a, _ = params.effective_alpha_beta()
         thr = JUMP_THRESHOLD_SCALES * params.scale * h ** (1.0 / a)
         mask = np.abs(incr) > thr
     else:
         mask = incr != 0.0
-    mask &= embedded != 0.0
-    return [(int(landing[k]), float(embedded[k])) for k in np.flatnonzero(mask)]
+    cells = np.flatnonzero(mask & (embedded != 0.0))
+    return jump_array(cells + 1, embedded[cells])
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -316,16 +335,12 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     # minus the sum of the increments between y and 0
     values[:i0] = -np.cumsum(incr_l)[::-1]
 
-    emb = np.diff(values)
-    emb_r = emb[i0:]
-    emb_l = emb[i0 - 1 :: -1] if i0 > 0 else emb[:0]
-    jumps = _tag_jumps(params, incr_r, emb_r, h, i0 + 1 + np.arange(n_right))
-    jumps += _tag_jumps(params, incr_l, emb_l, h, i0 - np.arange(n_left))
-    jumps.sort()
+    # incr_l walks leftward from 0; reversed, it lines up with the cells
+    jumps = _tag_jumps(params, np.concatenate([incr_l[::-1], incr_r]), np.diff(values), h)
     return LevyPath(
         grid=grid,
         values=values,
-        tracked_jumps=tuple(jumps),
+        tracked_jumps=jumps,
         params=params,
         seed=seed,
     )

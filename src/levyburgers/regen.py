@@ -14,15 +14,14 @@ falsify; it never proves full-process independence).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, ParameterError, WindowTooSmallError
-from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
+from .errors import InputError, InsufficientDataError, ParameterError
+from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
-from .solver import BurgersSolution, owning_vertices, solve
+from .solver import BurgersSolution, owning_vertices, solve, solved_replicates
 
 # u is sampled at this many equispaced points on each side of T when
 # building the feature vectors.
@@ -245,21 +244,6 @@ def _side_features(
     return np.array([u.mean(), u.min(), float(n_shocks)])
 
 
-def solved_replicates(
-    params: LevyParams, grid: GridSpec, t: float, n_rep: int, seed: int
-) -> Iterator[tuple[LevyPath, BurgersSolution | None]]:
-    """Yield (path, solution) for replicates 0..n_rep-1, replicate r drawn
-    with derived_seed(seed, 0, r); the solution is None when the grid
-    window is too small."""
-    for rep in range(n_rep):
-        path = sample_path(params, grid, derived_seed(seed, 0, rep))
-        try:
-            sol = solve(path, t)
-        except WindowTooSmallError:
-            sol = None
-        yield path, sol
-
-
 def replicate_features(
     sol: BurgersSolution | None, window_w: float
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
@@ -338,6 +322,6 @@ def independence_test(
         raise ParameterError("need n_rep >= 100")
     features = [
         replicate_features(sol, window_w)
-        for _, sol in solved_replicates(params, grid, t, n_rep, seed)
+        for _, sol in solved_replicates(params, grid, t, n_rep, seed, key=0)
     ]
     return independence_report(features, seed, n_perm)

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridError, WindowTooSmallError
-from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
-from .solver import BurgersSolution, solve
+from .errors import GridError
+from .levy import GridSpec, LevyParams, LevyPath
+from .solver import BurgersSolution, solved_replicates
 
 # One-cell tolerance when deciding that a vertex is attained from one side
 # only; shock locations on the grid carry O(h) discretization error.
@@ -258,40 +258,30 @@ def contact_jump_signs(sol: BurgersSolution, path: LevyPath) -> JumpSignReport:
     A contact attained only from the left (its X-interval below the
     vertex) should sit at an upward jump of the potential, and one
     attained only from the right at a downward jump.  One-sidedness uses a
-    one-cell tolerance; a vertex with no tracked jump within one cell
-    counts as untracked.
+    one-cell tolerance.  Each one-sided vertex outside the boundary zone
+    is judged by the largest tracked jump within one grid cell of it (the
+    first of equal ones); a vertex with no such jump counts as untracked.
     """
-    h = path.grid.h
     ys = sol.vertex_ys
-    gidx = sol.vertex_grid_indices
-    jumps = path.tracked_jumps
-    jump_idx = np.array([j for j, _ in jumps], dtype=np.intp)
-    jump_size = np.array([s for _, s in jumps])
+    tol = ONE_SIDED_TOL_CELLS * path.grid.h
+    below = (sol.x_hi <= ys + tol) & (sol.x_lo < ys - tol)
+    above = (sol.x_lo >= ys - tol) & (sol.x_hi > ys + tol)
+    one_sided = (below | above) & ~sol.boundary_affected
+    g = sol.vertex_grid_indices[one_sided]
 
-    tol = ONE_SIDED_TOL_CELLS * h
-    agreements = disagreements = untracked = 0
-    for k in range(len(ys)):
-        if sol.boundary_affected[k]:
-            continue
-        below = sol.x_hi[k] <= ys[k] + tol and sol.x_lo[k] < ys[k] - tol
-        above = sol.x_lo[k] >= ys[k] - tol and sol.x_hi[k] > ys[k] + tol
-        if not (below or above):
-            continue
-        if len(jump_idx) == 0:
-            untracked += 1
-            continue
-        d = np.abs(jump_idx - gidx[k])
-        near = np.flatnonzero(d <= 1)
-        if len(near) == 0:
-            untracked += 1
-            continue
-        j = near[np.argmax(np.abs(jump_size[near]))]
-        expect_positive = below
-        if (jump_size[j] > 0) == expect_positive:
-            agreements += 1
-        else:
-            disagreements += 1
-    return JumpSignReport(agreements, disagreements, untracked)
+    # jump indices are distinct and increasing, so the jumps in [g-1, g+1]
+    # are among the three from the first index >= g-1 on; padding past the
+    # grid end keeps those three in bounds
+    jumps = path.tracked_jumps
+    idx = np.concatenate([jumps["index"], np.full(3, path.grid.n + 2)])
+    size = np.concatenate([jumps["size"], np.zeros(3)])
+    cand = np.searchsorted(jumps["index"], g - 1)[:, None] + np.arange(3)
+    mag = np.where(idx[cand] <= g[:, None] + 1, np.abs(size[cand]), -1.0)
+    tracked = mag.max(axis=1) >= 0.0
+    best = size[cand[np.arange(len(g)), mag.argmax(axis=1)]]
+    agreements = int(np.count_nonzero(tracked & ((best > 0) == below[one_sided])))
+    n_tracked = int(np.count_nonzero(tracked))
+    return JumpSignReport(agreements, n_tracked - agreements, len(g) - n_tracked)
 
 
 def window_stats(
@@ -348,16 +338,12 @@ def refinement_study(
         if abs(cells - round(cells)) > 1e-9:
             raise GridError(f"h={h} does not divide the domain [-{L}, {L}]")
         grid = GridSpec.symmetric(L, int(round(cells)) + 1)
-        stats = []
-        n_failed = 0
-        for rep in range(n_rep):
-            path = sample_path(params, grid, derived_seed(seed, hk, rep))
-            try:
-                sol = solve(path, t)
-            except WindowTooSmallError:
+        stats, n_failed = [], 0
+        for _, sol in solved_replicates(params, grid, t, n_rep, seed, key=hk):
+            if sol is None:
                 n_failed += 1
-                continue
-            stats.append(window_stats(sol, window))
+            else:
+                stats.append(window_stats(sol, window))
         arr = np.array(stats) if stats else np.full((1, 4), math.nan)
         # the four medians in window_stats order
         rows.append(RefinementRow(h, grid.n, *np.median(arr, axis=0).tolist(), n_failed))

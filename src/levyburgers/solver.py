@@ -10,13 +10,15 @@ on the grid.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError, ParameterError, WindowTooSmallError
 from .hull import ConcaveMajorant, upper_concave_majorant
-from .levy import LevyPath
+from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 
 # Fraction of the grid length trimmed from each side to form the analysis
 # window.  The parabolic tail guarantees global domination only in the
@@ -82,6 +84,14 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     if not 0.0 < t < np.inf:
         raise ParameterError(f"t must be finite and > 0, got {t}")
     ys = path.grid.points()
+    # the parabola term is largest at a grid end; checked in Python floats,
+    # which overflow to inf without a warning
+    y_end = float(max(-ys[0], ys[-1]))
+    if not math.isfinite(y_end * y_end / (2.0 * t)):
+        raise ParameterError(
+            f"y^2/(2t) overflows at the grid end y={y_end:g} with t={t:g}; "
+            "shrink L or raise t"
+        )
     shifted = path.values - ys * ys / (2.0 * t)
 
     fmax = float(shifted.max())
@@ -115,6 +125,21 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
         boundary_affected=boundary,
         edge_x=x_hi[:-1],
     )
+
+
+def solved_replicates(
+    params: LevyParams, grid: GridSpec, t: float, n_rep: int, seed: int, key: int
+) -> Iterator[tuple[LevyPath, BurgersSolution | None]]:
+    """Yield (path, solution) for replicates 0..n_rep-1, replicate r drawn
+    with derived_seed(seed, key, r); the solution is None when the grid
+    window is too small."""
+    for rep in range(n_rep):
+        path = sample_path(params, grid, derived_seed(seed, key, rep))
+        try:
+            sol = solve(path, t)
+        except WindowTooSmallError:
+            sol = None
+        yield path, sol
 
 
 def owning_vertices(sol: BurgersSolution, xs) -> np.ndarray:

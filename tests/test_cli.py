@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,14 @@ import pytest
 
 import levyburgers
 from levyburgers import LevyParams, extract_shocks, sample_path, solve
-from levyburgers import cli, regen
+from levyburgers import cli, regen, solver
 from levyburgers.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
     EXIT_WINDOW,
     ExperimentConfig,
+    build_parser,
+    config_from_args,
     main,
     run_experiment,
 )
@@ -90,6 +93,26 @@ class TestConfig:
         assert ExperimentConfig.from_dict(eff["config"]) == ExperimentConfig(n=65, L=2.0)
 
 
+    def test_every_field_has_a_flag(self):
+        want = ExperimentConfig(
+            family="cpoisson", sigma=2.0, alpha=0.75, beta=0.5, scale=3.0, rate=4.0,
+            jump_kind="uniform", jump_a=-1.0, jump_b=2.0, delta=0.25, location=1.0,
+            L=2.0, n=65, t=0.5, seed=7, n_rep=3, h_list=[0.5, 0.25], eps_list=[0.1],
+            a=-2.0, b=3.0, w=0.125, n_mc=2000, k_max=8, stats_window=[1.0, 2.0],
+        )
+        argv = ["refine", "--reps", "3"]
+        for name, value in want.to_dict().items():
+            if name != "n_rep":
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv += ["--" + name.replace("_", "-"), text]
+        args = build_parser().parse_args(argv)
+        assert args.out_dir == "out" and args.config is None
+        got = config_from_args(args)
+        assert got == want
+        assert [type(v) for v in got.to_dict().values()] == [
+            type(v) for v in want.to_dict().values()]
+
+
 class TestSimulate:
     def test_flat_path_csv(self, tmp_path):
         cfg = ExperimentConfig(family="brownian", sigma=0.0, n=65, L=2.0)
@@ -104,7 +127,20 @@ class TestSimulate:
         run_experiment(cfg, "simulate", tmp_path)
         _, _, rows = read_csv(tmp_path / "jumps.csv")
         path = cfg.build_path()
-        assert [(int(r[0]), float(r[2])) for r in rows] == list(path.tracked_jumps)
+        assert [(int(r[0]), float(r[2])) for r in rows] == path.tracked_jumps.tolist()
+
+    def test_stable_outputs_pinned(self, tmp_path):
+        # a heavy-tailed path with 355 tracked jumps; the draws go through
+        # libm, so another platform's numpy may give other bytes
+        argv = ["simulate", "--family", "stable", "--alpha", "0.75", "--n", "2049",
+                "--L", "4", "--seed", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("path.csv", "jumps.csv")}
+        assert digests == {
+            "path.csv": "678b1db9cc96422adb1f2e043252bf178514f4e0f7372646048c9fb610a83736",
+            "jumps.csv": "34d79700e6152739ca1f94a9a80b15f091c82f00a4e0088f291efb4707aa034b",
+        }
 
 
 class TestShocksSubcommand:
@@ -217,7 +253,7 @@ class TestRegenSubcommand:
             calls.append(path.seed)
             return solve(path, t)
 
-        for module in (cli, regen):
+        for module in (cli, regen, solver):
             monkeypatch.setattr(module, "solve", counting_solve)
         n_rep = 100
         rc = main(
@@ -246,6 +282,14 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+OVERFLOW_ARGV = (
+    pytest.param(["solve", "--family", "cpoisson", "--rate", "1e300", "--n", "65",
+                  "--L", "2"], id="rate-huge"),
+    pytest.param(["solve", "--t", "1e-320", "--n", "65", "--L", "2"], id="t-tiny"),
+    pytest.param(["solve", "--L", "1e300", "--n", "65"], id="L-huge"),
+)
 
 
 class TestErrors:
@@ -282,10 +326,21 @@ class TestErrors:
             pytest.param(["refine", "--h-list", "0.5,nan"], id="refine-h-nan"),
             pytest.param(["refine", "--h-list", "0.5,0"], id="refine-h-zero"),
             pytest.param(["refine", "--L", "inf"], id="refine-L-inf"),
+            pytest.param(["solve", "--family", "cpoisson", "--rate", "1e300", "--n", "65",
+                          "--L", "2"], id="rate-huge"),
         ],
     )
     def test_bad_parameter(self, tmp_path, argv):
         assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGV)
+    def test_overflow_names_the_parameter(self, tmp_path, capsys, argv):
+        # finite inputs whose Poisson mean or parabola term overflows are
+        # parameter errors, caught before numpy overflows or rejects them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+        assert '"error": "ParameterError"' in capsys.readouterr().err
 
     def test_window_error_exit_code(self, tmp_path):
         # a seed whose shifted potential peaks at the grid end on a tiny grid

@@ -57,7 +57,7 @@ class TestSamplePath:
         g = GridSpec.symmetric(2.0, 65)
         p = sample_path(LevyParams.brownian(0.0), g, seed=7)
         assert np.all(p.values == 0.0)
-        assert p.tracked_jumps == ()
+        assert len(p.tracked_jumps) == 0
 
     def test_determinism_bit_for_bit(self):
         g = GridSpec.symmetric(4.0, 513)
@@ -65,7 +65,7 @@ class TestSamplePath:
         p1 = sample_path(par, g, seed=123456789)
         p2 = sample_path(par, g, seed=123456789)
         assert np.array_equal(p1.values, p2.values)
-        assert p1.tracked_jumps == p2.tracked_jumps
+        assert np.array_equal(p1.tracked_jumps, p2.tracked_jumps)
         p3 = sample_path(par, g, seed=123456790)
         assert not np.array_equal(p1.values, p3.values)
 
@@ -117,10 +117,16 @@ class TestSamplePath:
             assert abs(size) > 0.99 * thr
             assert inc[idx - 1] == size  # lands at the first point including it
         assert len(p.tracked_jumps) == np.count_nonzero(np.abs(inc) > thr)
+        # one sorted array, whose sizes are the value differences bit for bit
+        jumps = p.tracked_jumps
+        assert jumps.dtype == np.dtype([("index", np.intp), ("size", np.float64)])
+        assert np.all(np.diff(jumps["index"]) > 0)
+        assert np.array_equal(inc[jumps["index"] - 1].view(np.uint64),
+                              jumps["size"].view(np.uint64))
 
     def test_brownian_has_no_tracked_jumps(self):
         g = GridSpec.symmetric(4.0, 513)
-        assert sample_path(LevyParams.brownian(1.0), g, seed=3).tracked_jumps == ()
+        assert len(sample_path(LevyParams.brownian(1.0), g, seed=3).tracked_jumps) == 0
 
     def test_cpoisson_jumps_reproduce_increments(self):
         g = GridSpec.symmetric(4.0, 513)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
-from levyburgers.shocks import GapStat, _gap_samples
+from levyburgers.levy import jump_array
+from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport, _gap_samples
 from conftest import derived_seed
 
 
@@ -410,3 +413,70 @@ def test_gap_samples_match_full_scan_on_arbitrary_gaps():
         for g in range(len(z1)):
             got = list(zip(xs[gap == g].tolist(), us[gap == g].tolist()))
             assert got == reference_gap_samples(sol, float(z1[g]), float(z2[g]))
+
+
+# -- the per-vertex jump-sign loop, kept as the reference for the array
+# expression of the library
+
+
+def reference_contact_jump_signs(sol, path) -> JumpSignReport:
+    h = path.grid.h
+    ys = sol.vertex_ys
+    gidx = sol.vertex_grid_indices
+    jump_idx = np.array([j for j, _ in path.tracked_jumps.tolist()], dtype=np.intp)
+    jump_size = np.array([s for _, s in path.tracked_jumps.tolist()])
+
+    tol = ONE_SIDED_TOL_CELLS * h
+    agreements = disagreements = untracked = 0
+    for k in range(len(ys)):
+        if sol.boundary_affected[k]:
+            continue
+        below = sol.x_hi[k] <= ys[k] + tol and sol.x_lo[k] < ys[k] - tol
+        above = sol.x_lo[k] >= ys[k] - tol and sol.x_hi[k] > ys[k] + tol
+        if not (below or above):
+            continue
+        if len(jump_idx) == 0:
+            untracked += 1
+            continue
+        near = np.flatnonzero(np.abs(jump_idx - gidx[k]) <= 1)
+        if len(near) == 0:
+            untracked += 1
+            continue
+        j = near[np.argmax(np.abs(jump_size[near]))]
+        if (jump_size[j] > 0) == below:
+            agreements += 1
+        else:
+            disagreements += 1
+    return JumpSignReport(agreements, disagreements, untracked)
+
+
+def _jump_sign_paths():
+    grid = GridSpec.symmetric(8.0, 8193)
+    families = (
+        LevyParams.stable(0.75, 0.0),
+        LevyParams.stable(0.6, 0.5, 0.3),
+        LevyParams.cauchy(1.0),
+        LevyParams.compound_poisson(2.0, JumpDist("normal", 0.0, 1.0)),
+    )
+    for fi, par in enumerate(families):
+        for rep in range(30):
+            yield sample_path(par, grid, derived_seed(4400, fi, rep))
+    yield sample_path(LevyParams.brownian(1.0), grid, derived_seed(4401))
+    yield zero_path(grid)
+    up = jump_up(grid, 0.5)
+    yield up
+    yield jump_down(grid, 0.5)
+    # equal sizes of opposite sign next to the contact: the first one counts
+    i0 = grid.zero_index
+    yield replace(up, tracked_jumps=jump_array([i0 - 1, i0], [-0.5, 0.5]))
+
+
+def test_contact_jump_signs_matches_per_vertex_reference():
+    n_paths = n_judged = 0
+    for path in _jump_sign_paths():
+        sol = solve(path, 1.0)
+        got = contact_jump_signs(sol, path)
+        assert got == reference_contact_jump_signs(sol, path)
+        n_paths += 1
+        n_judged += got.agreements + got.disagreements
+    assert n_paths == 125 and n_judged > 1000
