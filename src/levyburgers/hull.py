@@ -67,11 +67,15 @@ class ConcaveMajorant:
 
 def _pops(y1, v1, y2, v2, y3, v3):
     """True where p2 is not certainly above the chord p1-p3 (below it, on
-    it, or within rounding of it), so the chain drops p2.  Elementwise on
+    it, or within rounding of it), so the chain drops p2.  Also true where
+    the two edge slopes at p2 do not come out strictly decreasing: near
+    the subnormal range they underflow, and the error bound, which assumes
+    no underflow, can keep a vertex whose slopes tie.  Elementwise on
     arrays, or on scalars."""
     p = (y2 - y1) * (v3 - v1)
     q = (v2 - v1) * (y3 - y1)
-    return p - q >= -COLLINEAR_ERRBOUND * (abs(p) + abs(q))
+    tied = (v2 - v1) / (y2 - y1) <= (v3 - v2) / (y3 - y2)
+    return (p - q >= -COLLINEAR_ERRBOUND * (abs(p) + abs(q))) | tied
 
 
 def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -177,7 +181,9 @@ def upper_concave_majorant(
 
     idx = _quickhull(ys, vs, _chord_filter(ys, vs))
     cy, cv = ys[idx], vs[idx]
-    if _pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any():
+    with np.errstate(over="ignore"):
+        flagged = _pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
+    if flagged:
         idx = idx[_chain(cy.tolist(), cv.tolist())]
     idx = idx.astype(np.intp)
     return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)

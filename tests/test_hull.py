@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyburgers import (
@@ -170,6 +170,8 @@ class TestProperties:
         unique_by=lambda p: p[0],
     )
 )
+# a subnormal value whose edge slopes underflow to a tie
+@example(points=[(0, 0.0), (1, 0.0), (-2, -5e-324)])
 def test_hypothesis_hull_matches_oracle(points):
     pts = sorted(points)
     ys = np.array([p[0] for p in pts], dtype=float)
