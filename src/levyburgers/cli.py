@@ -1,9 +1,12 @@
 """Reproducible experiment driver.
 
-Subcommands: simulate, solve, shocks, regen, refine, integral.  Every run
-emits an effective-config JSON with all defaults explicit plus one or
-more CSV/JSON reports, each carrying a header line with the config hash
-and seed.  Identical configs produce byte-identical outputs.
+Subcommands: simulate, solve, shocks, regen, refine, integral, each one
+function in SUBCOMMANDS that reads the config and hands its reports to an
+emit callable.  Every run writes an effective-config JSON with all
+defaults explicit plus one or more CSV/JSON reports, each carrying a
+header line with the config hash and seed; CSV rows are numpy or Python
+values formatted by the csv module.  Identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .fixtures import jump_down, jump_up, zero_path
 from .levy import (
+    FAMILIES,
     GridSpec,
     JumpDist,
     LevyParams,
@@ -38,19 +42,14 @@ from .levy import (
     abruptness_integral_estimate,
     sample_path,
 )
-from .regen import (
-    RegenReport,
-    independence_report,
-    regen_report,
-    replicate_features,
-    rst_scan,
-)
+from .regen import independence_report, regen_report, replicate_features, rst_scan
 from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
 from .solver import owning_vertices, solve, solved_replicates
 
-SUBCOMMANDS = ("simulate", "solve", "shocks", "regen", "refine", "integral")
-
 FIXTURE_FAMILIES = ("zero", "jump_up", "jump_down")
+
+# IndependenceReport fields written to regen_report.json
+INDEPENDENCE_FIELDS = ("p_value_global", "dcor", "feature_correlations", "n_valid", "n_dropped")
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -104,17 +103,14 @@ class ExperimentConfig:
         return GridSpec.symmetric(self.L, self.n)
 
     def levy_params(self) -> LevyParams:
-        if self.family == "brownian":
-            return LevyParams.brownian(self.sigma)
-        if self.family == "stable":
-            return LevyParams.stable(self.alpha, self.beta, self.scale)
-        if self.family == "cauchy":
-            return LevyParams.cauchy(self.scale)
+        if self.family not in FAMILIES:
+            raise ParameterError(f"family {self.family!r} has no Levy parameters")
+        jumps = None  # other families ignore, and do not check, the jump flags
         if self.family == "cpoisson":
-            return LevyParams.compound_poisson(
-                self.rate, JumpDist(self.jump_kind, self.jump_a, self.jump_b)
-            )
-        raise ParameterError(f"family {self.family!r} has no Levy parameters")
+            jumps = JumpDist(self.jump_kind, self.jump_a, self.jump_b)
+        return LevyParams(
+            self.family, self.sigma, self.alpha, self.beta, self.scale, self.rate, jumps
+        )
 
     def build_path(self) -> LevyPath:
         grid = self.grid()
@@ -136,23 +132,15 @@ def config_hash(config: ExperimentConfig, subcommand: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 def _write_csv(path: Path, header_meta: str, columns: list[str], rows) -> None:
+    """csv writes floats with repr, ints with str and None as an empty
+    field; bools alone are mapped, to 1/0."""
     with open(path, "w", newline="") as fh:
         fh.write(header_meta + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([int(v) if isinstance(v, (bool, np.bool_)) else v for v in row])
 
 
 def _write_json(path: Path, header_meta: dict, payload: dict) -> None:
@@ -161,10 +149,85 @@ def _write_json(path: Path, header_meta: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _replicate_row(r: int, rep: RegenReport | None) -> tuple:
-    """replicates.csv row; a replicate whose solve failed has no report."""
-    vals = (None, None, None) if rep is None else (rep.R, rep.S, rep.T_first)
-    return (r, int(None not in vals), *("" if v is None else repr(v) for v in vals))
+def _simulate(config: ExperimentConfig, emit) -> None:
+    path = config.build_path()
+    ys = path.grid.points()
+    emit("path.csv", ["y", "psi0"], zip(ys, path.values))
+    idx = path.tracked_jumps["index"]
+    emit("jumps.csv", ["index", "y", "size"], zip(idx, ys[idx], path.tracked_jumps["size"]))
+
+
+def _solve(config: ExperimentConfig, emit) -> None:
+    path = config.build_path()
+    sol = solve(path, config.t)
+    slopes = sol.majorant.slopes
+    emit(
+        "vertices.csv",
+        ["y", "c_bar", "s_left", "s_right", "x_lo", "x_hi", "boundary_affected"],
+        zip(sol.vertex_ys, sol.vertex_values, np.concatenate(([np.inf], slopes)),
+            np.concatenate((slopes, [-np.inf])), sol.x_lo, sol.x_hi, sol.boundary_affected),
+    )
+    lo, hi = sol.window
+    ys = path.grid.points()
+    xs = ys[(ys >= lo) & (ys <= hi)]
+    a = sol.vertex_ys[owning_vertices(sol, xs)]
+    emit("eulerian.csv", ["x", "a", "u"], zip(xs, a, (xs - a) / config.t))
+
+
+def _shocks(config: ExperimentConfig, emit) -> None:
+    rep = extract_shocks(solve(config.build_path(), config.t))
+    emit("shocks.csv", Shock._fields, rep.shocks)
+    emit("zero_set.csv", ["y"], zip(rep.zero_set))
+    emit("rarefactions.csv", Rarefaction._fields, rep.rarefactions)
+
+
+def _regen(config: ExperimentConfig, emit) -> None:
+    rep = regen_report(config.build_path(), config.t, k_max=config.k_max)
+    payload = dataclasses.asdict(rep)
+    scans = [rep]
+    if config.n_rep > 1 and config.family not in FIXTURE_FAMILIES:
+        replicates = solved_replicates(
+            config.levy_params(), config.grid(), config.t, config.n_rep, config.seed, key=0
+        )
+        # the scans and the independence features share each solve; a
+        # replicate whose solve failed has no scan
+        scans, features = [], []
+        for p_r, sol in replicates:
+            scans.append(None if sol is None else rst_scan(p_r, config.t, sol))
+            features.append(replicate_features(sol, config.w))
+        if config.n_rep >= 100:
+            ind = independence_report(features, config.seed)
+            payload["independence"] = {f: getattr(ind, f) for f in INDEPENDENCE_FIELDS}
+    emit("regen_report.json", payload)
+    vals = [(None,) * 3 if s is None else (s.R, s.S, s.T_first) for s in scans]
+    emit(
+        "replicates.csv",
+        ["replicate", "found", "R", "S", "T_first"],
+        ((r, None not in v, *v) for r, v in enumerate(vals)),
+    )
+
+
+def _refine(config: ExperimentConfig, emit) -> None:
+    window = tuple(config.stats_window) if config.stats_window else None
+    rows = refinement_study(
+        config.levy_params(), config.t, config.L, config.h_list, config.n_rep, config.seed,
+        window=window,
+    )
+    emit("refine.csv", RefinementRow._fields, rows)
+
+
+def _integral(config: ExperimentConfig, emit) -> None:
+    rows = abruptness_integral_estimate(
+        config.levy_params(), config.a, config.b, config.eps_list, config.n_mc, config.seed
+    )
+    emit("integral.csv", ["eps", "i_hat"], rows)
+
+
+# each subcommand reads the config and hands its reports to emit(name, ...)
+SUBCOMMANDS = {
+    "simulate": _simulate, "solve": _solve, "shocks": _shocks,
+    "regen": _regen, "refine": _refine, "integral": _integral,
+}
 
 
 def run_experiment(
@@ -176,118 +239,25 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config, subcommand)
-    meta = f"# config_hash={chash} seed={config.seed} tool=levyburgers-{__version__}"
-    written: list[Path] = []
-
-    def emit_csv(name, columns, rows):
-        p = out / name
-        _write_csv(p, meta, columns, rows)
-        written.append(p)
-
+    tool = f"levyburgers-{__version__}"
     eff = out / "effective_config.json"
     _write_json(
         eff,
-        {"config_hash": chash, "tool": f"levyburgers-{__version__}"},
+        {"config_hash": chash, "tool": tool},
         {"subcommand": subcommand, "config": config.to_dict()},
     )
-    written.append(eff)
+    written = [eff]
 
-    if subcommand == "simulate":
-        path = config.build_path()
-        ys = path.grid.points()
-        emit_csv("path.csv", ["y", "psi0"], zip(ys, path.values))
-        jumps = path.tracked_jumps
-        cols = (jumps["index"], ys[jumps["index"]], jumps["size"])
-        emit_csv("jumps.csv", ["index", "y", "size"], zip(*(c.tolist() for c in cols)))
-        return written
-
-    if subcommand == "solve":
-        path = config.build_path()
-        sol = solve(path, config.t)
-        m = len(sol)
-        emit_csv(
-            "vertices.csv",
-            ["y", "c_bar", "s_left", "s_right", "x_lo", "x_hi", "boundary_affected"],
-            (
-                (
-                    sol.vertex_ys[k],
-                    sol.vertex_values[k],
-                    sol.majorant.left_slope(k),
-                    sol.majorant.right_slope(k),
-                    sol.x_lo[k],
-                    sol.x_hi[k],
-                    bool(sol.boundary_affected[k]),
-                )
-                for k in range(m)
-            ),
-        )
-        lo, hi = sol.window
-        ys = path.grid.points()
-        xs = ys[(ys >= lo) & (ys <= hi)]
-        a = sol.vertex_ys[owning_vertices(sol, xs)]
-        emit_csv("eulerian.csv", ["x", "a", "u"], zip(xs, a, (xs - a) / config.t))
-        return written
-
-    if subcommand == "shocks":
-        path = config.build_path()
-        sol = solve(path, config.t)
-        rep = extract_shocks(sol)
-        emit_csv("shocks.csv", Shock._fields, rep.shocks)
-        emit_csv("zero_set.csv", ["y"], ((y,) for y in rep.zero_set))
-        emit_csv("rarefactions.csv", Rarefaction._fields, rep.rarefactions)
-        return written
-
-    if subcommand == "regen":
-        path = config.build_path()
-        rep = regen_report(path, config.t, k_max=config.k_max)
-        payload = dataclasses.asdict(rep)
-        if config.n_rep > 1 and config.family not in FIXTURE_FAMILIES:
-            replicates = solved_replicates(
-                config.levy_params(), config.grid(), config.t, config.n_rep, config.seed,
-                key=0,
-            )
-            # the scans and the independence features share each solve
-            rows, features = [], []
-            for r, (p_r, sol) in enumerate(replicates):
-                rr = None if sol is None else rst_scan(p_r, config.t, sol)
-                rows.append(_replicate_row(r, rr))
-                features.append(replicate_features(sol, config.w))
-            if config.n_rep >= 100:
-                ind = independence_report(features, config.seed)
-                payload["independence"] = {
-                    "p_value_global": ind.p_value_global,
-                    "dcor": ind.dcor,
-                    "feature_correlations": list(ind.feature_correlations),
-                    "n_valid": ind.n_valid,
-                    "n_dropped": ind.n_dropped,
-                }
+    def emit(name: str, *report) -> None:
+        """Write a JSON payload, or CSV columns and rows, under the run's header."""
+        p = out / name
+        if name.endswith(".json"):
+            _write_json(p, {"config_hash": chash, "seed": config.seed}, *report)
         else:
-            rows = [_replicate_row(0, rep)]
-        rj = out / "regen_report.json"
-        _write_json(rj, {"config_hash": chash, "seed": config.seed}, payload)
-        written.append(rj)
-        emit_csv("replicates.csv", ["replicate", "found", "R", "S", "T_first"], rows)
-        return written
+            _write_csv(p, f"# config_hash={chash} seed={config.seed} tool={tool}", *report)
+        written.append(p)
 
-    if subcommand == "refine":
-        window = tuple(config.stats_window) if config.stats_window else None
-        rows = refinement_study(
-            config.levy_params(),
-            config.t,
-            config.L,
-            config.h_list,
-            config.n_rep,
-            config.seed,
-            window=window,
-        )
-        emit_csv("refine.csv", RefinementRow._fields, rows)
-        return written
-
-    # integral
-    rows = abruptness_integral_estimate(
-        config.levy_params(), config.a, config.b, config.eps_list, config.n_mc, config.seed
-    )
-    emit_csv("integral.csv", ["eps", "i_hat"], rows)
+    SUBCOMMANDS[subcommand](config, emit)
     return written
 
 

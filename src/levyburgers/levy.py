@@ -25,6 +25,9 @@ JUMP_THRESHOLD_SCALES = 6.0
 # Largest mean numpy's Poisson sampler accepts (its own bound).
 POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
+# Largest float64 array numpy can address; more jump sizes are never drawn.
+MAX_FLOAT64_ITEMS = np.iinfo(np.intp).max // 8
+
 # Quadrature resolution of the integral diagnostic (the integrand varies
 # on log scale).
 NODES_PER_DECADE = 40
@@ -268,11 +271,22 @@ def _cell_increments(
             f"width {h:g}, above the sampler's limit {POISSON_LAM_MAX:g}"
         )
     counts = rng.poisson(lam, size)
-    total = int(counts.sum())
+    # a float sum, unlike the int64 one, cannot overflow
+    n_jumps = float(counts.sum(dtype=float))
+    too_many = (
+        f"compound Poisson rate {params.rate:g} draws {n_jumps:g} jumps in {size} cells "
+        f"of width {h:g}, more than memory holds"
+    )
+    if n_jumps > MAX_FLOAT64_ITEMS:
+        raise ParameterError(too_many)
     sums = np.zeros(size)
-    if total:
-        sizes = params.jump_dist.sample(rng, total)
-        np.add.at(sums, np.repeat(np.arange(size), counts), sizes)
+    if n_jumps:
+        try:
+            sizes = params.jump_dist.sample(rng, int(counts.sum()))
+            cells = np.repeat(np.arange(size), counts)
+        except MemoryError as exc:
+            raise ParameterError(too_many) from exc
+        np.add.at(sums, cells, sizes)
     return sums
 
 

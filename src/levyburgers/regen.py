@@ -92,10 +92,13 @@ def rst_scan(path: LevyPath, t: float, sol: BurgersSolution | None = None) -> Re
     scanned at its own location.  T_first is the smallest nonnegative
     element of the zero set of the solved flow, over the whole grid: the
     scans see the whole grid too, and S coincides with T only when both
-    constructions run on the same domain.
+    constructions run on the same domain.  A given ``sol`` must be the
+    solution of this path at this t.
     """
     if sol is None:
         sol = solve(path, t)
+    elif sol.t != t or sol.path is not path:
+        raise InputError("sol must be solve(path, t) for the path and t scanned")
     ys = path.grid.points()
     values = path.values
     i0 = path.grid.zero_index
@@ -120,10 +123,8 @@ class RkResult:
     steps: int
 
 
-def rk_sequence(
-    path: LevyPath, t: float, k_max: int = 64, r0: float | None = None
-) -> RkResult:
-    """Iterated argsup walk from r_0 = R toward the first zero point.
+def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkResult:
+    """Iterated argsup walk from the grid point r0 = R toward the first zero point.
 
     Each step moves to the largest argmax of values minus the parabola
     recentered at the current point, scanning grid points to the right
@@ -136,14 +137,9 @@ def rk_sequence(
         raise ParameterError("k_max must be >= 1")
     ys = path.grid.points()
     values = path.values
-    if r0 is None:
-        i = _scan_r_index(values, ys, path.grid.zero_index, t)
-        if i is None:
-            return RkResult(rk=[], converged=False, steps=0)
-    else:
-        i = int(np.searchsorted(ys, r0))
-        if i >= len(ys) or ys[i] != r0:
-            raise ParameterError(f"r0={r0} is not a grid point")
+    i = int(np.searchsorted(ys, r0))
+    if i >= len(ys) or ys[i] != r0:
+        raise ParameterError(f"r0={r0} is not a grid point")
 
     rk = [float(ys[i])]
     converged = False

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridError
-from .levy import GridSpec, LevyParams, LevyPath
+from .levy import GridSpec, LevyParams
 from .solver import BurgersSolution, solved_replicates
 
 # One-cell tolerance when deciding that a vertex is attained from one side
@@ -252,8 +252,8 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     return SignPatternReport(violations=violations, gap_stats=gap_stats)
 
 
-def contact_jump_signs(sol: BurgersSolution, path: LevyPath) -> JumpSignReport:
-    """Check jump signs at one-sidedly attained contact points.
+def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
+    """Check jump signs at one-sidedly attained contact points of sol.path.
 
     A contact attained only from the left (its X-interval below the
     vertex) should sit at an upward jump of the potential, and one
@@ -262,6 +262,7 @@ def contact_jump_signs(sol: BurgersSolution, path: LevyPath) -> JumpSignReport:
     is judged by the largest tracked jump within one grid cell of it (the
     first of equal ones); a vertex with no such jump counts as untracked.
     """
+    path = sol.path
     ys = sol.vertex_ys
     tol = ONE_SIDED_TOL_CELLS * path.grid.h
     below = (sol.x_hi <= ys + tol) & (sol.x_lo < ys - tol)

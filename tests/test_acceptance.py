@@ -309,7 +309,7 @@ def test_c09_contact_jump_signs():
             sol = solve(path, 1.0)
         except WindowTooSmallError:
             continue
-        r = contact_jump_signs(sol, path)
+        r = contact_jump_signs(sol)
         ag += r.agreements
         dis += r.disagreements
         un += r.untracked

@@ -28,8 +28,8 @@ DATA = Path(__file__).parent / "data"
 SUBS_DETERMINISTIC = ("simulate", "solve", "shocks", "regen", "integral")
 
 # sha256 of every output file of solve and shocks on the fixture configs in
-# DATA; these paths involve no sampling and no libm calls, so the bytes are
-# the same on every platform
+# DATA, keyed by (family, subcommand[, t]); these paths involve no sampling
+# and no libm calls, so the bytes are the same on every platform
 PINNED_DIGESTS = {
     ("zero", "solve"): {
         "effective_config.json": "c8f92c39ab3abc7723df1ed59deb734dd656175043e01f3288d30497b376db3f",
@@ -64,7 +64,22 @@ PINNED_DIGESTS = {
         "shocks.csv": "670af34da739351543c474fe809311a3600a457a9d9df2a8b8fd912816069024",
         "zero_set.csv": "ec0bfc60f2210deb1112c76874563214ae46e32f87a02355fe3493a825d32c68",
     },
+    ("jump_down", "solve", "2.5"): {
+        "effective_config.json": "3b3285e43e660847345515569e30699df0f6f784e7be87c962bab1440c251bb0",
+        "eulerian.csv": "dcaecc5f00eaab2ca63038a27c102263b5b19450aace8b163db8970f6f6d94ad",
+        "vertices.csv": "3e0f17b52e8ea831b06b988af6911a20eeec71b7c97dc7eeae0e2fce7c77f529",
+    },
+    ("jump_down", "shocks", "2.5"): {
+        "effective_config.json": "82252d4d2285125ea25e86ab24f53b371aee716acf288398200bf52dc79fc9b9",
+        "rarefactions.csv": "9fe3b658255f199014615c449b14ffdd409f99b890c9289744899afcc51f370a",
+        "shocks.csv": "8baa9dcb44615819e0308711f77ad6909bc20ff068d76e66bab95e145d327861",
+        "zero_set.csv": "2f994f7fd0c112d7b5e681cd66bfc466470bc93c74f926b051b695897063af9a",
+    },
 }
+
+
+def digest_files(out_dir: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
 
 
 def read_csv(path: Path):
@@ -206,15 +221,12 @@ class TestDeterminism:
         for f1, f2 in zip(files1, files2):
             assert f1.read_bytes() == f2.read_bytes()
 
-    @pytest.mark.parametrize(
-        "family,sub", [pytest.param(f, s, id=f"{f}-{s}") for f, s in PINNED_DIGESTS]
-    )
-    def test_fixture_outputs_pinned(self, tmp_path, family, sub):
+    @pytest.mark.parametrize("key", [pytest.param(k, id="-".join(k)) for k in PINNED_DIGESTS])
+    def test_fixture_outputs_pinned(self, tmp_path, key):
+        family, sub, *t = key
         argv = [sub, "--config", str(DATA / f"{family}_fixture.json"), "--out-dir", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in tmp_path.iterdir()}
-        assert digests == PINNED_DIGESTS[family, sub]
+        assert main(argv + (["--t", *t] if t else [])) == EXIT_OK
+        assert digest_files(tmp_path) == PINNED_DIGESTS[key]
 
     def test_refine_deterministic(self, tmp_path):
         cfg = ExperimentConfig(
@@ -267,6 +279,44 @@ class TestRegenSubcommand:
         assert "independence" in json.loads((tmp_path / "regen_report.json").read_text())
         assert len(calls) == len(set(calls)) == n_rep + 1
 
+    @pytest.mark.parametrize(
+        "argv,digests",
+        [
+            # replicate 18 has no S or T: a row with empty fields
+            pytest.param(
+                ["--family", "stable", "--scale", "0.4", "--n", "257", "--L", "1",
+                 "--reps", "20"],
+                {
+                    "effective_config.json":
+                        "f02c7fd5884cc59877bbcc5d02d188c065ce2074dfda32e434c4bb5cc2e1a068",
+                    "regen_report.json":
+                        "8b49e715780d5a41670808912a03c54a6420d317e8f546c4d1f6fe78ae4c2ebb",
+                    "replicates.csv":
+                        "03f312179eacaa0ea2be4ed64cbbcf9a8dbceb7b5688d9f1d0c10cce7e0ce06c",
+                },
+                id="stable-empty-fields",
+            ),
+            # 100 replicates add the independence payload
+            pytest.param(
+                ["--family", "cpoisson", "--rate", "2", "--n", "1025", "--reps", "100"],
+                {
+                    "effective_config.json":
+                        "12aeecf1b450efc0009c9893083e8955ad21330bbe478dad130669032e2c39e6",
+                    "regen_report.json":
+                        "aa55a4fad237a5fa8f128888fa9a15d433ea5a8711ad1ac6283b94d3293d800d",
+                    "replicates.csv":
+                        "a961e80976fa3af5efa5482f10391cb5e5a4ae9ec1de825b7ad0e67eecacf029",
+                },
+                id="cpoisson-independence",
+            ),
+        ],
+    )
+    def test_replicate_outputs_pinned(self, tmp_path, argv, digests):
+        # the draws go through libm, so another platform's numpy may give
+        # other bytes
+        assert main(["regen", *argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert digest_files(tmp_path) == digests
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
@@ -289,6 +339,14 @@ OVERFLOW_ARGV = (
                   "--L", "2"], id="rate-huge"),
     pytest.param(["solve", "--t", "1e-320", "--n", "65", "--L", "2"], id="t-tiny"),
     pytest.param(["solve", "--L", "1e300", "--n", "65"], id="L-huge"),
+    # more jump sizes than memory holds, than numpy can address, and than
+    # an int64 sum of the counts can hold
+    pytest.param(["solve", "--family", "cpoisson", "--rate", "1e17", "--n", "65",
+                  "--L", "2"], id="jumps-past-memory"),
+    pytest.param(["solve", "--family", "cpoisson", "--rate", "1e17", "--n", "65",
+                  "--L", "32"], id="jumps-past-array-size"),
+    pytest.param(["solve", "--family", "cpoisson", "--rate", "9e18", "--n", "65",
+                  "--L", "32"], id="jump-count-overflow"),
 )
 
 

@@ -91,16 +91,26 @@ class TestScanInvariants:
             assert all(a < b for a, b in zip(walk.rk, walk.rk[1:]))
         assert found >= 27
 
+    @pytest.mark.parametrize("t_scan,seed_scan", [(2.0, 3), (1.0, 4)], ids=["t", "path"])
+    def test_rst_scan_rejects_another_solution(self, grid_standard, t_scan, seed_scan):
+        # scanned at t = 2 against the t = 1 zero set, this path gives
+        # S = 1.3516 and T_first = 1.1406, a false S != T
+        par = LevyParams.stable(1.5, 0.0, 0.4)
+        sol = solve(sample_path(par, grid_standard, 3), 1.0)
+        path = sol.path if seed_scan == 3 else sample_path(par, grid_standard, seed_scan)
+        with pytest.raises(InputError):
+            rst_scan(path, t_scan, sol)
+
     def test_rk_requires_grid_r0(self, grid_fixture):
         with pytest.raises(ParameterError):
             rk_sequence(zero_path(grid_fixture), 1.0, r0=0.0051)
         with pytest.raises(ParameterError):
-            rk_sequence(zero_path(grid_fixture), 1.0, k_max=0)
+            rk_sequence(zero_path(grid_fixture), 1.0, k_max=0, r0=0.0)
 
     @pytest.mark.parametrize("t", [0.0, np.inf, np.nan])
     def test_rk_requires_finite_positive_t(self, grid_fixture, t):
         with pytest.raises(ParameterError):
-            rk_sequence(zero_path(grid_fixture), t)
+            rk_sequence(zero_path(grid_fixture), t, r0=0.0)
 
 
 class TestPermutationMachinery:

@@ -121,8 +121,8 @@ class TestJumpUp:
         assert sp.violations == []
 
     def test_jump_sign_agreement(self, up_report):
-        path, sol, _ = up_report
-        r = contact_jump_signs(sol, path)
+        _, sol, _ = up_report
+        r = contact_jump_signs(sol)
         assert r.agreements == 1 and r.disagreements == 0
 
 
@@ -140,15 +140,15 @@ class TestJumpDown:
         assert abs(s.velocity - 0.5) <= 1e-6
 
     def test_jump_sign_agreement(self, down_report):
-        path, sol, _ = down_report
-        r = contact_jump_signs(sol, path)
+        _, sol, _ = down_report
+        r = contact_jump_signs(sol)
         assert r.agreements == 1 and r.disagreements == 0
 
     def test_brownian_paths_are_untracked(self, grid_fixture):
         par = LevyParams.brownian(1.0)
         path = sample_path(par, grid_fixture, derived_seed(4001))
         sol = solve(path, 1.0)
-        r = contact_jump_signs(sol, path)
+        r = contact_jump_signs(sol)
         assert r.agreements == 0 and r.disagreements == 0
         assert r.untracked > 0
 
@@ -475,7 +475,7 @@ def test_contact_jump_signs_matches_per_vertex_reference():
     n_paths = n_judged = 0
     for path in _jump_sign_paths():
         sol = solve(path, 1.0)
-        got = contact_jump_signs(sol, path)
+        got = contact_jump_signs(sol)
         assert got == reference_contact_jump_signs(sol, path)
         n_paths += 1
         n_judged += got.agreements + got.disagreements
