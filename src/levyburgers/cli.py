@@ -42,7 +42,9 @@ from .levy import (
     abruptness_integral_estimate,
     sample_path,
 )
-from .regen import independence_report, regen_report, replicate_features, rst_scan
+from .regen import (
+    MIN_INDEPENDENCE_REPS, independence_report, regen_report, replicate_features, rst_scan,
+)
 from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
 from .solver import owning_vertices, solve, solved_replicates
 
@@ -160,12 +162,12 @@ def _simulate(config: ExperimentConfig, emit) -> None:
 def _solve(config: ExperimentConfig, emit) -> None:
     path = config.build_path()
     sol = solve(path, config.t)
-    slopes = sol.majorant.slopes
+    s = sol.majorant.s
     emit(
         "vertices.csv",
         ["y", "c_bar", "s_left", "s_right", "x_lo", "x_hi", "boundary_affected"],
-        zip(sol.vertex_ys, sol.vertex_values, np.concatenate(([np.inf], slopes)),
-            np.concatenate((slopes, [-np.inf])), sol.x_lo, sol.x_hi, sol.boundary_affected),
+        zip(sol.vertex_ys, sol.vertex_values, s[:-1], s[1:], sol.x_lo, sol.x_hi,
+            sol.boundary_affected),
     )
     lo, hi = sol.window
     ys = path.grid.points()
@@ -182,6 +184,8 @@ def _shocks(config: ExperimentConfig, emit) -> None:
 
 
 def _regen(config: ExperimentConfig, emit) -> None:
+    if config.n_rep < 1:
+        raise ParameterError(f"n_rep must be >= 1, got {config.n_rep}")
     rep = regen_report(config.build_path(), config.t, k_max=config.k_max)
     payload = dataclasses.asdict(rep)
     scans = [rep]
@@ -195,7 +199,7 @@ def _regen(config: ExperimentConfig, emit) -> None:
         for p_r, sol in replicates:
             scans.append(None if sol is None else rst_scan(p_r, config.t, sol))
             features.append(replicate_features(sol, config.w))
-        if config.n_rep >= 100:
+        if config.n_rep >= MIN_INDEPENDENCE_REPS:
             ind = independence_report(features, config.seed)
             payload["independence"] = {f: getattr(ind, f) for f in INDEPENDENCE_FIELDS}
     emit("regen_report.json", payload)
@@ -208,7 +212,7 @@ def _regen(config: ExperimentConfig, emit) -> None:
 
 
 def _refine(config: ExperimentConfig, emit) -> None:
-    window = tuple(config.stats_window) if config.stats_window else None
+    window = None if config.stats_window is None else tuple(config.stats_window)
     rows = refinement_study(
         config.levy_params(), config.t, config.L, config.h_list, config.n_rep, config.seed,
         window=window,

@@ -7,9 +7,9 @@ a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996) splits
 every open segment of a level at its farthest point, and one orientation
 check over consecutive candidate triples confirms the chain.  Only when
 that check flags a triple does a monotone-chain pass run, over the
-candidates alone.  Slope queries expose the left/right derivative, with
-+/-inf sentinels at the chain ends where the majorant is unconstrained by
-the data.
+candidates alone.  The edge slopes are stored once, padded with +/-inf
+sentinels at the chain ends where the majorant is unconstrained by the
+data, so vertex k has left slope s[k] and right slope s[k+1].
 """
 
 from __future__ import annotations
@@ -38,31 +38,32 @@ FILTER_BLOCK = 16384
 class ConcaveMajorant:
     """Vertex/slope representation of an upper concave hull.
 
-    ``ys``/``vs`` are the vertex coordinates (ys strictly increasing),
-    ``indices`` the positions of the vertices in the input cloud, and
-    ``slopes`` the strictly decreasing edge slopes (length m-1).
+    ``ys``/``vs`` are the vertex coordinates (ys strictly increasing) and
+    ``indices`` the positions of the vertices in the input cloud.  ``s``
+    (length m+1) is +inf, the strictly decreasing edge slopes, then -inf:
+    vertex k has left slope ``s[k]`` and right slope ``s[k+1]``, and every
+    reader of a slope interval slices this one array.  ``slopes`` is the
+    view ``s[1:-1]`` of the m-1 edge slopes.
     """
 
     ys: np.ndarray
     vs: np.ndarray
     indices: np.ndarray
-    slopes: np.ndarray = field(init=False)
+    s: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        s = np.empty(len(self.ys) + 1)
+        s[0], s[-1] = np.inf, -np.inf
         with np.errstate(divide="ignore"):
-            s = np.diff(self.vs) / np.diff(self.ys)
-        object.__setattr__(self, "slopes", s)
+            np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
+        object.__setattr__(self, "s", s)
+
+    @property
+    def slopes(self) -> np.ndarray:
+        return self.s[1:-1]
 
     def __len__(self) -> int:
         return len(self.ys)
-
-    def left_slope(self, k: int) -> float:
-        """Slope of the edge entering vertex k (+inf at the first vertex)."""
-        return float(self.slopes[k - 1]) if k > 0 else np.inf
-
-    def right_slope(self, k: int) -> float:
-        """Slope of the edge leaving vertex k (-inf at the last vertex)."""
-        return float(self.slopes[k]) if k < len(self.ys) - 1 else -np.inf
 
 
 def _pops(y1, v1, y2, v2, y3, v3):
@@ -198,12 +199,12 @@ def query(cm: ConcaveMajorant, y: float) -> tuple[float, float, float]:
     O(log m).  Raises OutOfDomainError outside [ys[0], ys[-1]].
     """
     ys = cm.ys
-    if y < ys[0] or y > ys[-1]:
+    if not ys[0] <= y <= ys[-1]:
         raise OutOfDomainError(f"{y} outside the hull domain [{ys[0]}, {ys[-1]}]")
     k = int(np.searchsorted(ys, y))
-    if k < len(ys) and ys[k] == y:
-        return float(cm.vs[k]), cm.left_slope(k), cm.right_slope(k)
+    if ys[k] == y:
+        return float(cm.vs[k]), float(cm.s[k]), float(cm.s[k + 1])
     # interior of edge (k-1, k)
-    s = float(cm.slopes[k - 1])
+    s = float(cm.s[k])
     val = float(cm.vs[k - 1] + s * (y - ys[k - 1]))
     return val, s, s

@@ -201,10 +201,6 @@ class LevyPath:
     params: LevyParams | None
     seed: int | None
 
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
 
 def _check_stable(alpha: float, beta: float, c: float) -> None:
     if not 0.5 < alpha <= 2.0:

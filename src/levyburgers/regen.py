@@ -27,7 +27,8 @@ from .solver import BurgersSolution, owning_vertices, solve, solved_replicates
 # building the feature vectors.
 N_FEATURE_SAMPLES = 64
 
-FEATURE_NAMES = ("mean_u", "min_u", "n_shocks")
+# The permutation test runs only on at least this many replicates.
+MIN_INDEPENDENCE_REPS = 100
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,18 @@ def _first_zero(sol: BurgersSolution) -> float | None:
     return float(zy[0]) if len(zy) else None
 
 
-def rst_scan(path: LevyPath, t: float, sol: BurgersSolution | None = None) -> RegenReport:
+def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
     """Direct O(n^2) scan for (R, S) plus T from the zero set.
 
     The parabola conditions compare plain grid values at their own grid
     offsets; a left limit is carried by the previous grid point, which is
     scanned at its own location.  T_first is the smallest nonnegative
-    element of the zero set of the solved flow, over the whole grid: the
-    scans see the whole grid too, and S coincides with T only when both
-    constructions run on the same domain.  A given ``sol`` must be the
-    solution of this path at this t.
+    element of the zero set of ``sol``, over the whole grid: the scans see
+    the whole grid too, and S coincides with T only when both
+    constructions run on the same domain.  ``sol`` must be solve(path, t);
+    the scans themselves read only the raw path.
     """
-    if sol is None:
-        sol = solve(path, t)
-    elif sol.t != t or sol.path is not path:
+    if sol.t != t or sol.path is not path:
         raise InputError("sol must be solve(path, t) for the path and t scanned")
     ys = path.grid.points()
     values = path.values
@@ -156,7 +155,7 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
 
 def regen_report(path: LevyPath, t: float, k_max: int = 64) -> RegenReport:
     """rst_scan plus the r_k walk in one report."""
-    base = rst_scan(path, t)
+    base = rst_scan(path, t, solve(path, t))
     if base.R is None:
         return base
     walk = rk_sequence(path, t, k_max=k_max, r0=base.R)
@@ -259,9 +258,7 @@ def replicate_features(
     )
 
 
-def independence_report(
-    features: list, seed: int, n_perm: int = 999
-) -> IndependenceReport:
+def independence_report(features: list, seed: int) -> IndependenceReport:
     """Distance-correlation test over per-replicate features.
 
     ``features`` holds one replicate_features result per replicate, None
@@ -278,7 +275,7 @@ def independence_report(
     f_pre = _standardize(np.array([f[1] for f in kept]))
     f_post = _standardize(np.array([f[2] for f in kept]))
     rng = np.random.default_rng(derived_seed(seed, 1))
-    dcor, p = permutation_pvalue(f_pre, f_post, rng, n_perm=n_perm)
+    dcor, p = permutation_pvalue(f_pre, f_post, rng)
 
     corrs = []
     for j in range(f_pre.shape[1]):
@@ -307,17 +304,16 @@ def independence_test(
     window_w: float,
     n_rep: int,
     seed: int,
-    n_perm: int = 999,
 ) -> IndependenceReport:
     """Permutation test of dependence between the flow before and after T.
 
     Builds each solved replicate's feature vectors (mean u, min u, shock
     count) with replicate_features and tests them with independence_report.
     """
-    if n_rep < 100:
-        raise ParameterError("need n_rep >= 100")
+    if n_rep < MIN_INDEPENDENCE_REPS:
+        raise ParameterError(f"need n_rep >= {MIN_INDEPENDENCE_REPS}")
     features = [
         replicate_features(sol, window_w)
         for _, sol in solved_replicates(params, grid, t, n_rep, seed, key=0)
     ]
-    return independence_report(features, seed, n_perm)
+    return independence_report(features, seed)

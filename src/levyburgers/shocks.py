@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, ParameterError
 from .levy import GridSpec, LevyParams
 from .solver import BurgersSolution, solved_replicates
 
@@ -98,12 +98,9 @@ def zero_set_indices(sol: BurgersSolution) -> np.ndarray:
     The closed slope interval keeps tie vertices, mirroring the closure in
     the definition of the zero-velocity set.
     """
-    ys = sol.vertex_ys
-    target = -ys / sol.t
-    s = sol.majorant.slopes
-    s_left = np.concatenate([[np.inf], s])
-    s_right = np.concatenate([s, [-np.inf]])
-    return np.flatnonzero((s_right <= target) & (target <= s_left))
+    target = -sol.vertex_ys / sol.t
+    s = sol.majorant.s
+    return np.flatnonzero((s[1:] <= target) & (target <= s[:-1]))
 
 
 def epsilon_regular_indices(sol: BurgersSolution, eps: float | None = None) -> np.ndarray:
@@ -133,11 +130,6 @@ def _window_zero_indices(sol: BurgersSolution, lo: float, hi: float) -> np.ndarr
     return z[(sol.vertex_ys[z] >= lo) & (sol.vertex_ys[z] <= hi)]
 
 
-def _clip_intervals(sol: BurgersSolution, lo: float, hi: float) -> tuple:
-    """(x_lo, x_hi) of every vertex clipped to [lo, hi]; empty where x_hi <= x_lo."""
-    return np.maximum(sol.x_lo, lo), np.minimum(sol.x_hi, hi)
-
-
 def extract_shocks(sol: BurgersSolution) -> ShockReport:
     """Windowed shock structure of a solved flow.
 
@@ -161,7 +153,7 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
         mass.tolist(), (-dpsi / mass).tolist(), (ba[k] | ba[k + 1]).tolist(),
     ))
 
-    r_lo, r_hi = _clip_intervals(sol, lo, hi)
+    r_lo, r_hi = np.clip(sol.x_lo, lo, hi), np.clip(sol.x_hi, lo, hi)
     r = np.flatnonzero(r_hi > r_lo)
     r_lo, r_hi = r_lo[r], r_hi[r]
     rarefactions = list(map(
@@ -285,6 +277,12 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
     return JumpSignReport(agreements, n_tracked - agreements, len(g) - n_tracked)
 
 
+def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
+    if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
+        raise ParameterError(f"window must be two finite numbers lo < hi, got {window}")
+    return window
+
+
 def window_stats(
     sol: BurgersSolution, window: tuple[float, float] | None = None
 ) -> tuple[int, int, float, float]:
@@ -295,15 +293,15 @@ def window_stats(
     the contact fraction divides by the number of grid points in the
     window.
     """
-    lo, hi = window if window is not None else sol.window
+    lo, hi = sol.window if window is None else _checked_window(window)
     lo = max(lo, sol.window[0])
     hi = min(hi, sol.window[1])
     ys = sol.vertex_ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
     n_zero = len(_window_zero_indices(sol, lo, hi))
 
-    clip_lo, clip_hi = _clip_intervals(sol, lo, hi)
-    lengths = np.clip(clip_hi - clip_lo, 0.0, None)
+    # x_lo <= x_hi and clipping is monotone, so no length is negative
+    lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)
     lengths[sol.boundary_affected] = 0.0
     max_rare = float(lengths.max()) if len(lengths) else 0.0
 
@@ -329,6 +327,12 @@ def refinement_study(
     verdicts.  Replicates that fail the boundary-domination check are
     counted and skipped.
     """
+    if window is not None:
+        _checked_window(window)
+    if n_rep < 1:
+        raise ParameterError(f"n_rep must be >= 1, got {n_rep}")
+    if not h_list:
+        raise GridError("h_list must not be empty")
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise GridError("h_list must be strictly decreasing")
     if not all(0.0 < v < math.inf for v in (L, *h_list)):

@@ -102,14 +102,9 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
 
     # column-major, so the hull reads both columns without a copy
     cm = upper_concave_majorant(np.array([ys, shifted]).T)
-    m = len(cm)
-    x_lo = np.empty(m)
-    x_hi = np.empty(m)
-    x_lo[0] = -np.inf
-    x_hi[-1] = np.inf
-    # slope intervals are computed once from the vertex coordinates
-    x_lo[1:] = -t * cm.slopes
-    x_hi[:-1] = -t * cm.slopes
+    # vertex k owns -t * [s[k], s[k+1]]; t > 0 maps the sentinels to -/+inf
+    breaks = -t * cm.s
+    x_lo, x_hi = breaks[:-1], breaks[1:]
 
     margin = WINDOW_MARGIN_FRACTION * (path.grid.x_max - path.grid.x_min)
     window = (path.grid.x_min + margin, path.grid.x_max - margin)

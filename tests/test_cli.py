@@ -350,6 +350,10 @@ OVERFLOW_ARGV = (
 )
 
 
+REFINE_SMALL = ["refine", "--family", "brownian", "--L", "4", "--reps", "2",
+                "--h-list", "0.0625"]
+
+
 class TestErrors:
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -386,6 +390,17 @@ class TestErrors:
             pytest.param(["refine", "--L", "inf"], id="refine-L-inf"),
             pytest.param(["solve", "--family", "cpoisson", "--rate", "1e300", "--n", "65",
                           "--L", "2"], id="rate-huge"),
+            # the stats window must be two finite numbers lo < hi, the
+            # replicate count >= 1 and the h-list not empty
+            pytest.param([*REFINE_SMALL, "--stats-window", "1"], id="stats-window-one"),
+            pytest.param([*REFINE_SMALL, "--stats-window", "2,1"], id="stats-window-reversed"),
+            pytest.param([*REFINE_SMALL, "--stats-window", "nan,2"], id="stats-window-nan"),
+            pytest.param([*REFINE_SMALL, "--stats-window", ""], id="stats-window-empty"),
+            pytest.param(["refine", "--reps", "0"], id="refine-reps-zero"),
+            pytest.param(["refine", "--reps", "-3"], id="refine-reps-negative"),
+            pytest.param(["refine", "--h-list", ""], id="refine-h-list-empty"),
+            pytest.param(["regen", "--family", "stable", "--reps", "-4"],
+                         id="regen-reps-negative"),
         ],
     )
     def test_bad_parameter(self, tmp_path, argv):

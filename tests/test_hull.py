@@ -115,6 +115,8 @@ class TestQuery:
             query(self.cm, 2.5)
         with pytest.raises(OutOfDomainError):
             query(self.cm, -0.1)
+        with pytest.raises(OutOfDomainError):
+            query(self.cm, np.nan)
 
 
 class TestProperties:

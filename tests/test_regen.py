@@ -11,6 +11,7 @@ from levyburgers import (
     InsufficientDataError,
     LevyParams,
     ParameterError,
+    WindowTooSmallError,
     distance_correlation,
     independence_test,
     jump_down,
@@ -24,6 +25,7 @@ from levyburgers import (
     zero_path,
 )
 from levyburgers.regen import replicate_features
+from levyburgers.solver import owning_vertices
 from conftest import derived_seed
 
 
@@ -90,6 +92,36 @@ class TestScanInvariants:
             assert walk.steps <= len(sol)
             assert all(a < b for a, b in zip(walk.rk, walk.rk[1:]))
         assert found >= 27
+
+    @pytest.mark.parametrize(
+        "par,tag",
+        [(LevyParams.stable(1.5, 0.0, 0.4), 40), (LevyParams.stable(0.75, 0.0, 0.1), 41)],
+        ids=["stable1.5", "stable0.75"],
+    )
+    def test_rk_walk_iterates_a(self, par, tag):
+        # the c04 families and grid: started from R, each step of the
+        # argsup walk is a(.) of the solved flow, although rk_sequence
+        # never reads the hull
+        grid = GridSpec.symmetric(16.0, 8193)
+        checked = 0
+        for rep in range(40):
+            path = sample_path(par, grid, derived_seed(tag, rep))
+            try:
+                sol = solve(path, 1.0)
+            except WindowTooSmallError:
+                continue
+            R = rst_scan(path, 1.0, sol).R
+            if R is None:
+                continue
+            walk = [R]
+            for _ in range(len(sol)):
+                a = float(sol.vertex_ys[owning_vertices(sol, walk[-1])])
+                if a == walk[-1]:
+                    break
+                walk.append(a)
+            assert walk == rk_sequence(path, 1.0, k_max=len(sol), r0=R).rk
+            checked += 1
+        assert checked >= 39
 
     @pytest.mark.parametrize("t_scan,seed_scan", [(2.0, 3), (1.0, 4)], ids=["t", "path"])
     def test_rst_scan_rejects_another_solution(self, grid_standard, t_scan, seed_scan):

@@ -8,6 +8,7 @@ from levyburgers import (
     GridSpec,
     JumpDist,
     LevyParams,
+    ParameterError,
     Rarefaction,
     Shock,
     ShockReport,
@@ -236,6 +237,12 @@ class TestRefinementStudy:
         n_contacts, n_zero, max_rare, fraction = window_stats(sol, (0.0, 1.0))
         assert n_contacts == n_zero == 101
         assert fraction == 1.0
+
+    @pytest.mark.parametrize("window", [(1.0,), (2.0, 1.0), (np.nan, 2.0), (1.0, np.inf)])
+    def test_window_stats_rejects_malformed_window(self, grid_fixture, window):
+        sol = solve(zero_path(grid_fixture), 1.0)
+        with pytest.raises(ParameterError):
+            window_stats(sol, window)
 
     def test_eroded_contrast_at_resolved_scale(self):
         # when the flow's structure cells are much smaller than the window,

@@ -12,6 +12,7 @@ from levyburgers import (
     ParameterError,
     WindowTooSmallError,
     evaluate_solution,
+    extract_shocks,
     jump_down,
     jump_up,
     lagrangian_position,
@@ -23,6 +24,7 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
+from levyburgers.solver import owning_vertices
 from conftest import derived_seed
 
 
@@ -280,6 +282,52 @@ class TestNearCollinearVertices:
         near = np.searchsorted(xs, sol.edge_x)
         near = np.unique(np.clip(np.concatenate([near - 2, near - 1, near, near + 1]), 0, len(xs) - 1))
         assert _mismatches(sol, xs[near]) == 0
+
+
+def _noisy_step(grid, seed):
+    """A downward step of 1/2 at 0 plus Brownian noise of sigma 1e-6."""
+    step = jump_down(grid, 0.5)
+    noise = sample_path(LevyParams.brownian(1e-6), grid, seed)
+    return LevyPath(grid, step.values + noise.values, step.tracked_jumps, None, None)
+
+
+# (n, params, t) on [-8, 8] at seed 7; params None is the noisy step.  Put
+# back, the old collinearity tolerance (1e-12 times the largest coordinate
+# magnitude of the triple) flattens real vertices and mismatches the
+# oracle in every case at n = 65537 and in sigma1e-12-n4097-t1e6
+ORACLE_SWEEP = {
+    "alpha0.51-n4097-t1e-6": (4097, LevyParams.stable(0.51, 0.0, 1.0), 1e-6),
+    "alpha0.51-n65537-t1": (65537, LevyParams.stable(0.51, 0.0, 1.0), 1.0),
+    "alpha0.55-scale1e3-n65537-t1e-6": (65537, LevyParams.stable(0.55, 0.0, 1e3), 1e-6),
+    "cauchy-scale1e3-n4097-t1e-6": (4097, LevyParams.cauchy(1e3), 1e-6),
+    "stable1.5-scale1e3-n4097-t1e-6": (4097, LevyParams.stable(1.5, 0.0, 1e3), 1e-6),
+    "sigma1e-12-n4097-t1e6": (4097, LevyParams.brownian(1e-12), 1e6),
+    "sigma1e-12-n65537-t1e3": (65537, LevyParams.brownian(1e-12), 1e3),
+    "sigma1e-12-n65537-t1e6": (65537, LevyParams.brownian(1e-12), 1e6),
+    "sigma1e-6-n65537-t1": (65537, LevyParams.brownian(1e-6), 1.0),
+    "sigma1e-6-n65537-t1e3": (65537, LevyParams.brownian(1e-6), 1e3),
+    "step-n65537-t1": (65537, None, 1.0),
+    "step-n65537-t1e3": (65537, None, 1e3),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SWEEP)
+def test_oracle_sweep_at_real_grid_sizes(case):
+    """The oracle at the grid points next to every window shock, where a
+    flattened vertex shows, plus 64 random window points."""
+    n, params, t = ORACLE_SWEEP[case]
+    grid = GridSpec.symmetric(8.0, n)
+    path = _noisy_step(grid, 7) if params is None else sample_path(params, grid, 7)
+    sol = solve(path, t)
+    ys = grid.points()
+    lo, hi = sol.window
+    i = np.searchsorted(ys, [s.x for s in extract_shocks(sol).shocks])
+    window = np.flatnonzero((ys >= lo) & (ys <= hi))
+    sample = np.random.default_rng(7).choice(window, 64, replace=False)
+    xs = ys[np.union1d(np.concatenate([i - 1, i, i + 1]), sample)]
+    xs = xs[(xs >= lo) & (xs <= hi)]
+    a_hull = sol.vertex_ys[owning_vertices(sol, xs)]
+    assert np.array_equal(a_hull, solve_naive(path, t, xs))
 
 
 def _adversarial_params():
