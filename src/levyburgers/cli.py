@@ -48,7 +48,8 @@ from .regen import (
 from .shocks import Rarefaction, RefinementRow, Shock, extract_shocks, refinement_study
 from .solver import owning_vertices, solve, solved_replicates
 
-FIXTURE_FAMILIES = ("zero", "jump_up", "jump_down")
+# the deterministic families: a path from (grid, delta, location)
+FIXTURES = {"zero": lambda g, *_: zero_path(g), "jump_up": jump_up, "jump_down": jump_down}
 
 # IndependenceReport fields written to regen_report.json
 INDEPENDENCE_FIELDS = ("p_value_global", "dcor", "feature_correlations", "n_valid", "n_dropped")
@@ -95,10 +96,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(fields)
         if unknown:
             raise ParameterError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in d.items():
+            if not _takes(fields[name], value):
+                kind = _field_type(fields[name]).__name__
+                raise ParameterError(f"config field {name} must be {kind}, got {value!r}")
         return cls(**d)
 
     def grid(self) -> GridSpec:
@@ -116,13 +121,31 @@ class ExperimentConfig:
 
     def build_path(self) -> LevyPath:
         grid = self.grid()
-        if self.family == "zero":
-            return zero_path(grid)
-        if self.family == "jump_up":
-            return jump_up(grid, self.delta, self.location)
-        if self.family == "jump_down":
-            return jump_down(grid, self.delta, self.location)
+        if self.family in FIXTURES:
+            return FIXTURES[self.family](grid, self.delta, self.location)
         return sample_path(self.levy_params(), grid, self.seed)
+
+
+def _field_type(f: dataclasses.Field) -> type:
+    """int, float or str for a field with such a default, else list (a list
+    of numbers, or None where that is the default)."""
+    return type(f.default) if isinstance(f.default, (int, float, str)) else list
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _takes(f: dataclasses.Field, value) -> bool:
+    """Whether config field f takes value: a float field takes an int too,
+    kept as given, so a config keeps its hash; a bool is no number."""
+    kind = _field_type(f)
+    if kind is list:
+        return (value is None and f.default is None) or (
+            isinstance(value, list) and all(map(_is_number, value)))
+    if kind is float:
+        return _is_number(value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def config_hash(config: ExperimentConfig, subcommand: str) -> str:
@@ -189,15 +212,15 @@ def _regen(config: ExperimentConfig, emit) -> None:
     rep = regen_report(config.build_path(), config.t, k_max=config.k_max)
     payload = dataclasses.asdict(rep)
     scans = [rep]
-    if config.n_rep > 1 and config.family not in FIXTURE_FAMILIES:
+    if config.n_rep > 1 and config.family not in FIXTURES:
         replicates = solved_replicates(
             config.levy_params(), config.grid(), config.t, config.n_rep, config.seed, key=0
         )
         # the scans and the independence features share each solve; a
         # replicate whose solve failed has no scan
         scans, features = [], []
-        for p_r, sol in replicates:
-            scans.append(None if sol is None else rst_scan(p_r, config.t, sol))
+        for sol in replicates:
+            scans.append(None if sol is None else rst_scan(sol.path, config.t, sol))
             features.append(replicate_features(sol, config.w))
         if config.n_rep >= MIN_INDEPENDENCE_REPS:
             ind = independence_report(features, config.seed)
@@ -275,16 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Burgers shock structure from Levy potential paths",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = ExperimentConfig()
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out-dir", type=str, default="out")
-        # one flag per config field, typed by its default; lists and the
-        # None default take comma-separated floats
+        # one flag per config field, typed by _field_type; lists take
+        # comma-separated floats
         for f in dataclasses.fields(ExperimentConfig):
-            value = getattr(defaults, f.name)
-            kind = type(value) if isinstance(value, (int, float, str)) else _float_list
+            kind = _field_type(f)
+            kind = _float_list if kind is list else kind
             flag = "--reps" if f.name == "n_rep" else "--" + f.name.replace("_", "-")
             p.add_argument(flag, type=kind, default=None, dest=f.name)
     return parser
@@ -298,7 +320,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
-        base.update(loaded.get("config", loaded))
+        if isinstance(loaded, dict):
+            loaded = loaded.get("config", loaded)
+        if not isinstance(loaded, dict):
+            raise ParameterError(f"config {args.config} is not a JSON object")
+        base.update(loaded)
     field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name in field_names:
         value = getattr(args, name, None)

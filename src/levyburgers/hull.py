@@ -54,8 +54,7 @@ class ConcaveMajorant:
     def __post_init__(self):
         s = np.empty(len(self.ys) + 1)
         s[0], s[-1] = np.inf, -np.inf
-        with np.errstate(divide="ignore"):
-            np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
+        np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
         object.__setattr__(self, "s", s)
 
     @property

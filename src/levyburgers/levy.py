@@ -309,14 +309,19 @@ def _tag_jumps(
     return jump_array(cells + 1, embedded[cells])
 
 
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """SeedSequence((seed, *key)), the seed masked to 64 bits; every stream
+    starts here.  With no key it equals SeedSequence(seed), children too."""
+    return np.random.SeedSequence((int(seed) & (2**64 - 1), *key))
+
+
 def derived_seed(seed: int, *key: int) -> int:
     """64-bit seed of the stream keyed by (seed, *key), e.g. (seed, 0, replicate).
 
     Replicate streams are pure functions of their key, so replicates are
-    order-independent; seeds are masked to 64 bits as in sample_path.
+    order-independent.
     """
-    ss = np.random.SeedSequence((int(seed) & (2**64 - 1), *key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, *key).generate_state(1, dtype=np.uint64)[0])
 
 
 def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
@@ -328,8 +333,8 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     stream walked leftward, so increments over every grid cell are i.i.d.
     with the step-h law and psi0(0) = 0.
     """
-    seed = int(seed) & (2**64 - 1)
-    right_ss, left_ss = np.random.SeedSequence(seed).spawn(2)
+    ss = _seed_sequence(seed)
+    right_ss, left_ss = ss.spawn(2)
     i0 = grid.zero_index
     h = grid.h
     n_right = grid.n - 1 - i0
@@ -352,7 +357,7 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
         values=values,
         tracked_jumps=jumps,
         params=params,
-        seed=seed,
+        seed=ss.entropy[0],  # the masked seed
     )
 
 
@@ -417,7 +422,7 @@ def abruptness_integral_estimate(
     nodes = 10.0 ** (-np.arange(n_dec + 1) / NODES_PER_DECADE)
     nodes = np.unique(np.concatenate([nodes[nodes >= eps_min], eps_arr]))[::-1]
 
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
+    rng = np.random.default_rng(_seed_sequence(seed))
     prob = np.empty(nodes.size)
     for k, x in enumerate(nodes):
         # psi0(x) for x > 0 is one increment of the step-x law

@@ -155,6 +155,8 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
 
 def regen_report(path: LevyPath, t: float, k_max: int = 64) -> RegenReport:
     """rst_scan plus the r_k walk in one report."""
+    if k_max < 1:
+        raise ParameterError("k_max must be >= 1")
     base = rst_scan(path, t, solve(path, t))
     if base.R is None:
         return base
@@ -226,17 +228,13 @@ def _side_features(
 ) -> np.ndarray:
     """(mean u, min u, #shocks) on (lo, hi] or [lo, hi); shocks are the
     macroscopic edges."""
-    t = sol.t
-    macro = macroscopic_edges(sol)
-    j = np.arange(N_FEATURE_SAMPLES, dtype=float)
-    if closed_right:
-        xs = lo + (hi - lo) * (j + 1.0) / N_FEATURE_SAMPLES
-        n_shocks = np.count_nonzero(macro & (sol.edge_x > lo) & (sol.edge_x <= hi))
-    else:
-        xs = lo + (hi - lo) * j / N_FEATURE_SAMPLES
-        n_shocks = np.count_nonzero(macro & (sol.edge_x >= lo) & (sol.edge_x < hi))
-    u = (xs - sol.vertex_ys[owning_vertices(sol, xs)]) / t
-    return np.array([u.mean(), u.min(), float(n_shocks)])
+    j = np.arange(N_FEATURE_SAMPLES) + float(closed_right)
+    xs = lo + (hi - lo) * j / N_FEATURE_SAMPLES
+    # edge_x is nondecreasing (t > 0): a range of it counts the shocks
+    side = "right" if closed_right else "left"
+    lo_k, hi_k = np.searchsorted(sol.edge_x[macroscopic_edges(sol)], [lo, hi], side=side)
+    u = (xs - sol.vertex_ys[owning_vertices(sol, xs)]) / sol.t
+    return np.array([u.mean(), u.min(), float(hi_k - lo_k)])
 
 
 def replicate_features(
@@ -314,6 +312,6 @@ def independence_test(
         raise ParameterError(f"need n_rep >= {MIN_INDEPENDENCE_REPS}")
     features = [
         replicate_features(sol, window_w)
-        for _, sol in solved_replicates(params, grid, t, n_rep, seed, key=0)
+        for sol in solved_replicates(params, grid, t, n_rep, seed, key=0)
     ]
     return independence_report(features, seed)

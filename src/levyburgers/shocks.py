@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridError, ParameterError
 from .levy import GridSpec, LevyParams
-from .solver import BurgersSolution, solved_replicates
+from .solver import BurgersSolution, analysis_window, solved_replicates
 
 # One-cell tolerance when deciding that a vertex is attained from one side
 # only; shock locations on the grid carry O(h) discretization error.
@@ -103,14 +103,13 @@ def zero_set_indices(sol: BurgersSolution) -> np.ndarray:
     return np.flatnonzero((s[1:] <= target) & (target <= s[:-1]))
 
 
-def epsilon_regular_indices(sol: BurgersSolution, eps: float | None = None) -> np.ndarray:
-    """Vertex indices with another contact within eps on both sides.
+def epsilon_regular_indices(sol: BurgersSolution) -> np.ndarray:
+    """Vertex indices with another contact closer than eps = 10h on both sides.
 
     Finite-resolution proxy for contact points isolated on neither side
-    (particles untouched by collisions); defaults to eps = 10h.
+    (particles untouched by collisions).
     """
-    if eps is None:
-        eps = 10.0 * sol.path.grid.h
+    eps = 10.0 * sol.path.grid.h
     ys = sol.vertex_ys
     left_gap = np.diff(ys, prepend=-np.inf)
     right_gap = np.diff(ys, append=np.inf)
@@ -277,10 +276,20 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
     return JumpSignReport(agreements, n_tracked - agreements, len(g) - n_tracked)
 
 
-def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
+def _stats_window(
+    window: tuple[float, float] | None, analysis: tuple[float, float]
+) -> tuple[float, float]:
+    """``window`` (the analysis window when None) intersected with the
+    analysis window; ParameterError unless it is two finite numbers
+    lo < hi whose intersection is not empty."""
+    if window is None:
+        return analysis
     if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
         raise ParameterError(f"window must be two finite numbers lo < hi, got {window}")
-    return window
+    lo, hi = max(window[0], analysis[0]), min(window[1], analysis[1])
+    if not lo < hi:
+        raise ParameterError(f"window {window} misses the analysis window {analysis}")
+    return lo, hi
 
 
 def window_stats(
@@ -293,9 +302,7 @@ def window_stats(
     the contact fraction divides by the number of grid points in the
     window.
     """
-    lo, hi = sol.window if window is None else _checked_window(window)
-    lo = max(lo, sol.window[0])
-    hi = min(hi, sol.window[1])
+    lo, hi = _stats_window(window, sol.window)
     ys = sol.vertex_ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
     n_zero = len(_window_zero_indices(sol, lo, hi))
@@ -303,7 +310,7 @@ def window_stats(
     # x_lo <= x_hi and clipping is monotone, so no length is negative
     lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)
     lengths[sol.boundary_affected] = 0.0
-    max_rare = float(lengths.max()) if len(lengths) else 0.0
+    max_rare = float(lengths.max())
 
     pts = sol.path.grid.points()
     n_pts = int(np.count_nonzero((pts >= lo) & (pts <= hi)))
@@ -325,10 +332,9 @@ def refinement_study(
     For each h, runs n_rep seeded replicates on [-L, L], solves, and
     reports medians of the window statistics; pure aggregation, no
     verdicts.  Replicates that fail the boundary-domination check are
-    counted and skipped.
+    counted and skipped.  Every input, every grid included, is checked
+    before the first replicate is sampled.
     """
-    if window is not None:
-        _checked_window(window)
     if n_rep < 1:
         raise ParameterError(f"n_rep must be >= 1, got {n_rep}")
     if not h_list:
@@ -337,19 +343,19 @@ def refinement_study(
         raise GridError("h_list must be strictly decreasing")
     if not all(0.0 < v < math.inf for v in (L, *h_list)):
         raise GridError("L and every h must be finite and > 0")
-    rows = []
-    for hk, h in enumerate(h_list):
+    grids = []
+    for h in h_list:
         cells = 2.0 * L / h
         if abs(cells - round(cells)) > 1e-9:
             raise GridError(f"h={h} does not divide the domain [-{L}, {L}]")
-        grid = GridSpec.symmetric(L, int(round(cells)) + 1)
-        stats, n_failed = [], 0
-        for _, sol in solved_replicates(params, grid, t, n_rep, seed, key=hk):
-            if sol is None:
-                n_failed += 1
-            else:
-                stats.append(window_stats(sol, window))
+        grids.append(GridSpec.symmetric(L, int(round(cells)) + 1))
+    # every grid spans [-L, L], so all share one analysis window
+    _stats_window(window, analysis_window(grids[0]))
+    rows = []
+    for hk, (h, grid) in enumerate(zip(h_list, grids)):
+        replicates = solved_replicates(params, grid, t, n_rep, seed, key=hk)
+        stats = [window_stats(sol, window) for sol in replicates if sol is not None]
         arr = np.array(stats) if stats else np.full((1, 4), math.nan)
-        # the four medians in window_stats order
-        rows.append(RefinementRow(h, grid.n, *np.median(arr, axis=0).tolist(), n_failed))
+        medians = np.median(arr, axis=0).tolist()  # in window_stats order
+        rows.append(RefinementRow(h, grid.n, *medians, n_rep - len(stats)))
     return rows

@@ -74,6 +74,12 @@ class BurgersSolution:
         return len(self.majorant)
 
 
+def analysis_window(grid: GridSpec) -> tuple[float, float]:
+    """The grid minus WINDOW_MARGIN_FRACTION of its length on each side."""
+    margin = WINDOW_MARGIN_FRACTION * (grid.x_max - grid.x_min)
+    return grid.x_min + margin, grid.x_max - margin
+
+
 def solve(path: LevyPath, t: float) -> BurgersSolution:
     """Build the exact grid solution at time t.
 
@@ -106,8 +112,7 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     breaks = -t * cm.s
     x_lo, x_hi = breaks[:-1], breaks[1:]
 
-    margin = WINDOW_MARGIN_FRACTION * (path.grid.x_max - path.grid.x_min)
-    window = (path.grid.x_min + margin, path.grid.x_max - margin)
+    window = analysis_window(path.grid)
     boundary = (x_lo < window[0]) | (x_hi > window[1])
 
     return BurgersSolution(
@@ -124,17 +129,17 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
 
 def solved_replicates(
     params: LevyParams, grid: GridSpec, t: float, n_rep: int, seed: int, key: int
-) -> Iterator[tuple[LevyPath, BurgersSolution | None]]:
-    """Yield (path, solution) for replicates 0..n_rep-1, replicate r drawn
-    with derived_seed(seed, key, r); the solution is None when the grid
-    window is too small."""
+) -> Iterator[BurgersSolution | None]:
+    """Yield the solution of each replicate 0..n_rep-1, replicate r sampled
+    with derived_seed(seed, key, r), or None when its grid window is too
+    small; a solution's path is ``sol.path``."""
     for rep in range(n_rep):
         path = sample_path(params, grid, derived_seed(seed, key, rep))
         try:
             sol = solve(path, t)
         except WindowTooSmallError:
             sol = None
-        yield path, sol
+        yield sol
 
 
 def owning_vertices(sol: BurgersSolution, xs) -> np.ndarray:

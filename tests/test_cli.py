@@ -108,6 +108,11 @@ class TestConfig:
         assert ExperimentConfig.from_dict(eff["config"]) == ExperimentConfig(n=65, L=2.0)
 
 
+    def test_float_field_keeps_an_int(self):
+        # an int is a float value and stays an int, so the config hash holds
+        cfg = ExperimentConfig.from_dict({"t": 1, "stats_window": [1, 2.5]})
+        assert type(cfg.t) is int and cfg.stats_window == [1, 2.5]
+
     def test_every_field_has_a_flag(self):
         want = ExperimentConfig(
             family="cpoisson", sigma=2.0, alpha=0.75, beta=0.5, scale=3.0, rate=4.0,
@@ -401,10 +406,37 @@ class TestErrors:
             pytest.param(["refine", "--h-list", ""], id="refine-h-list-empty"),
             pytest.param(["regen", "--family", "stable", "--reps", "-4"],
                          id="regen-reps-negative"),
+            # a stats window that misses the analysis window [-2, 2], and a
+            # k_max < 1 on a path whose walk would never run
+            pytest.param([*REFINE_SMALL, "--stats-window", "5,6"], id="stats-window-outside"),
+            pytest.param(["regen", "--family", "jump_down", "--delta", "100",
+                          "--location", "-1", "--L", "4", "--n", "801", "--k-max", "0"],
+                         id="regen-k-max-zero"),
         ],
     )
     def test_bad_parameter(self, tmp_path, argv):
         assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            pytest.param({"n": "4097"}, "field n ", id="int-as-str"),
+            pytest.param({"n": 4097.0}, "field n ", id="int-as-float"),
+            pytest.param({"seed": True}, "field seed ", id="int-as-bool"),
+            pytest.param({"L": "8"}, "field L ", id="float-as-str"),
+            pytest.param({"t": None}, "field t ", id="float-null"),
+            pytest.param({"config": {"h_list": "0.5"}}, "field h_list ", id="list-as-str"),
+            pytest.param([1, 2], "not a JSON object", id="not-an-object"),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, config, message):
+        # a config file value must have the type its flag parses to
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_BAD_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and message in err["message"]
 
     @pytest.mark.parametrize("argv", OVERFLOW_ARGV)
     def test_overflow_names_the_parameter(self, tmp_path, capsys, argv):

@@ -26,6 +26,7 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
+from levyburgers import solver
 from levyburgers.levy import jump_array
 from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport, _gap_samples
 from conftest import derived_seed
@@ -238,7 +239,10 @@ class TestRefinementStudy:
         assert n_contacts == n_zero == 101
         assert fraction == 1.0
 
-    @pytest.mark.parametrize("window", [(1.0,), (2.0, 1.0), (np.nan, 2.0), (1.0, np.inf)])
+    # the last two miss the analysis window [-2, 2] or touch it at one point
+    @pytest.mark.parametrize(
+        "window", [(1.0,), (2.0, 1.0), (np.nan, 2.0), (1.0, np.inf), (5.0, 6.0), (2.0, 3.0)]
+    )
     def test_window_stats_rejects_malformed_window(self, grid_fixture, window):
         sol = solve(zero_path(grid_fixture), 1.0)
         with pytest.raises(ParameterError):
@@ -276,6 +280,27 @@ class TestRefinementStudy:
     def test_h_must_divide_domain(self):
         with pytest.raises(GridError):
             refinement_study(LevyParams.brownian(1.0), 1.0, 4.0, [0.3], 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "h_list,window,error",
+        [
+            pytest.param([0.0625, 0.03], None, GridError, id="h-not-dividing"),
+            pytest.param([0.0625, 0.03125], (5.0, 6.0), ParameterError, id="window-outside"),
+        ],
+    )
+    def test_bad_input_draws_no_sample(self, monkeypatch, h_list, window, error):
+        # every grid and the window are checked before the first replicate
+        calls = []
+
+        def counting_sample_path(*args):
+            calls.append(args)
+            return sample_path(*args)
+
+        monkeypatch.setattr(solver, "sample_path", counting_sample_path)
+        with pytest.raises(error):
+            refinement_study(LevyParams.brownian(1.0), 1.0, 8.0, h_list, 200, seed=0,
+                             window=window)
+        assert calls == []
 
 
 # -- the per-vertex extraction and the full-scan sign pattern, kept as
