@@ -51,9 +51,6 @@ from .solver import owning_vertices, solve, solved_replicates
 # the deterministic families: a path from (grid, delta, location)
 FIXTURES = {"zero": lambda g, *_: zero_path(g), "jump_up": jump_up, "jump_down": jump_down}
 
-# IndependenceReport fields written to regen_report.json
-INDEPENDENCE_FIELDS = ("p_value_global", "dcor", "feature_correlations", "n_valid", "n_dropped")
-
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_BAD_CONFIG = 2
@@ -107,9 +104,11 @@ class ExperimentConfig:
         return cls(**d)
 
     def grid(self) -> GridSpec:
-        return GridSpec.symmetric(self.L, self.n)
+        return GridSpec(self.L, self.n)
 
     def levy_params(self) -> LevyParams:
+        if self.family == "cauchy":  # alpha and beta are ignored
+            return LevyParams.cauchy(self.scale)
         if self.family not in FAMILIES:
             raise ParameterError(f"family {self.family!r} has no Levy parameters")
         jumps = None  # other families ignore, and do not check, the jump flags
@@ -224,7 +223,7 @@ def _regen(config: ExperimentConfig, emit) -> None:
             features.append(replicate_features(sol, config.w))
         if config.n_rep >= MIN_INDEPENDENCE_REPS:
             ind = independence_report(features, config.seed)
-            payload["independence"] = {f: getattr(ind, f) for f in INDEPENDENCE_FIELDS}
+            payload["independence"] = dataclasses.asdict(ind)
     emit("regen_report.json", payload)
     vals = [(None,) * 3 if s is None else (s.R, s.S, s.T_first) for s in scans]
     emit(

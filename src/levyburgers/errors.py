@@ -10,7 +10,7 @@ class ParameterError(LevyBurgersError, ValueError):
 
 
 class GridError(LevyBurgersError, ValueError):
-    """The grid specification is unusable (too few points, 0 off-grid, ...)."""
+    """The grid specification is unusable (too few points, an even count, ...)."""
 
 
 class InputError(LevyBurgersError, ValueError):

@@ -2,7 +2,7 @@
 
 The initial potential of the flow is a two-sided process psi0 with
 stationary independent increments and psi0(0) = 0.  This module samples
-such paths on a uniform grid straddling the origin, classifies the
+such paths on a uniform grid symmetric about the origin, classifies the
 supported families (regularity flags used downstream), and provides a
 Monte Carlo diagnostic for the abrupt/eroded integral criterion.
 """
@@ -10,13 +10,14 @@ Monte Carlo diagnostic for the abrupt/eroded integral criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, ParameterError
 
-FAMILIES = ("brownian", "stable", "cauchy", "cpoisson")
+FAMILIES = ("brownian", "stable", "cpoisson")
 
 # Stable increments larger than this many step-scale units are tagged as
 # macroscopic jumps; separates jumps from bulk noise at desk scale.
@@ -35,45 +36,38 @@ NODES_PER_DECADE = 40
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform Lagrangian grid straddling the origin.
+    """Uniform Lagrangian grid on [-L, L] with an odd number n >= 3 of points.
 
-    Grid points are y_i = (i - zero_index) * h, so 0 is exactly a grid
-    point; ``x_min``/``x_max`` must be consistent with that.
+    Grid points are y_i = (i - zero_index) * h with zero_index = (n - 1) // 2
+    and h = 2L / (n - 1), so 0 is exactly the middle grid point.
     """
 
-    x_min: float
-    x_max: float
+    L: float
     n: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise GridError(f"need at least 3 grid points, got n={self.n}")
-        if not (self.x_min < 0.0 < self.x_max):
-            raise GridError("grid must straddle the origin: x_min < 0 < x_max")
-        if not math.isfinite(self.x_max - self.x_min):
-            raise GridError("grid endpoints must be finite")
-        off = abs(self.x_min + self.zero_index * self.h)
-        if off > 1e-9 * (self.x_max - self.x_min):
-            raise GridError(
-                f"0 is not a grid point (offset {off:g}); adjust n or the endpoints"
-            )
+        if self.n < 3 or self.n % 2 == 0:
+            raise GridError(f"need an odd number n >= 3 of grid points, got n={self.n}")
+        # compared exactly, so an int L too large for a float fails here too
+        if not 0.0 < self.L <= sys.float_info.max / 2:
+            raise GridError(f"half-width L must be > 0 with 2L finite, got L={self.L}")
 
     @property
     def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
+        return 2 * self.L / (self.n - 1)
 
     @property
     def zero_index(self) -> int:
-        return int(round(-self.x_min / self.h))
+        return (self.n - 1) // 2
 
     def points(self) -> np.ndarray:
         """Grid points, anchored so that points()[zero_index] == 0.0 exactly."""
         return (np.arange(self.n) - self.zero_index) * self.h
 
     @classmethod
-    def symmetric(cls, half_width: float, n: int) -> "GridSpec":
-        """Grid [-L, L] with n points; n must be odd so 0 lands on the grid."""
-        return cls(-half_width, half_width, n)
+    def symmetric(cls, L: float, n: int) -> "GridSpec":
+        """GridSpec(L, n), the grid [-L, L] with n points."""
+        return cls(L, n)
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,8 @@ class LevyParams:
     """Parameters of the potential process; drift is fixed to 0 throughout.
 
     Families: brownian (sigma >= 0), stable (alpha in (1/2, 2], beta in
-    [-1, 1], scale > 0), cauchy (== stable(1, 0, scale)), cpoisson
-    (rate > 0 plus a jump-size law).
+    [-1, 1], scale > 0) and cpoisson (rate > 0 plus a jump-size law).
+    Cauchy noise is the stable law with alpha = 1, beta = 0.
     """
 
     family: str
@@ -128,20 +122,13 @@ class LevyParams:
         if self.family == "brownian":
             if not 0.0 <= self.sigma < math.inf:
                 raise ParameterError("sigma must be finite and >= 0")
-        elif self.family in ("stable", "cauchy"):
-            a, b = self.effective_alpha_beta()
-            _check_stable(a, b, self.scale)
+        elif self.family == "stable":
+            _check_stable(self.alpha, self.beta, self.scale)
         else:
             if not 0.0 < self.rate < math.inf:
                 raise ParameterError("compound Poisson rate must be finite and > 0")
             if self.jump_dist is None:
                 raise ParameterError("compound Poisson needs a jump-size law")
-
-    def effective_alpha_beta(self) -> tuple[float, float]:
-        """(alpha, beta) seen by the stable sampler; cauchy maps to (1, 0)."""
-        if self.family == "cauchy":
-            return 1.0, 0.0
-        return self.alpha, self.beta
 
     @classmethod
     def brownian(cls, sigma: float) -> "LevyParams":
@@ -153,7 +140,8 @@ class LevyParams:
 
     @classmethod
     def cauchy(cls, scale: float = 1.0) -> "LevyParams":
-        return cls(family="cauchy", scale=scale)
+        """Symmetric Cauchy noise, the stable law with alpha = 1, beta = 0."""
+        return cls.stable(1.0, 0.0, scale)
 
     @classmethod
     def compound_poisson(cls, rate: float, jump_dist: JumpDist) -> "LevyParams":
@@ -255,9 +243,8 @@ def _cell_increments(
     """i.i.d. increments of the step-h law for one side of the path."""
     if params.family == "brownian":
         return rng.normal(0.0, params.sigma * math.sqrt(h), size)
-    if params.family in ("stable", "cauchy"):
-        a, b = params.effective_alpha_beta()
-        return stable_increments(a, b, params.scale, h, size, rng)
+    if params.family == "stable":
+        return stable_increments(params.alpha, params.beta, params.scale, h, size, rng)
     # compound Poisson: jump times snapped to the owning cell, multiple
     # jumps in one cell summed
     lam = params.rate * h
@@ -299,9 +286,8 @@ def _tag_jumps(
     """
     if params.family == "brownian":
         return jump_array([], [])
-    if params.family in ("stable", "cauchy"):
-        a, _ = params.effective_alpha_beta()
-        thr = JUMP_THRESHOLD_SCALES * params.scale * h ** (1.0 / a)
+    if params.family == "stable":
+        thr = JUMP_THRESHOLD_SCALES * params.scale * h ** (1.0 / params.alpha)
         mask = np.abs(incr) > thr
     else:
         mask = incr != 0.0
@@ -378,13 +364,12 @@ def classify(params: LevyParams) -> PropertyFlags:
             # degenerate flat path
             return PropertyFlags(True, False, False, True, False, "unknown")
         return PropertyFlags(False, True, False, True, True, "not_applicable")
-    if fam in ("stable", "cauchy"):
-        alpha, beta = params.effective_alpha_beta()
-        if alpha > 1.0:
+    if fam == "stable":
+        if params.alpha > 1.0:
             return PropertyFlags(False, True, False, True, True, "not_applicable")
-        if alpha == 1.0:
+        if params.alpha == 1.0:
             return PropertyFlags(False, False, True, True, True, "not_applicable")
-        return PropertyFlags(True, False, False, True, abs(beta) < 1.0, "assumed")
+        return PropertyFlags(True, False, False, True, abs(params.beta) < 1.0, "assumed")
     return PropertyFlags(True, False, False, True, False, "unknown")
 
 

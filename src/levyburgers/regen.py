@@ -47,14 +47,13 @@ class RegenReport:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    """The permutation test's result, as regen_report.json writes it."""
+
     p_value_global: float
     dcor: float
     feature_correlations: tuple[float, ...]
     n_valid: int
     n_dropped: int
-    T_values: np.ndarray
-    f_pre: np.ndarray
-    f_post: np.ndarray
 
 
 def _scan_r_index(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None:
@@ -213,6 +212,8 @@ def permutation_pvalue(
     rows and columns together and dVar_y is permutation invariant, so the
     centred matrix of f_post is built once and permuted.
     """
+    if n_perm < 1:
+        raise ParameterError(f"n_perm must be >= 1, got {n_perm}")
     aa, bb, dvar_x, dvar_y = _centred_pair(f_pre, f_post)
     obs = _dcor(aa, bb, dvar_x, dvar_y)
     count = 0
@@ -289,9 +290,6 @@ def independence_report(features: list, seed: int) -> IndependenceReport:
         feature_correlations=tuple(corrs),
         n_valid=len(kept),
         n_dropped=n_dropped,
-        T_values=np.array([f[0] for f in kept]),
-        f_pre=f_pre,
-        f_post=f_post,
     )
 
 

@@ -277,19 +277,26 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
 
 
 def _stats_window(
-    window: tuple[float, float] | None, analysis: tuple[float, float]
-) -> tuple[float, float]:
-    """``window`` (the analysis window when None) intersected with the
-    analysis window; ParameterError unless it is two finite numbers
-    lo < hi whose intersection is not empty."""
+    window: tuple[float, float] | None, grid: GridSpec
+) -> tuple[float, float, int]:
+    """(lo, hi, grid points in [lo, hi]) for ``window`` (the analysis
+    window of the grid when None) intersected with that analysis window;
+    ParameterError unless it is two finite numbers lo < hi whose
+    intersection holds a grid point."""
+    analysis = analysis_window(grid)
     if window is None:
-        return analysis
-    if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
-        raise ParameterError(f"window must be two finite numbers lo < hi, got {window}")
-    lo, hi = max(window[0], analysis[0]), min(window[1], analysis[1])
-    if not lo < hi:
-        raise ParameterError(f"window {window} misses the analysis window {analysis}")
-    return lo, hi
+        lo, hi = analysis
+    else:
+        if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
+            raise ParameterError(f"window must be two finite numbers lo < hi, got {window}")
+        lo, hi = max(window[0], analysis[0]), min(window[1], analysis[1])
+        if not lo < hi:
+            raise ParameterError(f"window {window} misses the analysis window {analysis}")
+    pts = grid.points()
+    n_pts = int(np.count_nonzero((pts >= lo) & (pts <= hi)))
+    if not n_pts:
+        raise ParameterError(f"window {window} holds no point of the grid with h={grid.h:g}")
+    return lo, hi, n_pts
 
 
 def window_stats(
@@ -302,7 +309,7 @@ def window_stats(
     the contact fraction divides by the number of grid points in the
     window.
     """
-    lo, hi = _stats_window(window, sol.window)
+    lo, hi, n_pts = _stats_window(window, sol.path.grid)
     ys = sol.vertex_ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
     n_zero = len(_window_zero_indices(sol, lo, hi))
@@ -311,11 +318,7 @@ def window_stats(
     lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)
     lengths[sol.boundary_affected] = 0.0
     max_rare = float(lengths.max())
-
-    pts = sol.path.grid.points()
-    n_pts = int(np.count_nonzero((pts >= lo) & (pts <= hi)))
-    fraction = n_contacts / n_pts if n_pts else math.nan
-    return n_contacts, n_zero, max_rare, fraction
+    return n_contacts, n_zero, max_rare, n_contacts / n_pts
 
 
 def refinement_study(
@@ -348,9 +351,9 @@ def refinement_study(
         cells = 2.0 * L / h
         if abs(cells - round(cells)) > 1e-9:
             raise GridError(f"h={h} does not divide the domain [-{L}, {L}]")
-        grids.append(GridSpec.symmetric(L, int(round(cells)) + 1))
-    # every grid spans [-L, L], so all share one analysis window
-    _stats_window(window, analysis_window(grids[0]))
+        grids.append(GridSpec(L, int(round(cells)) + 1))
+    for grid in grids:
+        _stats_window(window, grid)
     rows = []
     for hk, (h, grid) in enumerate(zip(h_list, grids)):
         replicates = solved_replicates(params, grid, t, n_rep, seed, key=hk)

@@ -76,8 +76,8 @@ class BurgersSolution:
 
 def analysis_window(grid: GridSpec) -> tuple[float, float]:
     """The grid minus WINDOW_MARGIN_FRACTION of its length on each side."""
-    margin = WINDOW_MARGIN_FRACTION * (grid.x_max - grid.x_min)
-    return grid.x_min + margin, grid.x_max - margin
+    margin = WINDOW_MARGIN_FRACTION * (2 * grid.L)
+    return -grid.L + margin, grid.L - margin
 
 
 def solve(path: LevyPath, t: float) -> BurgersSolution:
@@ -90,9 +90,9 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     if not 0.0 < t < np.inf:
         raise ParameterError(f"t must be finite and > 0, got {t}")
     ys = path.grid.points()
-    # the parabola term is largest at a grid end; checked in Python floats,
-    # which overflow to inf without a warning
-    y_end = float(max(-ys[0], ys[-1]))
+    # the parabola term is largest at the grid ends ys[0] = -ys[-1]; checked
+    # in Python floats, which overflow to inf without a warning
+    y_end = float(ys[-1])
     if not math.isfinite(y_end * y_end / (2.0 * t)):
         raise ParameterError(
             f"y^2/(2t) overflows at the grid end y={y_end:g} with t={t:g}; "
@@ -155,7 +155,7 @@ def _owning_vertex(sol: BurgersSolution, x: float) -> int:
     """Index of the vertex whose X-interval contains the window point x
     (right at ties)."""
     lo, hi = sol.window
-    if x < lo or x > hi:
+    if not lo <= x <= hi:
         raise OutOfDomainError(f"x={x} outside the analysis window [{lo}, {hi}]")
     return int(owning_vertices(sol, x))
 
@@ -203,7 +203,7 @@ def lagrangian_position(sol: BurgersSolution, a: float) -> float:
     sits inside its own constancy interval (at a when untouched).
     """
     ys = sol.vertex_ys
-    if a < ys[0] or a > ys[-1]:
+    if not ys[0] <= a <= ys[-1]:
         raise OutOfDomainError(f"a={a} outside the Lagrangian window")
     k = int(np.searchsorted(ys, a, side="left"))
     if ys[k] == a:

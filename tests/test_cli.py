@@ -162,6 +162,19 @@ class TestSimulate:
             "jumps.csv": "34d79700e6152739ca1f94a9a80b15f091c82f00a4e0088f291efb4707aa034b",
         }
 
+    def test_cauchy_is_stable_1_0(self, tmp_path):
+        argvs = {
+            "cauchy": ["--family", "cauchy", "--scale", "2"],
+            "stable": ["--family", "stable", "--alpha", "1", "--beta", "0", "--scale", "2"],
+        }
+        rows = {}
+        for name, flags in argvs.items():
+            out = tmp_path / name
+            assert main(["simulate", *flags, "--seed", "5", "--out-dir", str(out)]) == EXIT_OK
+            rows[name] = [read_csv(out / f)[1:] for f in ("path.csv", "jumps.csv")]
+        assert rows["cauchy"] == rows["stable"]
+        assert len(rows["cauchy"][1][1]) > 0  # some jumps were tracked
+
 
 class TestShocksSubcommand:
     def test_jump_up_fixture_pinned(self, tmp_path):
@@ -409,6 +422,9 @@ class TestErrors:
             # a stats window that misses the analysis window [-2, 2], and a
             # k_max < 1 on a path whose walk would never run
             pytest.param([*REFINE_SMALL, "--stats-window", "5,6"], id="stats-window-outside"),
+            # a stats window between two grid points of h = 0.0625
+            pytest.param([*REFINE_SMALL, "--stats-window", "0.01,0.02"],
+                         id="stats-window-between-points"),
             pytest.param(["regen", "--family", "jump_down", "--delta", "100",
                           "--location", "-1", "--L", "4", "--n", "801", "--k-max", "0"],
                          id="regen-k-max-zero"),

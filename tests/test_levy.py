@@ -37,19 +37,29 @@ class TestGridSpec:
         assert pts[g.zero_index] == 0.0
         assert pts[0] == -8.0 and pts[-1] == 8.0
         assert np.all(np.diff(pts) > 0)
+        assert g == GridSpec(8.0, 4097) and g.zero_index == 2048
 
     def test_too_few_points(self):
         with pytest.raises(GridError):
-            GridSpec(-1.0, 1.0, 2)
+            GridSpec(1.0, 2)
 
     def test_zero_off_grid(self):
-        # h = 0.15: nearest grid point to 0 is at -0.05
-        with pytest.raises(GridError):
-            GridSpec(-0.5, 1.0, 11)
+        # an even n puts 0 between two grid points; 10**9 is rejected
+        # before anything is allocated
+        for n in (4, 4096, 10**9):
+            with pytest.raises(GridError):
+                GridSpec(1.0, n)
 
     def test_must_straddle_zero(self):
-        with pytest.raises(GridError):
-            GridSpec(0.5, 1.5, 11)
+        for L in (0.0, -1.0):
+            with pytest.raises(GridError):
+                GridSpec(L, 11)
+
+    def test_width_must_be_finite(self):
+        # 2L overflows for 1e308; an int beyond any float is rejected too
+        for L in (math.nan, math.inf, 1e308, 10**400):
+            with pytest.raises(GridError):
+                GridSpec(L, 11)
 
 
 class TestSamplePath:
@@ -83,7 +93,7 @@ class TestSamplePath:
     def test_brownian_moments(self):
         # h = 0.01 and 1e5 increments; sample mean within 4 stderr of 0 and
         # sample std within 5% of sqrt(h) = 0.1
-        g = GridSpec(-500.0, 500.0, 100_001)
+        g = GridSpec(500.0, 100_001)
         assert abs(g.h - 0.01) < 1e-12
         p = sample_path(LevyParams.brownian(1.0), g, seed=2024)
         inc = np.diff(p.values)
@@ -278,7 +288,7 @@ class TestAbruptnessIntegral:
 
 class TestParams:
     def test_cauchy_maps_to_stable_1_0(self):
-        assert LevyParams.cauchy(2.0).effective_alpha_beta() == (1.0, 0.0)
+        assert LevyParams.cauchy(2.0) == LevyParams.stable(1.0, 0.0, 2.0)
 
     def test_invalid_families(self):
         with pytest.raises(ParameterError):

@@ -25,7 +25,7 @@ from levyburgers import (
     zero_path,
 )
 from levyburgers.regen import replicate_features
-from levyburgers.solver import owning_vertices
+from levyburgers.solver import owning_vertices, solved_replicates
 from conftest import derived_seed
 
 
@@ -176,6 +176,13 @@ class TestPermutationMachinery:
         dcor, p = permutation_pvalue(x, x.copy(), rng, n_perm=99)
         assert abs(dcor - 1.0) < 1e-9 and p == 0.01
 
+    @pytest.mark.parametrize("n_perm", [0, -1, -5])
+    def test_n_perm_must_be_positive(self, n_perm):
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        with pytest.raises(ParameterError):
+            permutation_pvalue(x, y, rng, n_perm=n_perm)
+
     def test_row_count_mismatch_raises(self):
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(80, 3)), rng.normal(size=(60, 3))
@@ -225,5 +232,13 @@ class TestIndependenceTest:
         assert rep.n_dropped <= 20
         assert 0.0 < rep.p_value_global <= 1.0
         assert len(rep.feature_correlations) == 3
-        assert rep.f_pre.shape == (rep.n_valid, 3)
-        assert np.all(rep.T_values >= 0.0)
+
+    def test_replicate_features_shape(self, grid_standard):
+        replicates = solved_replicates(
+            LevyParams.stable(1.5, 0.0, 0.2), grid_standard, 1.0, 10, seed=10, key=0
+        )
+        features = [replicate_features(sol, 0.5) for sol in replicates]
+        kept = [f for f in features if f is not None]
+        assert len(kept) >= 8
+        for T, pre, post in kept:
+            assert T >= 0.0 and pre.shape == post.shape == (3,)

@@ -239,9 +239,12 @@ class TestRefinementStudy:
         assert n_contacts == n_zero == 101
         assert fraction == 1.0
 
-    # the last two miss the analysis window [-2, 2] or touch it at one point
+    # (5, 6) and (2, 3) miss the analysis window [-2, 2] or touch it at one
+    # point; (0.011, 0.019) lies between the grid points 0.01 and 0.02
     @pytest.mark.parametrize(
-        "window", [(1.0,), (2.0, 1.0), (np.nan, 2.0), (1.0, np.inf), (5.0, 6.0), (2.0, 3.0)]
+        "window",
+        [(1.0,), (2.0, 1.0), (np.nan, 2.0), (1.0, np.inf), (5.0, 6.0), (2.0, 3.0),
+         (0.011, 0.019)],
     )
     def test_window_stats_rejects_malformed_window(self, grid_fixture, window):
         sol = solve(zero_path(grid_fixture), 1.0)
@@ -286,6 +289,9 @@ class TestRefinementStudy:
         [
             pytest.param([0.0625, 0.03], None, GridError, id="h-not-dividing"),
             pytest.param([0.0625, 0.03125], (5.0, 6.0), ParameterError, id="window-outside"),
+            # 0.1 is a point of the first grid; the second has none in the window
+            pytest.param([0.1, 0.0625], (0.09, 0.11), ParameterError,
+                         id="window-between-points"),
         ],
     )
     def test_bad_input_draws_no_sample(self, monkeypatch, h_list, window, error):

@@ -131,8 +131,9 @@ class TestJumpDown:
 
     def test_out_of_range_particle(self, jump_down_sol):
         _, sol = jump_down_sol
-        with pytest.raises(OutOfDomainError):
-            lagrangian_position(sol, 100.0)
+        for a in (100.0, np.nan):
+            with pytest.raises(OutOfDomainError):
+                lagrangian_position(sol, a)
 
 
 def _random_paths(grid, n_per_family=10):
@@ -398,7 +399,8 @@ class TestErrors:
             solve(path, 1.0)
 
     def test_evaluate_outside_window(self, zero_sol):
-        with pytest.raises(OutOfDomainError):
-            evaluate_solution(zero_sol, 3.99)
-        with pytest.raises(OutOfDomainError):
-            moreau_envelope(zero_sol, -2.5)
+        for x in (3.99, -2.5, np.nan):
+            with pytest.raises(OutOfDomainError):
+                evaluate_solution(zero_sol, x)
+            with pytest.raises(OutOfDomainError):
+                moreau_envelope(zero_sol, x)
