@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_corpus
 import levyburgers
 from levyburgers import LevyParams, extract_shocks, sample_path, solve
 from levyburgers import cli, regen, solver
@@ -24,62 +24,15 @@ from levyburgers.cli import (
     run_experiment,
 )
 
-DATA = Path(__file__).parent / "data"
 SUBS_DETERMINISTIC = ("simulate", "solve", "shocks", "regen", "integral")
 
-# sha256 of every output file of solve and shocks on the fixture configs in
-# DATA, keyed by (family, subcommand[, t]); these paths involve no sampling
-# and no libm calls, so the bytes are the same on every platform
-PINNED_DIGESTS = {
-    ("zero", "solve"): {
-        "effective_config.json": "c8f92c39ab3abc7723df1ed59deb734dd656175043e01f3288d30497b376db3f",
-        "eulerian.csv": "83b2d53b2c80c568c7d5330aa8db6f7c57e0b39f8ff6d26cca8e934bb3b64403",
-        "vertices.csv": "9358c85db3ef7c2d22c5ae9e95fbb9d5ec7854d841ee8fa22ddbb4ffda3700da",
-    },
-    ("zero", "shocks"): {
-        "effective_config.json": "08886f2b5654cb911431cf0a0c900fc6bf702873b7d90302f05d14cdb18fc3b0",
-        "rarefactions.csv": "a0a07b7d163a29f5107930e798ae7cd3f16ae7731569545f0332d6acf3f8f5ca",
-        "shocks.csv": "c180ff359a157085f70fa0469300880664756322f604add5fcd52047632088a0",
-        "zero_set.csv": "916e79cc6529fe0029e25e5ae751c2db9c7bdefd8ddd92e0c53acc29b6cfeb9a",
-    },
-    ("jump_up", "solve"): {
-        "effective_config.json": "be396b6bbbd3f01b3a0d1907181b02d223836bcbce6aabbd1121888c269e0550",
-        "eulerian.csv": "b952b2b78914181c41b2c68bc7e0359cde2faa2fcd9ffdad03ab712bd644639f",
-        "vertices.csv": "767bd49149b843ebfff974f9c8921ac06af3f4a6dbf23a9b2fae5cf35d0c16a2",
-    },
-    ("jump_up", "shocks"): {
-        "effective_config.json": "0772015fcf456a4cef0737394549a78bd70cda2692d7b3224b19b066fb6e4f01",
-        "rarefactions.csv": "47459a14c581c88296437547496a2d971f81773ea0b3f0379e970b47f2141e49",
-        "shocks.csv": "3d796d00a05574e10fba020eb0902e70bc97130744bbd1a49c7f857d2bf65665",
-        "zero_set.csv": "914ada90dfad2e32732f703f8a4b77fe9ad4c0f7b87a654502e9f1d4f561ba20",
-    },
-    ("jump_down", "solve"): {
-        "effective_config.json": "92040a379c242f83de7593b5ce0679bf4030e04945747cec432c9d2de1ef1ba1",
-        "eulerian.csv": "625aca69930f4d214fe8bbba59069ce0fde4ceaf4d2d907d328072194ecb98a2",
-        "vertices.csv": "f6065110d6e015ba03772854cb29695b05b09b6132fd47d64685591f668f96c0",
-    },
-    ("jump_down", "shocks"): {
-        "effective_config.json": "2d952ceed5bcfa4ea2adeebefe0083e1dfafe45b437e2aa81e733703139e3a76",
-        "rarefactions.csv": "b79a40fdf4d1b510f6ad9ab71af5b9afa1768a4b4d8f393da3605b0f89b92287",
-        "shocks.csv": "670af34da739351543c474fe809311a3600a457a9d9df2a8b8fd912816069024",
-        "zero_set.csv": "ec0bfc60f2210deb1112c76874563214ae46e32f87a02355fe3493a825d32c68",
-    },
-    ("jump_down", "solve", "2.5"): {
-        "effective_config.json": "3b3285e43e660847345515569e30699df0f6f784e7be87c962bab1440c251bb0",
-        "eulerian.csv": "dcaecc5f00eaab2ca63038a27c102263b5b19450aace8b163db8970f6f6d94ad",
-        "vertices.csv": "3e0f17b52e8ea831b06b988af6911a20eeec71b7c97dc7eeae0e2fce7c77f529",
-    },
-    ("jump_down", "shocks", "2.5"): {
-        "effective_config.json": "82252d4d2285125ea25e86ab24f53b371aee716acf288398200bf52dc79fc9b9",
-        "rarefactions.csv": "9fe3b658255f199014615c449b14ffdd409f99b890c9289744899afcc51f370a",
-        "shocks.csv": "8baa9dcb44615819e0308711f77ad6909bc20ff068d76e66bab95e145d327861",
-        "zero_set.csv": "2f994f7fd0c112d7b5e681cd66bfc466470bc93c74f926b051b695897063af9a",
-    },
-}
-
-
-def digest_files(out_dir: Path) -> dict[str, str]:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+# the byte-identity corpus of cli_corpus.py, split by whether an argv runs
+# on a fixture; among the others, stable-simulate tracks 355 jumps and
+# replicate 18 of stable-regen-empty-fields has no S or T, so its row has
+# empty fields
+CORPUS = cli_corpus.load()
+FIXTURE_KEYS = [k for k in CORPUS if k.split("-")[0] in cli.FIXTURES]
+SAMPLED_KEYS = [k for k in CORPUS if k not in FIXTURE_KEYS]
 
 
 def read_csv(path: Path):
@@ -149,19 +102,6 @@ class TestSimulate:
         path = cfg.build_path()
         assert [(int(r[0]), float(r[2])) for r in rows] == path.tracked_jumps.tolist()
 
-    def test_stable_outputs_pinned(self, tmp_path):
-        # a heavy-tailed path with 355 tracked jumps; the draws go through
-        # libm, so another platform's numpy may give other bytes
-        argv = ["simulate", "--family", "stable", "--alpha", "0.75", "--n", "2049",
-                "--L", "4", "--seed", "5", "--out-dir", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in ("path.csv", "jumps.csv")}
-        assert digests == {
-            "path.csv": "678b1db9cc96422adb1f2e043252bf178514f4e0f7372646048c9fb610a83736",
-            "jumps.csv": "34d79700e6152739ca1f94a9a80b15f091c82f00a4e0088f291efb4707aa034b",
-        }
-
     def test_cauchy_is_stable_1_0(self, tmp_path):
         argvs = {
             "cauchy": ["--family", "cauchy", "--scale", "2"],
@@ -182,7 +122,7 @@ class TestShocksSubcommand:
             [
                 "shocks",
                 "--config",
-                str(DATA / "jump_up_fixture.json"),
+                str(cli_corpus.DATA / "jump_up_fixture.json"),
                 "--out-dir",
                 str(tmp_path),
             ]
@@ -239,12 +179,17 @@ class TestDeterminism:
         for f1, f2 in zip(files1, files2):
             assert f1.read_bytes() == f2.read_bytes()
 
-    @pytest.mark.parametrize("key", [pytest.param(k, id="-".join(k)) for k in PINNED_DIGESTS])
+    @pytest.mark.parametrize("key", FIXTURE_KEYS)
     def test_fixture_outputs_pinned(self, tmp_path, key):
-        family, sub, *t = key
-        argv = [sub, "--config", str(DATA / f"{family}_fixture.json"), "--out-dir", str(tmp_path)]
-        assert main(argv + (["--t", *t] if t else [])) == EXIT_OK
-        assert digest_files(tmp_path) == PINNED_DIGESTS[key]
+        # these paths involve no sampling and no libm calls, so the bytes
+        # are the same on every platform
+        assert cli_corpus.run(CORPUS[key]["argv"], tmp_path / "out") == CORPUS[key]
+
+    @pytest.mark.parametrize("key", SAMPLED_KEYS)
+    def test_sampled_outputs_pinned(self, tmp_path, key):
+        # most of these draw through libm, so another platform's numpy may
+        # give other bytes
+        assert cli_corpus.run(CORPUS[key]["argv"], tmp_path / "out") == CORPUS[key]
 
     def test_refine_deterministic(self, tmp_path):
         cfg = ExperimentConfig(
@@ -296,44 +241,6 @@ class TestRegenSubcommand:
         assert rc == EXIT_OK
         assert "independence" in json.loads((tmp_path / "regen_report.json").read_text())
         assert len(calls) == len(set(calls)) == n_rep + 1
-
-    @pytest.mark.parametrize(
-        "argv,digests",
-        [
-            # replicate 18 has no S or T: a row with empty fields
-            pytest.param(
-                ["--family", "stable", "--scale", "0.4", "--n", "257", "--L", "1",
-                 "--reps", "20"],
-                {
-                    "effective_config.json":
-                        "f02c7fd5884cc59877bbcc5d02d188c065ce2074dfda32e434c4bb5cc2e1a068",
-                    "regen_report.json":
-                        "8b49e715780d5a41670808912a03c54a6420d317e8f546c4d1f6fe78ae4c2ebb",
-                    "replicates.csv":
-                        "03f312179eacaa0ea2be4ed64cbbcf9a8dbceb7b5688d9f1d0c10cce7e0ce06c",
-                },
-                id="stable-empty-fields",
-            ),
-            # 100 replicates add the independence payload
-            pytest.param(
-                ["--family", "cpoisson", "--rate", "2", "--n", "1025", "--reps", "100"],
-                {
-                    "effective_config.json":
-                        "12aeecf1b450efc0009c9893083e8955ad21330bbe478dad130669032e2c39e6",
-                    "regen_report.json":
-                        "aa55a4fad237a5fa8f128888fa9a15d433ea5a8711ad1ac6283b94d3293d800d",
-                    "replicates.csv":
-                        "a961e80976fa3af5efa5482f10391cb5e5a4ae9ec1de825b7ad0e67eecacf029",
-                },
-                id="cpoisson-independence",
-            ),
-        ],
-    )
-    def test_replicate_outputs_pinned(self, tmp_path, argv, digests):
-        # the draws go through libm, so another platform's numpy may give
-        # other bytes
-        assert main(["regen", *argv, "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert digest_files(tmp_path) == digests
 
 
 class TestStartup:
