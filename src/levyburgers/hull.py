@@ -14,6 +14,7 @@ data, so vertex k has left slope s[k] and right slope s[k+1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,10 @@ from .errors import InputError, OutOfDomainError
 # monotonicity.
 _EPS = float(np.finfo(float).eps)
 COLLINEAR_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
+
+# Coordinates from 2^SCALE_EXPONENT in magnitude on are scaled below it, so
+# that no product of two coordinate differences overflows.
+SCALE_EXPONENT = 500
 
 # Points per block of the chord filter: its scratch buffers stay at
 # 128 KiB each whatever n is, so the filter adds little to peak memory.
@@ -179,8 +184,13 @@ def upper_concave_majorant(
     if np.any(np.diff(ys) <= 0):
         raise InputError("y coordinates must be strictly increasing")
 
-    idx = _quickhull(ys, vs, _chord_filter(ys, vs))
-    cy, cv = ys[idx], vs[idx]
+    # one power of two for both coordinates keeps every slope and every
+    # comparison of the orientation tests
+    big = max(-ys[0], ys[-1], vs.max(), -vs.min())
+    shift = max(0, math.frexp(big)[1] - SCALE_EXPONENT)
+    sy, sv = (np.ldexp(ys, -shift), np.ldexp(vs, -shift)) if shift else (ys, vs)
+    idx = _quickhull(sy, sv, _chord_filter(sy, sv))
+    cy, cv = sy[idx], sv[idx]
     with np.errstate(over="ignore"):
         flagged = _pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
     if flagged:

@@ -48,6 +48,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 3 or self.n % 2 == 0:
             raise GridError(f"need an odd number n >= 3 of grid points, got n={self.n}")
+        if self.n > MAX_FLOAT64_ITEMS:
+            raise GridError(f"need n <= {MAX_FLOAT64_ITEMS}, the most a float64 array holds")
         # compared exactly, so an int L too large for a float fails here too
         if not 0.0 < self.L <= sys.float_info.max / 2:
             raise GridError(f"half-width L must be > 0 with 2L finite, got L={self.L}")
@@ -326,15 +328,19 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     n_right = grid.n - 1 - i0
     n_left = i0
 
-    incr_r = _cell_increments(params, h, n_right, np.random.default_rng(right_ss))
-    incr_l = _cell_increments(params, h, n_left, np.random.default_rng(left_ss))
-
     values = np.empty(grid.n)
     values[i0] = 0.0
-    values[i0 + 1 :] = np.cumsum(incr_r)
-    # incr_l[k] is the increment over cell (i0-1-k); psi0(y) for y < 0 is
-    # minus the sum of the increments between y and 0
-    values[:i0] = -np.cumsum(incr_l)[::-1]
+    # an overflow shows as a non-finite value, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        incr_r = _cell_increments(params, h, n_right, np.random.default_rng(right_ss))
+        incr_l = _cell_increments(params, h, n_left, np.random.default_rng(left_ss))
+        values[i0 + 1 :] = np.cumsum(incr_r)
+        # incr_l[k] is the increment over cell (i0-1-k); psi0(y) for y < 0
+        # is minus the sum of the increments between y and 0
+        values[:i0] = -np.cumsum(incr_l)[::-1]
+    if not np.isfinite(values).all():
+        scale = {"brownian": "sigma", "stable": "scale"}.get(params.family, "jump law")
+        raise ParameterError(f"the {params.family} path overflows float64; shrink its {scale}")
 
     # incr_l walks leftward from 0; reversed, it lines up with the cells
     jumps = _tag_jumps(params, np.concatenate([incr_l[::-1], incr_r]), np.diff(values), h)

@@ -104,16 +104,13 @@ def zero_set_indices(sol: BurgersSolution) -> np.ndarray:
 
 
 def epsilon_regular_indices(sol: BurgersSolution) -> np.ndarray:
-    """Vertex indices with another contact closer than eps = 10h on both sides.
+    """Vertex indices with another contact under 10 grid cells away on both sides.
 
     Finite-resolution proxy for contact points isolated on neither side
     (particles untouched by collisions).
     """
-    eps = 10.0 * sol.path.grid.h
-    ys = sol.vertex_ys
-    left_gap = np.diff(ys, prepend=-np.inf)
-    right_gap = np.diff(ys, append=np.inf)
-    return np.flatnonzero((left_gap < eps) & (right_gap < eps))
+    close = np.diff(sol.vertex_grid_indices) < 10
+    return np.flatnonzero(close[:-1] & close[1:]) + 1
 
 
 def macroscopic_edges(sol: BurgersSolution) -> np.ndarray:
@@ -173,60 +170,41 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     )
 
 
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, i) over the concatenated index ranges [starts[g], stops[g])."""
-    counts = stops - starts
-    g = np.repeat(np.arange(len(counts)), counts)
-    return g, np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
-
-
-def _gap_samples(
-    sol: BurgersSolution, z1: np.ndarray, z2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gap, x, u) samples inside the open gaps (z1[g], z2[g]), ordered by
-    gap, then x: one-sided u at every shock strictly inside, plus u at the
-    midpoint of every constancy interval's overlap with the gap.
-
-    edge_x, x_lo and x_hi are nondecreasing (t > 0), so each gap's shocks
-    and overlapping intervals are contiguous index ranges.
-    """
-    ys = sol.vertex_ys
-    g_e, e = _ranges(
-        np.searchsorted(sol.edge_x, z1, side="right"),
-        np.searchsorted(sol.edge_x, z2, side="left"),
-    )
-    g_k, k = _ranges(
-        np.searchsorted(sol.x_hi, z1, side="right"),
-        np.searchsorted(sol.x_lo, z2, side="left"),
-    )
-    o_lo = np.maximum(sol.x_lo[k], z1[g_k])
-    o_hi = np.minimum(sol.x_hi[k], z2[g_k])
-    keep = o_hi > o_lo
-    k = k[keep]
-
-    # u(x-) then u(x) at each shock, then the interval midpoints; the
-    # stable sort keeps that order among equal x
-    gap = np.concatenate([np.repeat(g_e, 2), g_k[keep]])
-    xs = np.concatenate([np.repeat(sol.edge_x[e], 2), 0.5 * (o_lo[keep] + o_hi[keep])])
-    a = np.concatenate([np.column_stack([ys[e], ys[e + 1]]).ravel(), ys[k]])
-    order = np.lexsort((xs, gap))
-    return gap[order], xs[order], ((xs - a) / sol.t)[order]
-
-
 def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     """Scan u between consecutive zero-set points of the window.
 
     Between two consecutive zero-velocity points u must be first positive
     then negative: u only jumps downward, so any observed passage from
     u < 0 to u > 0 without an intervening zero-set point is a violation.
-    Empty zero set yields an empty report.
+    A gap lies between zero-set points more than one grid index apart
+    (nearer ones are one piece of the zero set at grid resolution); it is
+    sampled at u(x-), u(x) at each shock x in it and at the midpoint of
+    each constancy-interval piece.  An empty zero set gives an empty report.
     """
-    zs = sol.vertex_ys[_window_zero_indices(sol, *sol.window)]
-    # zero elements one cell apart are a single connected component of the
-    # closed zero set at grid resolution, not a gap
-    g = np.flatnonzero(np.diff(zs) > sol.path.grid.h * (1.0 + 1e-9))
-    z1, z2 = zs[g], zs[g + 1]
-    gap, xs, us = _gap_samples(sol, z1, z2)
+    ys, edge_x = sol.vertex_ys, sol.edge_x
+    z = _window_zero_indices(sol, *sol.window)
+    g = np.flatnonzero(np.diff(sol.vertex_grid_indices[z]) > 1)
+    z1, z2 = ys[z[g]], ys[z[g + 1]]
+    if not len(g):
+        return SignPatternReport(violations=[], gap_stats=[])
+
+    # cut the constancy intervals at the gap ends and at the shocks between
+    # them: the piece right of a cut is in one interval and one gap or none
+    span = np.searchsorted(edge_x, [z1[0], z2[-1]])
+    cuts = np.sort(np.concatenate([edge_x[span[0] : span[1]], z1, z2]))
+    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]  # each point once
+    gap = np.searchsorted(z1, cuts, side="right") - 1  # cuts[0] is z1[0]
+    piece = cuts < z2[gap]  # the piece right of the cut is in its gap
+    shock = piece & (cuts > z1[gap])  # the cut is a shock inside its gap
+
+    # per cut: u(x-) and u(x) at a shock, then u at the piece midpoint
+    keep = np.column_stack([shock, shock, piece])
+    mids = 0.5 * (cuts + np.append(cuts[1:], cuts[-1]))
+    xs = np.column_stack([cuts, cuts, mids])[keep]
+    right = np.searchsorted(edge_x, cuts, side="right")
+    a = ys[np.column_stack([np.searchsorted(edge_x, cuts, side="left"), right, right])[keep]]
+    gap = np.column_stack([gap, gap, gap])[keep]
+    us = (xs - a) / sol.t
     neg, pos = us < 0, us > 0
 
     # negatives seen earlier in the same gap
@@ -251,7 +229,8 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
     attained only from the right at a downward jump.  One-sidedness uses a
     one-cell tolerance.  Each one-sided vertex outside the boundary zone
     is judged by the largest tracked jump within one grid cell of it (the
-    first of equal ones); a vertex with no such jump counts as untracked.
+    first of equal ones); a vertex with no such jump, or only jumps of
+    size 0, counts as untracked.
     """
     path = sol.path
     ys = sol.vertex_ys
@@ -261,18 +240,13 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
     one_sided = (below | above) & ~sol.boundary_affected
     g = sol.vertex_grid_indices[one_sided]
 
-    # jump indices are distinct and increasing, so the jumps in [g-1, g+1]
-    # are among the three from the first index >= g-1 on; padding past the
-    # grid end keeps those three in bounds
-    jumps = path.tracked_jumps
-    idx = np.concatenate([jumps["index"], np.full(3, path.grid.n + 2)])
-    size = np.concatenate([jumps["size"], np.zeros(3)])
-    cand = np.searchsorted(jumps["index"], g - 1)[:, None] + np.arange(3)
-    mag = np.where(idx[cand] <= g[:, None] + 1, np.abs(size[cand]), -1.0)
-    tracked = mag.max(axis=1) >= 0.0
-    best = size[cand[np.arange(len(g)), mag.argmax(axis=1)]]
-    agreements = int(np.count_nonzero(tracked & ((best > 0) == below[one_sided])))
-    n_tracked = int(np.count_nonzero(tracked))
+    # jump sizes by grid index, 0 where none is tracked; index -1 wraps to a pad
+    size = np.zeros(path.grid.n + 1)
+    size[path.tracked_jumps["index"]] = path.tracked_jumps["size"]
+    near = size[g[:, None] + np.arange(-1, 2)]
+    best = near[np.arange(len(g)), np.abs(near).argmax(axis=1)]
+    agreements = int(np.count_nonzero(np.where(below[one_sided], best > 0, best < 0)))
+    n_tracked = int(np.count_nonzero(best))
     return JumpSignReport(agreements, n_tracked - agreements, len(g) - n_tracked)
 
 
@@ -344,16 +318,17 @@ def refinement_study(
         raise GridError("h_list must not be empty")
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise GridError("h_list must be strictly decreasing")
-    if not all(0.0 < v < math.inf for v in (L, *h_list)):
-        raise GridError("L and every h must be finite and > 0")
+    if not all(0.0 < v < math.inf for v in (2.0 * L, *h_list)):
+        raise GridError("L and every h must be > 0 with 2L and h finite")
     grids = []
     for h in h_list:
+        # 2L/h must be an even integer (GridSpec checks) giving step h bitwise
         cells = 2.0 * L / h
-        if abs(cells - round(cells)) > 1e-9:
+        grid = GridSpec(L, int(cells) + 1) if cells.is_integer() else None
+        if grid is None or grid.h != h:
             raise GridError(f"h={h} does not divide the domain [-{L}, {L}]")
-        grids.append(GridSpec(L, int(round(cells)) + 1))
-    for grid in grids:
         _stats_window(window, grid)
+        grids.append(grid)
     rows = []
     for hk, (h, grid) in enumerate(zip(h_list, grids)):
         replicates = solved_replicates(params, grid, t, n_rep, seed, key=hk)

@@ -7,10 +7,10 @@ from levyburgers import GridSpec, derived_seed  # noqa: F401
 @pytest.fixture(scope="session")
 def grid_standard() -> GridSpec:
     """[-8, 8] with h = 2^-8, the workhorse grid of the statistical tests."""
-    return GridSpec.symmetric(8.0, 4097)
+    return GridSpec(8.0, 4097)
 
 
 @pytest.fixture(scope="session")
 def grid_fixture() -> GridSpec:
     """[-4, 4] with h = 0.01, the grid of the closed-form fixtures."""
-    return GridSpec.symmetric(4.0, 801)
+    return GridSpec(4.0, 801)

@@ -40,7 +40,7 @@ from conftest import derived_seed
 
 # criterion-1 protocol: 50 paths each of the four families on [-8, 8],
 # n = 4097, t = 1
-GRID_C1 = GridSpec.symmetric(8.0, 4097)
+GRID_C1 = GridSpec(8.0, 4097)
 FAMILIES_C1 = [
     ("brownian", LevyParams.brownian(1.0)),
     ("stable15", LevyParams.stable(1.5, 0.0, 1.0)),
@@ -52,13 +52,13 @@ N_QUERIES = 200
 
 # regeneration protocols: scales chosen so the first zero-velocity point
 # and its surroundings fit the grid at desk scale
-GRID_REGEN = GridSpec.symmetric(16.0, 8193)
+GRID_REGEN = GridSpec(16.0, 8193)
 REGEN_FAMILIES = [(LevyParams.stable(1.5, 0.0, 0.4), 40), (LevyParams.stable(0.75, 0.0, 0.1), 41)]
 
-GRID_SIGN = GridSpec.symmetric(8.0, 4097)
+GRID_SIGN = GridSpec(8.0, 4097)
 PARAMS_SIGN = LevyParams.stable(0.75, 0.0, 0.1)
 
-GRID_JUMPSIGN = GridSpec.symmetric(8.0, 8193)  # h = 2^-9, the finest of H_LIST
+GRID_JUMPSIGN = GridSpec(8.0, 8193)  # h = 2^-9, the finest of H_LIST
 PARAMS_JUMPSIGN = LevyParams.stable(0.75, 0.0, 0.1)
 
 PARAMS_INDEP = LevyParams.stable(1.5, 0.0, 0.2)
@@ -137,7 +137,7 @@ def test_c02_shock_velocity_double_identity():
 
 
 def test_c03_closed_form_fixtures():
-    grid = GridSpec.symmetric(4.0, 801)
+    grid = GridSpec(4.0, 801)
     h = grid.h
     checks = []
 

@@ -272,6 +272,13 @@ OVERFLOW_ARGV = (
                   "--L", "32"], id="jumps-past-array-size"),
     pytest.param(["solve", "--family", "cpoisson", "--rate", "9e18", "--n", "65",
                   "--L", "32"], id="jump-count-overflow"),
+    # draws or their sums past the largest float
+    pytest.param(["simulate", "--family", "stable", "--alpha", "0.75", "--scale", "1.7e308"],
+                 id="stable-scale-huge"),
+    pytest.param(["simulate", "--family", "brownian", "--sigma", "1.7e308"],
+                 id="sigma-huge"),
+    pytest.param(["simulate", "--family", "cpoisson", "--jump-a", "1.7e308"],
+                 id="jump-a-huge"),
 )
 
 
@@ -313,6 +320,9 @@ class TestErrors:
             pytest.param(["refine", "--h-list", "0.5,nan"], id="refine-h-nan"),
             pytest.param(["refine", "--h-list", "0.5,0"], id="refine-h-zero"),
             pytest.param(["refine", "--L", "inf"], id="refine-L-inf"),
+            # 2L overflows; a grid of h = 1e-300 has more points than an array
+            pytest.param(["refine", "--L", "1e308"], id="refine-L-huge"),
+            pytest.param(["refine", "--h-list", "1e-300"], id="refine-h-tiny"),
             pytest.param(["solve", "--family", "cpoisson", "--rate", "1e300", "--n", "65",
                           "--L", "2"], id="rate-huge"),
             # the stats window must be two finite numbers lo < hi, the
@@ -363,8 +373,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", OVERFLOW_ARGV)
     def test_overflow_names_the_parameter(self, tmp_path, capsys, argv):
-        # finite inputs whose Poisson mean or parabola term overflows are
-        # parameter errors, caught before numpy overflows or rejects them
+        # finite inputs whose Poisson mean, parabola term or path values
+        # overflow are parameter errors, caught before numpy warns about
+        # them or rejects them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
@@ -375,7 +386,7 @@ class TestErrors:
         par = LevyParams.stable(0.75, 0.0, 5.0)
         from levyburgers import GridSpec, WindowTooSmallError
 
-        grid = GridSpec.symmetric(1.0, 65)
+        grid = GridSpec(1.0, 65)
         chosen = None
         for seed in range(200):
             path = sample_path(par, grid, seed)

@@ -210,14 +210,14 @@ class TestMatchesMonotoneChain:
     @pytest.mark.parametrize("n", [4097, 65537])
     @pytest.mark.parametrize("family", sorted(LEVY_FAMILIES))
     def test_levy_families(self, family, n):
-        grid = GridSpec.symmetric(16.0, n)
+        grid = GridSpec(16.0, n)
         for seed in (1, 2):
             ys, vs = _shifted(sample_path(LEVY_FAMILIES[family], grid, seed))
             cm = upper_concave_majorant(np.column_stack([ys, vs]))
             assert np.array_equal(cm.indices, reference_chain(ys, vs))
 
     def test_near_flat_brownian(self):
-        grid = GridSpec.symmetric(16.0, 16385)
+        grid = GridSpec(16.0, 16385)
         for seed in range(3):
             ys, vs = _shifted(sample_path(LevyParams.brownian(1e-3), grid, seed))
             cm = upper_concave_majorant(np.column_stack([ys, vs]))
@@ -225,7 +225,7 @@ class TestMatchesMonotoneChain:
 
     @pytest.mark.parametrize("fixture", [zero_path, jump_up, jump_down])
     def test_fixtures(self, fixture):
-        grid = GridSpec.symmetric(16.0, 16385)
+        grid = GridSpec(16.0, 16385)
         ys, vs = _shifted(fixture(grid))
         cm = upper_concave_majorant(np.column_stack([ys, vs]))
         assert np.array_equal(cm.indices, reference_chain(ys, vs))

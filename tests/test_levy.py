@@ -16,6 +16,7 @@ from levyburgers import (
     sample_path,
     stable_increments,
 )
+from levyburgers.levy import MAX_FLOAT64_ITEMS
 from conftest import derived_seed
 
 # 0.75-quantile of the standard symmetric 1.5-stable law, frozen from the
@@ -31,7 +32,7 @@ def stable_sym_cdf(x: float, alpha: float) -> float:
 
 class TestGridSpec:
     def test_basic(self):
-        g = GridSpec.symmetric(8.0, 4097)
+        g = GridSpec(8.0, 4097)
         assert g.h == 16.0 / 4096
         pts = g.points()
         assert pts[g.zero_index] == 0.0
@@ -42,6 +43,12 @@ class TestGridSpec:
     def test_too_few_points(self):
         with pytest.raises(GridError):
             GridSpec(1.0, 2)
+
+    def test_too_many_points(self):
+        # more points than a float64 array can hold; nothing is allocated
+        for n in (MAX_FLOAT64_ITEMS + 2, 10**400 + 1):
+            with pytest.raises(GridError):
+                GridSpec(1.0, n)
 
     def test_zero_off_grid(self):
         # an even n puts 0 between two grid points; 10**9 is rejected
@@ -64,13 +71,13 @@ class TestGridSpec:
 
 class TestSamplePath:
     def test_zero_variance_brownian_is_flat(self):
-        g = GridSpec.symmetric(2.0, 65)
+        g = GridSpec(2.0, 65)
         p = sample_path(LevyParams.brownian(0.0), g, seed=7)
         assert np.all(p.values == 0.0)
         assert len(p.tracked_jumps) == 0
 
     def test_determinism_bit_for_bit(self):
-        g = GridSpec.symmetric(4.0, 513)
+        g = GridSpec(4.0, 513)
         par = LevyParams.stable(1.5, 0.3, 0.7)
         p1 = sample_path(par, g, seed=123456789)
         p2 = sample_path(par, g, seed=123456789)
@@ -80,7 +87,7 @@ class TestSamplePath:
         assert not np.array_equal(p1.values, p3.values)
 
     def test_anchored_at_origin(self):
-        g = GridSpec.symmetric(4.0, 513)
+        g = GridSpec(4.0, 513)
         for fam in (
             LevyParams.brownian(1.0),
             LevyParams.stable(0.75, 0.0),
@@ -104,7 +111,7 @@ class TestSamplePath:
     def test_two_sided_increments_same_law(self):
         # two-sample KS on the two sides at level 0.01; over 100 seeds the
         # failure rate stays within the nominal 5%
-        g = GridSpec.symmetric(100.0, 20_001)
+        g = GridSpec(100.0, 20_001)
         par = LevyParams.brownian(1.0)
         failures = 0
         for rep in range(100):
@@ -116,7 +123,7 @@ class TestSamplePath:
         assert failures <= 5
 
     def test_stable_jumps_tracked(self):
-        g = GridSpec.symmetric(8.0, 4097)
+        g = GridSpec(8.0, 4097)
         p = sample_path(LevyParams.stable(0.75, 0.0), g, seed=31)
         assert len(p.tracked_jumps) > 0
         thr = 6.0 * g.h ** (1 / 0.75)
@@ -135,11 +142,11 @@ class TestSamplePath:
                               jumps["size"].view(np.uint64))
 
     def test_brownian_has_no_tracked_jumps(self):
-        g = GridSpec.symmetric(4.0, 513)
+        g = GridSpec(4.0, 513)
         assert len(sample_path(LevyParams.brownian(1.0), g, seed=3).tracked_jumps) == 0
 
     def test_cpoisson_jumps_reproduce_increments(self):
-        g = GridSpec.symmetric(4.0, 513)
+        g = GridSpec(4.0, 513)
         par = LevyParams.compound_poisson(2.0, JumpDist("uniform", -1.0, 2.0))
         p = sample_path(par, g, seed=17)
         rebuilt = np.zeros(g.n - 1)

@@ -102,7 +102,7 @@ class TestScanInvariants:
         # the c04 families and grid: started from R, each step of the
         # argsup walk is a(.) of the solved flow, although rk_sequence
         # never reads the hull
-        grid = GridSpec.symmetric(16.0, 8193)
+        grid = GridSpec(16.0, 8193)
         checked = 0
         for rep in range(40):
             path = sample_path(par, grid, derived_seed(tag, rep))

@@ -28,7 +28,7 @@ from levyburgers import (
 )
 from levyburgers import solver
 from levyburgers.levy import jump_array
-from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport, _gap_samples
+from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport
 from conftest import derived_seed
 
 
@@ -284,6 +284,21 @@ class TestRefinementStudy:
         with pytest.raises(GridError):
             refinement_study(LevyParams.brownian(1.0), 1.0, 4.0, [0.3], 2, seed=0)
 
+    def test_h_must_be_the_step_of_its_grid(self):
+        # 0.6 / 0.1 is 6 only within 1e-9, and the grid of 7 points on
+        # [-0.3, 0.3] has h = 0.09999999999999999
+        with pytest.raises(GridError):
+            refinement_study(LevyParams.brownian(1.0), 1.0, 0.3, [0.1], 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "L,h",
+        [(8.0, 0.1), (1.0, 0.1), (1.5, 0.3), (4.0, 0.05), (16.0, 0.01), (3.0, 0.03),
+         (10.0, 0.2), (8.0, 2**-9)],
+    )
+    def test_h_makes_an_exact_grid(self, L, h):
+        row, = refinement_study(LevyParams.brownian(0.0), 1.0, L, [h], 1, seed=0)
+        assert row.n == round(2 * L / h) + 1
+
     @pytest.mark.parametrize(
         "h_list,window,error",
         [
@@ -404,11 +419,11 @@ LEVY_FAMILIES = (
     LevyParams.cauchy(1.0),
     LevyParams.compound_poisson(2.0, JumpDist("normal", 0.0, 1.0)),
 )
-DENSE_GRID = GridSpec.symmetric(16.0, 16385)
+DENSE_GRID = GridSpec(16.0, 16385)
 
 
 def _equivalence_paths():
-    grid = GridSpec.symmetric(8.0, 4097)
+    grid = GridSpec(8.0, 4097)
     for fi, par in enumerate(LEVY_FAMILIES):
         for rep in range(20):
             yield sample_path(par, grid, derived_seed(4300, fi, rep))
@@ -436,21 +451,21 @@ def test_array_extraction_matches_per_vertex_reference():
     assert n_paths == 106
 
 
-def test_gap_samples_match_full_scan_on_arbitrary_gaps():
-    # gaps that need not end at zero points, overlap or leave the window
-    rng = np.random.default_rng(4302)
-    grid = GridSpec.symmetric(8.0, 4097)
-    for fi, par in enumerate(LEVY_FAMILIES):
-        sol = solve(sample_path(par, grid, derived_seed(4302, fi)), 1.0)
-        ends = np.sort(rng.uniform(-9.0, 9.0, (40, 2)), axis=1)
-        on = min(10, len(sol.edge_x) // 2)  # gaps ending on shocks
-        ends[:on] = rng.choice(sol.edge_x, 2 * on, replace=False).reshape(on, 2)
-        ends.sort(axis=1)
-        z1, z2 = ends[:, 0], ends[:, 1]
-        gap, xs, us = _gap_samples(sol, z1, z2)
-        for g in range(len(z1)):
-            got = list(zip(xs[gap == g].tolist(), us[gap == g].tolist()))
-            assert got == reference_gap_samples(sol, float(z1[g]), float(z2[g]))
+def test_sign_pattern_reports_a_violation():
+    # shifted by d, the constancy interval of a vertex inside a gap, whole
+    # left of the vertex before, straddles it: u passes from - to + there,
+    # and the zero set, read off the slopes, does not see it
+    grid = GridSpec(8.0, 4097)
+    sol = solve(sample_path(LevyParams.stable(0.75, 0.0, 0.1), grid, derived_seed(4302)), 1.0)
+    ys = sol.vertex_ys
+    z = zero_set_indices(sol)
+    z = z[(ys[z] >= sol.window[0]) & (ys[z] <= sol.window[1])]
+    k = next(k for k in range(z[0], z[-1]) if sol.x_hi[k] < ys[k])
+    d = ys[k] - 0.5 * (sol.x_lo[k] + sol.x_hi[k])
+    shifted = replace(sol, x_lo=sol.x_lo + d, x_hi=sol.x_hi + d, edge_x=sol.edge_x + d)
+    sp = sign_pattern(shifted)
+    assert sp.violations
+    assert sp == reference_sign_pattern(shifted)
 
 
 # -- the per-vertex jump-sign loop, kept as the reference for the array
@@ -489,7 +504,7 @@ def reference_contact_jump_signs(sol, path) -> JumpSignReport:
 
 
 def _jump_sign_paths():
-    grid = GridSpec.symmetric(8.0, 8193)
+    grid = GridSpec(8.0, 8193)
     families = (
         LevyParams.stable(0.75, 0.0),
         LevyParams.stable(0.6, 0.5, 0.3),

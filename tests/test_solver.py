@@ -236,7 +236,7 @@ def test_hypothesis_tie_conventions_agree(halves):
     comparison exact, so argmax ties really occur; the hull's
     right-vertex rule must match the oracle's largest-index rule at every
     integer query, ties included."""
-    grid = GridSpec.symmetric(8.0, 17)
+    grid = GridSpec(8.0, 17)
     values = np.array(halves, dtype=float) / 2.0
     path = LevyPath(grid=grid, values=values, tracked_jumps=(), params=None, seed=None)
     try:
@@ -267,14 +267,14 @@ class TestNearCollinearVertices:
     vertices; a tolerance in coordinate units flattened them."""
 
     def test_heavy_tailed_stable_large_scale(self):
-        path = sample_path(LevyParams.stable(0.55, 0.0, 50.0), GridSpec.symmetric(8.0, 4097), 195)
+        path = sample_path(LevyParams.stable(0.55, 0.0, 50.0), GridSpec(8.0, 4097), 195)
         sol = solve(path, 1.0)
         assert len(sol) == 13
         assert _mismatches(sol, _window_points(sol)) == 0
 
     @pytest.mark.parametrize("seed, m", [(1002, 22), (1007, 34)])
     def test_sweep_family(self, seed, m):
-        grid = GridSpec.symmetric(16.0, 65537)
+        grid = GridSpec(16.0, 65537)
         sol = solve(sample_path(LevyParams.stable(0.75, 0.0, 1.0), grid, seed), 1.0)
         assert len(sol) == m
         # a flattened vertex shows next to the shocks that bound its
@@ -292,39 +292,46 @@ def _noisy_step(grid, seed):
     return LevyPath(grid, step.values + noise.values, step.tracked_jumps, None, None)
 
 
-# (n, params, t) on [-8, 8] at seed 7; params None is the noisy step.  Put
-# back, the old collinearity tolerance (1e-12 times the largest coordinate
-# magnitude of the triple) flattens real vertices and mismatches the
-# oracle in every case at n = 65537 and in sigma1e-12-n4097-t1e6
+# (L, n, params, t) on [-L, L] at seed 7; params None is the noisy step.
+# Put back, the old collinearity tolerance (1e-12 times the largest
+# coordinate magnitude of the triple) flattens real vertices and
+# mismatches the oracle in every case at n = 65537 and in
+# sigma1e-12-n4097-t1e6.  From L = 1e103 on, the hull's unscaled
+# orientation products overflow; the cases stop at 1e153, since at 1e154
+# the oracle's own (y - x)^2 overflows.
 ORACLE_SWEEP = {
-    "alpha0.51-n4097-t1e-6": (4097, LevyParams.stable(0.51, 0.0, 1.0), 1e-6),
-    "alpha0.51-n65537-t1": (65537, LevyParams.stable(0.51, 0.0, 1.0), 1.0),
-    "alpha0.55-scale1e3-n65537-t1e-6": (65537, LevyParams.stable(0.55, 0.0, 1e3), 1e-6),
-    "cauchy-scale1e3-n4097-t1e-6": (4097, LevyParams.cauchy(1e3), 1e-6),
-    "stable1.5-scale1e3-n4097-t1e-6": (4097, LevyParams.stable(1.5, 0.0, 1e3), 1e-6),
-    "sigma1e-12-n4097-t1e6": (4097, LevyParams.brownian(1e-12), 1e6),
-    "sigma1e-12-n65537-t1e3": (65537, LevyParams.brownian(1e-12), 1e3),
-    "sigma1e-12-n65537-t1e6": (65537, LevyParams.brownian(1e-12), 1e6),
-    "sigma1e-6-n65537-t1": (65537, LevyParams.brownian(1e-6), 1.0),
-    "sigma1e-6-n65537-t1e3": (65537, LevyParams.brownian(1e-6), 1e3),
-    "step-n65537-t1": (65537, None, 1.0),
-    "step-n65537-t1e3": (65537, None, 1e3),
+    "alpha0.51-n4097-t1e-6": (8.0, 4097, LevyParams.stable(0.51, 0.0, 1.0), 1e-6),
+    "alpha0.51-n65537-t1": (8.0, 65537, LevyParams.stable(0.51, 0.0, 1.0), 1.0),
+    "alpha0.55-scale1e3-n65537-t1e-6": (8.0, 65537, LevyParams.stable(0.55, 0.0, 1e3), 1e-6),
+    "cauchy-scale1e3-n4097-t1e-6": (8.0, 4097, LevyParams.cauchy(1e3), 1e-6),
+    "stable1.5-scale1e3-n4097-t1e-6": (8.0, 4097, LevyParams.stable(1.5, 0.0, 1e3), 1e-6),
+    "sigma1e-12-n4097-t1e6": (8.0, 4097, LevyParams.brownian(1e-12), 1e6),
+    "sigma1e-12-n65537-t1e3": (8.0, 65537, LevyParams.brownian(1e-12), 1e3),
+    "sigma1e-12-n65537-t1e6": (8.0, 65537, LevyParams.brownian(1e-12), 1e6),
+    "sigma1e-6-n65537-t1": (8.0, 65537, LevyParams.brownian(1e-6), 1.0),
+    "sigma1e-6-n65537-t1e3": (8.0, 65537, LevyParams.brownian(1e-6), 1e3),
+    "step-n65537-t1": (8.0, 65537, None, 1.0),
+    "step-n65537-t1e3": (8.0, 65537, None, 1e3),
+    "brownian-L1e103-n65-t1": (1e103, 65, LevyParams.brownian(1.0), 1.0),
+    "brownian-L1e150-n65-t1": (1e150, 65, LevyParams.brownian(1.0), 1.0),
+    "brownian-L1e153-n65-t1": (1e153, 65, LevyParams.brownian(1.0), 1.0),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_SWEEP)
 def test_oracle_sweep_at_real_grid_sizes(case):
     """The oracle at the grid points next to every window shock, where a
-    flattened vertex shows, plus 64 random window points."""
-    n, params, t = ORACLE_SWEEP[case]
-    grid = GridSpec.symmetric(8.0, n)
+    flattened vertex shows, plus 64 random window points (all of them
+    when fewer)."""
+    L, n, params, t = ORACLE_SWEEP[case]
+    grid = GridSpec(L, n)
     path = _noisy_step(grid, 7) if params is None else sample_path(params, grid, 7)
     sol = solve(path, t)
     ys = grid.points()
     lo, hi = sol.window
     i = np.searchsorted(ys, [s.x for s in extract_shocks(sol).shocks])
     window = np.flatnonzero((ys >= lo) & (ys <= hi))
-    sample = np.random.default_rng(7).choice(window, 64, replace=False)
+    sample = np.random.default_rng(7).choice(window, min(64, len(window)), replace=False)
     xs = ys[np.union1d(np.concatenate([i - 1, i, i + 1]), sample)]
     xs = xs[(xs >= lo) & (xs <= hi)]
     a_hull = sol.vertex_ys[owning_vertices(sol, xs)]
@@ -363,7 +370,7 @@ def test_hypothesis_adversarial_regimes_match_oracle(params, half, half_width, t
     decades, near-zero sigma and grids of 3 to 65 points: every case
     either raises a typed error or gives finite outputs equal to the
     oracle at every window grid point."""
-    grid = GridSpec.symmetric(half_width, 2 * half + 1)
+    grid = GridSpec(half_width, 2 * half + 1)
     try:
         sol = solve(sample_path(params, grid, seed), t)
     except LevyBurgersError:
