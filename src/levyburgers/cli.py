@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,6 +102,8 @@ class ExperimentConfig:
             if not _takes(fields[name], value):
                 kind = _field_type(fields[name]).__name__
                 raise ParameterError(f"config field {name} must be {kind}, got {value!r}")
+            if not all(map(_finite, value if isinstance(value, list) else [value])):
+                raise ParameterError(f"config field {name} must be finite, got {value!r}")
         return cls(**d)
 
     def grid(self) -> GridSpec:
@@ -133,6 +136,12 @@ def _field_type(f: dataclasses.Field) -> type:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether a config value is no float nan or +-inf; an int is finite,
+    and math.isfinite would overflow on a huge one."""
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _takes(f: dataclasses.Field, value) -> bool:
@@ -209,7 +218,7 @@ def _regen(config: ExperimentConfig, emit) -> None:
     if config.n_rep < 1:
         raise ParameterError(f"n_rep must be >= 1, got {config.n_rep}")
     rep = regen_report(config.build_path(), config.t, k_max=config.k_max)
-    payload = dataclasses.asdict(rep)
+    payload = rep._asdict()
     scans = [rep]
     if config.n_rep > 1 and config.family not in FIXTURES:
         replicates = solved_replicates(
@@ -223,7 +232,7 @@ def _regen(config: ExperimentConfig, emit) -> None:
             features.append(replicate_features(sol, config.w))
         if config.n_rep >= MIN_INDEPENDENCE_REPS:
             ind = independence_report(features, config.seed)
-            payload["independence"] = dataclasses.asdict(ind)
+            payload["independence"] = ind._asdict()
     emit("regen_report.json", payload)
     vals = [(None,) * 3 if s is None else (s.R, s.S, s.T_first) for s in scans]
     emit(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +151,7 @@ class LevyParams:
         return cls(family="cpoisson", rate=rate, jump_dist=jump_dist)
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
+class PropertyFlags(NamedTuple):
     """Regularity flags of a family, from the lookup table in classify()."""
 
     bounded_variation: bool
@@ -312,6 +312,11 @@ def derived_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, dtype=np.uint64)[0])
 
 
+def _overflow_error(params: LevyParams) -> ParameterError:
+    scale = {"brownian": "sigma", "stable": "scale"}.get(params.family, "jump law")
+    return ParameterError(f"the {params.family} path overflows float64; shrink its {scale}")
+
+
 def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     """Sample psi0 on the grid; pure function of (params, grid, seed).
 
@@ -339,8 +344,7 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
         # is minus the sum of the increments between y and 0
         values[:i0] = -np.cumsum(incr_l)[::-1]
     if not np.isfinite(values).all():
-        scale = {"brownian": "sigma", "stable": "scale"}.get(params.family, "jump law")
-        raise ParameterError(f"the {params.family} path overflows float64; shrink its {scale}")
+        raise _overflow_error(params)
 
     # incr_l walks leftward from 0; reversed, it lines up with the cells
     jumps = _tag_jumps(params, np.concatenate([incr_l[::-1], incr_r]), np.diff(values), h)
@@ -398,8 +402,8 @@ def abruptness_integral_estimate(
     """
     if not a <= b:
         raise ParameterError("need a <= b")
-    if n_mc < 1000:
-        raise ParameterError("need n_mc >= 1000")
+    if not 1000 <= n_mc <= MAX_FLOAT64_ITEMS:
+        raise ParameterError(f"need 1000 <= n_mc <= {MAX_FLOAT64_ITEMS}, got {n_mc}")
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
         raise ParameterError("eps_list must be nonempty")
@@ -411,13 +415,21 @@ def abruptness_integral_estimate(
     eps_min = eps_arr[-1]
     n_dec = math.ceil(-math.log10(eps_min) * NODES_PER_DECADE)
     nodes = 10.0 ** (-np.arange(n_dec + 1) / NODES_PER_DECADE)
-    nodes = np.unique(np.concatenate([nodes[nodes >= eps_min], eps_arr]))[::-1]
+    nodes = np.sort(np.concatenate([nodes[nodes >= eps_min], eps_arr]))[::-1]
+    nodes = nodes[np.diff(nodes, prepend=np.inf) < 0]  # each node once
 
     rng = np.random.default_rng(_seed_sequence(seed))
     prob = np.empty(nodes.size)
     for k, x in enumerate(nodes):
-        # psi0(x) for x > 0 is one increment of the step-x law
-        draws = _cell_increments(params, float(x), n_mc, rng)
+        # psi0(x) for x > 0 is one increment of the step-x law; an overflow
+        # shows as a non-finite draw, which may have left [ax, bx] wrongly
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                draws = _cell_increments(params, float(x), n_mc, rng)
+        except MemoryError as exc:
+            raise ParameterError(f"n_mc={n_mc} draws are more than memory holds") from exc
+        if not np.isfinite(draws).all():
+            raise _overflow_error(params)
         prob[k] = np.mean((draws >= a * x) & (draws <= b * x))
 
     # cumulative trapezoid in u = ln x, integrating down from 1

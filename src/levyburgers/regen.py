@@ -14,7 +14,7 @@ falsify; it never proves full-process independence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,22 +31,20 @@ N_FEATURE_SAMPLES = 64
 MIN_INDEPENDENCE_REPS = 100
 
 
-@dataclass(frozen=True)
-class RegenReport:
+class RegenReport(NamedTuple):
     """Scan results for one path.  Missing quantities (window exhausted,
     empty nonnegative zero set) are None; that is a status, not an error."""
 
     R: float | None
     S: float | None
     T_first: float | None
-    rk: list[float] = field(default_factory=list)
+    rk: list[float]
     s_equals_t: bool | None = None
     rk_converged: bool = False
     steps: int = 0
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """The permutation test's result, as regen_report.json writes it."""
 
     p_value_global: float
@@ -110,12 +108,12 @@ def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
         R=float(ys[r_idx]) if r_idx is not None else None,
         S=s_val,
         T_first=t_first,
+        rk=[],
         s_equals_t=(s_val == t_first) if (s_val is not None and t_first is not None) else None,
     )
 
 
-@dataclass(frozen=True)
-class RkResult:
+class RkResult(NamedTuple):
     rk: list[float]
     converged: bool
     steps: int
@@ -160,7 +158,7 @@ def regen_report(path: LevyPath, t: float, k_max: int = 64) -> RegenReport:
     if base.R is None:
         return base
     walk = rk_sequence(path, t, k_max=k_max, r0=base.R)
-    return replace(base, rk=walk.rk, rk_converged=walk.converged, steps=walk.steps)
+    return base._replace(rk=walk.rk, rk_converged=walk.converged, steps=walk.steps)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:

@@ -3,16 +3,18 @@
 A shock is a macroscopic hull edge at location -t * edge slope; vertices
 whose own X-interval contains them form the zero set (zero-velocity
 points); each vertex's X-interval, clipped to the analysis window, is its
-constancy (rarefaction) record.  Records are NamedTuples: one record is one
-CSV row under the columns ``_fields``.  On a finite grid every vertex has a
-positive-length constancy interval, so rarefaction claims are studied
-through refinement trends rather than per-grid booleans.
+constancy (rarefaction) record.  Every plain result record of the package
+is a NamedTuple, and a row record is one CSV row under the columns
+``_fields``; a class stays a dataclass only where it validates or derives a
+field, defines a method, is ``replace``d by the tests or builds CLI flags.
+On a finite grid every vertex has a positive-length constancy interval, so
+rarefaction claims are studied through refinement trends rather than
+per-grid booleans.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +51,7 @@ class Rarefaction(NamedTuple):
     boundary_affected: bool
 
 
-@dataclass(frozen=True)
-class ShockReport:
+class ShockReport(NamedTuple):
     shocks: list[Shock]
     contacts: np.ndarray
     contact_indices: np.ndarray
@@ -60,8 +61,7 @@ class ShockReport:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class GapStat:
+class GapStat(NamedTuple):
     """Sign scan of u over one gap between consecutive zero-set points."""
 
     gap: tuple[float, float]
@@ -69,14 +69,12 @@ class GapStat:
     has_negative_phase: bool
 
 
-@dataclass(frozen=True)
-class SignPatternReport:
+class SignPatternReport(NamedTuple):
     violations: list[tuple[float, float, float]]  # (gap lo, gap hi, x of bad sample)
     gap_stats: list[GapStat]
 
 
-@dataclass(frozen=True)
-class JumpSignReport:
+class JumpSignReport(NamedTuple):
     agreements: int
     disagreements: int
     untracked: int
@@ -333,7 +331,9 @@ def refinement_study(
     for hk, (h, grid) in enumerate(zip(h_list, grids)):
         replicates = solved_replicates(params, grid, t, n_rep, seed, key=hk)
         stats = [window_stats(sol, window) for sol in replicates if sol is not None]
-        arr = np.array(stats) if stats else np.full((1, 4), math.nan)
-        medians = np.median(arr, axis=0).tolist()  # in window_stats order
+        arr = np.sort(np.array(stats) if stats else np.full((1, 4), math.nan), axis=0)
+        # the mean of the middle row or two, as np.median takes it (which
+        # would import numpy.ma); in window_stats order
+        medians = np.mean(arr[(len(arr) - 1) // 2 : len(arr) // 2 + 1], axis=0).tolist()
         rows.append(RefinementRow(h, grid.n, *medians, n_rep - len(stats)))
     return rows

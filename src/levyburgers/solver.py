@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 WINDOW_MARGIN_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class EulerianValues:
+class EulerianValues(NamedTuple):
     """One-sided solution values at a query point."""
 
     a: float
@@ -109,7 +109,10 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     # column-major, so the hull reads both columns without a copy
     cm = upper_concave_majorant(np.array([ys, shifted]).T)
     # vertex k owns -t * [s[k], s[k+1]]; t > 0 maps the sentinels to -/+inf
-    breaks = -t * cm.s
+    with np.errstate(over="ignore"):
+        breaks = -t * cm.s
+    if not np.isfinite(breaks[1:-1]).all():
+        raise ParameterError(f"t={t:g} times a hull slope overflows float64; lower t")
     x_lo, x_hi = breaks[:-1], breaks[1:]
 
     window = analysis_window(path.grid)

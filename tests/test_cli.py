@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import cli_corpus
 import levyburgers
-from levyburgers import LevyParams, extract_shocks, sample_path, solve
+from levyburgers import LevyParams, ParameterError, extract_shocks, sample_path, solve
 from levyburgers import cli, regen, solver
 from levyburgers.cli import (
     EXIT_BAD_CONFIG,
@@ -258,6 +259,25 @@ class TestStartup:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_subcommands_load_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 13 ms of import; np.unique and np.median load
+        # it.  In process scipy has loaded it already, so a fresh interpreter
+        # runs each subcommand on a small config
+        src = str(Path(levyburgers.__file__).resolve().parents[1])
+        small = ["--L", "2", "--n", "129", "--reps", "2", "--h-list", "0.0625",
+                 "--n-mc", "1000", "--eps-list", "0.1,0.01"]
+        code = (
+            "import sys; from levyburgers.cli import SUBCOMMANDS, main; "
+            f"codes = [main([s, *{small!r}, '--out-dir', {str(tmp_path)!r} + '/' + s]) "
+            "for s in SUBCOMMANDS]; "
+            "print(codes, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+
 
 OVERFLOW_ARGV = (
     pytest.param(["solve", "--family", "cpoisson", "--rate", "1e300", "--n", "65",
@@ -345,6 +365,26 @@ class TestErrors:
             pytest.param(["regen", "--family", "jump_down", "--delta", "100",
                           "--location", "-1", "--L", "4", "--n", "801", "--k-max", "0"],
                          id="regen-k-max-zero"),
+            # a fixture has no Levy parameters to integrate
+            pytest.param(["integral", "--family", "zero"], id="integral-fixture"),
+            # t times a hull slope overflows an interior break
+            pytest.param(["solve", "--family", "brownian", "--L", "2", "--n", "129",
+                          "--t", "1.7e308"], id="t-huge"),
+            # draws past the largest float, and more draws than an array holds
+            pytest.param(["integral", "--family", "stable", "--scale", "1.7e308"],
+                         id="integral-scale-huge"),
+            pytest.param(["integral", "--family", "cpoisson", "--jump-a", "1.7e308"],
+                         id="integral-jump-a-huge"),
+            pytest.param(["integral", "--family", "cpoisson", "--jump-b", "1.7e308"],
+                         id="integral-jump-b-huge"),
+            pytest.param(["integral", "--sigma", "1.7e308"], id="integral-sigma-huge"),
+            pytest.param(["integral", "--n-mc", str(2**64)], id="integral-n-mc-2**64"),
+            # nan or +-inf in a field the subcommand ignores
+            pytest.param(["simulate", "--family", "brownian", "--alpha", "inf"],
+                         id="simulate-alpha-inf"),
+            pytest.param(["solve", "--eps-list", "0.1,nan"], id="solve-eps-nan"),
+            pytest.param(["shocks", "--w=-inf"], id="shocks-w-minus-inf"),
+            pytest.param(["integral", "--stats-window", "0,inf"], id="integral-window-inf"),
         ],
     )
     def test_bad_parameter(self, tmp_path, argv):
@@ -360,6 +400,8 @@ class TestErrors:
             pytest.param({"t": None}, "field t ", id="float-null"),
             pytest.param({"config": {"h_list": "0.5"}}, "field h_list ", id="list-as-str"),
             pytest.param([1, 2], "not a JSON object", id="not-an-object"),
+            pytest.param({"alpha": math.inf}, "field alpha ", id="float-inf"),
+            pytest.param({"h_list": [0.5, math.nan]}, "field h_list ", id="list-nan"),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, config, message):
@@ -380,6 +422,14 @@ class TestErrors:
             warnings.simplefilter("error")
             assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
         assert '"error": "ParameterError"' in capsys.readouterr().err
+
+    def test_huge_int_is_finite(self):
+        # an int beyond any float passes the finite check without overflow
+        assert ExperimentConfig.from_dict({"L": 10**400}).L == 10**400
+
+    def test_unknown_subcommand(self, tmp_path):
+        with pytest.raises(ParameterError):
+            run_experiment(ExperimentConfig(), "nope", tmp_path)
 
     def test_window_error_exit_code(self, tmp_path):
         # a seed whose shifted potential peaks at the grid end on a tiny grid

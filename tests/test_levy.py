@@ -16,6 +16,7 @@ from levyburgers import (
     sample_path,
     stable_increments,
 )
+from levyburgers import levy
 from levyburgers.levy import MAX_FLOAT64_ITEMS
 from conftest import derived_seed
 
@@ -147,12 +148,15 @@ class TestSamplePath:
 
     def test_cpoisson_jumps_reproduce_increments(self):
         g = GridSpec(4.0, 513)
-        par = LevyParams.compound_poisson(2.0, JumpDist("uniform", -1.0, 2.0))
-        p = sample_path(par, g, seed=17)
-        rebuilt = np.zeros(g.n - 1)
-        for idx, size in p.tracked_jumps:
-            rebuilt[idx - 1] += size
-        assert np.array_equal(rebuilt, np.diff(p.values))
+        for law in (JumpDist("uniform", -1.0, 2.0), JumpDist("fixed", 0.5)):
+            p = sample_path(LevyParams.compound_poisson(2.0, law), g, seed=17)
+            rebuilt = np.zeros(g.n - 1)
+            for idx, size in p.tracked_jumps:
+                rebuilt[idx - 1] += size
+            assert np.array_equal(rebuilt, np.diff(p.values))
+        # a cell with k jumps of the fixed size 0.5 rises by k/2
+        sizes = p.tracked_jumps["size"]
+        assert len(sizes) > 0 and np.all(sizes > 0) and np.all(2 * sizes == np.round(2 * sizes))
 
 
 class TestStableIncrement:
@@ -281,6 +285,7 @@ class TestAbruptnessIntegral:
             dict(eps_list=[0.1, 0.2]),
             dict(eps_list=[]),
             dict(n_mc=10),
+            dict(n_mc=MAX_FLOAT64_ITEMS + 1),
         ],
     )
     def test_parameter_errors(self, kwargs):
@@ -291,6 +296,34 @@ class TestAbruptnessIntegral:
                 LevyParams.brownian(1.0), base["a"], base["b"], base["eps_list"],
                 base["n_mc"], seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "par",
+        [
+            LevyParams.brownian(1.7e308),
+            LevyParams.stable(1.5, 0.0, 1.7e308),
+            LevyParams.compound_poisson(4.0, JumpDist("normal", 1.7e308, 1.0)),
+            LevyParams.compound_poisson(4.0, JumpDist("normal", 0.0, 1.7e308)),
+        ],
+        ids=["sigma", "scale", "jump-a", "jump-b"],
+    )
+    def test_overflowing_draws(self, par):
+        # an inf or nan draw may fall outside [ax, bx] when the true one lies
+        # inside; the error is the one sample_path gives for the same law
+        with pytest.raises(ParameterError) as integral:
+            abruptness_integral_estimate(par, -1.0, 1.0, [0.1], 1000, seed=0)
+        with pytest.raises(ParameterError) as path:
+            sample_path(par, GridSpec(2.0, 129), seed=0)
+        assert str(integral.value) == str(path.value)
+
+    def test_out_of_memory_is_a_parameter_error(self, monkeypatch):
+        # no draw is allocated: the sampler reports memory as exhausted
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(levy, "_cell_increments", exhausted)
+        with pytest.raises(ParameterError, match="n_mc"):
+            abruptness_integral_estimate(LevyParams.brownian(1.0), -1, 1, [0.1], 1000, seed=0)
 
 
 class TestParams:
@@ -310,3 +343,9 @@ class TestParams:
             JumpDist("cauchy", 0, 1)
         with pytest.raises(ParameterError):
             JumpDist("uniform", 2.0, 1.0)
+        with pytest.raises(ParameterError):
+            JumpDist("normal", 0.0, -1.0)
+        with pytest.raises(ParameterError):
+            JumpDist("uniform", 0.0, math.inf)
+        with pytest.raises(ParameterError):
+            LevyParams("cpoisson")

@@ -24,7 +24,7 @@ from levyburgers import (
     step_path,
     zero_path,
 )
-from levyburgers.regen import replicate_features
+from levyburgers.regen import independence_report, replicate_features
 from levyburgers.solver import owning_vertices, solved_replicates
 from conftest import derived_seed
 
@@ -70,6 +70,12 @@ class TestFixtureScans:
         assert rep.R == rep.S == rep.T_first
         assert rep.rk == [rep.R]
         assert rep.s_equals_t
+
+    def test_no_r_no_walk(self):
+        # the drop of 100 at -1 keeps every point right of 0 from the R test
+        rep = regen_report(jump_down(GridSpec(4.0, 801), 100.0, -1.0), 1.0)
+        assert (rep.R, rep.S, rep.T_first, rep.s_equals_t) == (None, None, None, None)
+        assert rep.rk == [] and not rep.rk_converged and rep.steps == 0
 
 
 class TestScanInvariants:
@@ -183,6 +189,10 @@ class TestPermutationMachinery:
         with pytest.raises(ParameterError):
             permutation_pvalue(x, y, rng, n_perm=n_perm)
 
+    def test_zero_variance_gives_zero(self):
+        x = np.arange(10.0)
+        assert distance_correlation(np.ones(10), x) == distance_correlation(x, np.ones(10)) == 0.0
+
     def test_row_count_mismatch_raises(self):
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(80, 3)), rng.normal(size=(60, 3))
@@ -232,6 +242,14 @@ class TestIndependenceTest:
         assert rep.n_dropped <= 20
         assert 0.0 < rep.p_value_global <= 1.0
         assert len(rep.feature_correlations) == 3
+
+    def test_constant_feature_has_zero_correlation(self):
+        rng = np.random.default_rng(12)
+        pre, post = rng.normal(size=(2, 100, 3))
+        pre[:, 1] = 2.0
+        rep = independence_report(list(zip(np.ones(100), pre, post)), seed=1)
+        assert rep.feature_correlations[1] == 0.0
+        assert rep.feature_correlations[0] != 0.0 and rep.n_valid == 100
 
     def test_replicate_features_shape(self, grid_standard):
         replicates = solved_replicates(

@@ -21,6 +21,7 @@ from levyburgers import (
     sample_path,
     solve,
     solve_naive,
+    step_path,
     zero_path,
     zero_set_indices,
 )
@@ -395,6 +396,27 @@ class TestErrors:
             solve(zero_path(grid_fixture), t)
         with pytest.raises(ParameterError):
             solve_naive(zero_path(grid_fixture), t, [0.0])
+
+    def test_break_overflow_names_t(self):
+        # a hull slope above 1 times t overflows; the end sentinels are
+        # infinite for every t
+        path = sample_path(LevyParams.brownian(1.0), GridSpec(2.0, 129), 0)
+        with pytest.raises(ParameterError, match="t=1.7e"):
+            solve(path, 1.7e308)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda g: step_path(g, 0.5, 0.005), id="off-grid-location"),
+            pytest.param(lambda g: jump_up(g, 0.0), id="jump-up-zero"),
+            pytest.param(lambda g: jump_up(g, -0.5), id="jump-up-negative"),
+            pytest.param(lambda g: jump_down(g, 0.0), id="jump-down-zero"),
+            pytest.param(lambda g: step_path(g, np.inf), id="step-inf"),
+        ],
+    )
+    def test_bad_fixture(self, grid_fixture, make):
+        with pytest.raises(ParameterError):
+            make(grid_fixture)
 
     def test_window_too_small(self, grid_fixture):
         # a steep ramp keeps the shifted potential maximal at the grid end
