@@ -89,21 +89,25 @@ class ExperimentConfig:
     k_max: int = 64
     stats_window: list[float] | None = None
 
+    def __post_init__(self):
+        """Check every field's type and finiteness, however the config is
+        built: from flags, from a dict, directly or by dataclasses.replace."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _takes(f, value):
+                kind = _field_type(f).__name__
+                raise ParameterError(f"config field {f.name} must be {kind}, got {value!r}")
+            if not all(map(_finite, value if isinstance(value, list) else [value])):
+                raise ParameterError(f"config field {f.name} must be finite, got {value!r}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(fields)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in d.items():
-            if not _takes(fields[name], value):
-                kind = _field_type(fields[name]).__name__
-                raise ParameterError(f"config field {name} must be {kind}, got {value!r}")
-            if not all(map(_finite, value if isinstance(value, list) else [value])):
-                raise ParameterError(f"config field {name} must be finite, got {value!r}")
         return cls(**d)
 
     def grid(self) -> GridSpec:
@@ -301,22 +305,21 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: each reads the same flags."""
     parser = argparse.ArgumentParser(
         prog="levyburgers",
         description="Burgers shock structure from Levy potential paths",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out-dir", type=str, default="out")
-        # one flag per config field, typed by _field_type; lists take
-        # comma-separated floats
-        for f in dataclasses.fields(ExperimentConfig):
-            kind = _field_type(f)
-            kind = _float_list if kind is list else kind
-            flag = "--reps" if f.name == "n_rep" else "--" + f.name.replace("_", "-")
-            p.add_argument(flag, type=kind, default=None, dest=f.name)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", type=str, default=None, help="JSON config file")
+    parser.add_argument("--out-dir", type=str, default="out")
+    # one flag per config field, typed by _field_type; lists take
+    # comma-separated floats
+    for f in dataclasses.fields(ExperimentConfig):
+        kind = _field_type(f)
+        kind = _float_list if kind is list else kind
+        flag = "--reps" if f.name == "n_rep" else "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=kind, default=None, dest=f.name)
     return parser
 
 
@@ -333,11 +336,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ParameterError(f"config {args.config} is not a JSON object")
         base.update(loaded)
-    field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for name in field_names:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            base[name] = value
+            base[f.name] = value
     return ExperimentConfig.from_dict(base)
 
 

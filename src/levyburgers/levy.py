@@ -54,6 +54,8 @@ class GridSpec:
         # compared exactly, so an int L too large for a float fails here too
         if not 0.0 < self.L <= sys.float_info.max / 2:
             raise GridError(f"half-width L must be > 0 with 2L finite, got L={self.L}")
+        if self.h == 0.0:
+            raise GridError(f"step 2L/(n - 1) underflows to 0 for L={self.L}, n={self.n}")
 
     @property
     def h(self) -> float:
@@ -221,6 +223,17 @@ def stable_increments(
     _check_stable(alpha, beta, c)
     if h <= 0:
         raise ParameterError(f"step h must be > 0, got {h}")
+    # checked before any draw: a float power raises OverflowError, a
+    # product overflows to inf
+    try:
+        step = c * h ** (1.0 / alpha)
+    except OverflowError:
+        step = math.inf
+    if not math.isfinite(step):
+        raise ParameterError(
+            f"the stable step scale c*h^(1/alpha) overflows float64 "
+            f"(c={c:g}, h={h:g}, alpha={alpha:g}); shrink the scale or the step"
+        )
     u = rng.uniform(-math.pi / 2, math.pi / 2, size)
     w = rng.standard_exponential(size)
     if alpha == 1.0:
@@ -236,7 +249,7 @@ def stable_increments(
             / np.cos(u) ** (1.0 / alpha)
             * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
         )
-    return c * h ** (1.0 / alpha) * x
+    return step * x
 
 
 def _cell_increments(

@@ -17,9 +17,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from levyburgers.cli import main
 
@@ -36,14 +38,22 @@ def run(argv: list[str], out_dir: Path) -> dict:
 
     The result has the manifest's fields.  A warning or an exception that
     escapes main is written to stderr as its type and message, the latter
-    with exit code 1, as the interpreter would end.
+    with exit code 1, as the interpreter would end.  An argv that argparse
+    rejects keeps the exit code and the usage text argparse gives, the
+    usage wrapped at 80 columns whatever the terminal.
     """
     args = [a.replace("{data}", str(DATA)) for a in argv] + ["--out-dir", str(out_dir)]
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+    with (
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+    ):
         warnings.simplefilter("always")
         try:
             code = main(args)
+        except SystemExit as exc:  # argparse printed its usage and error
+            code = exc.code
         except Exception as exc:  # recorded, so that the manifest shows it
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=err)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -302,6 +303,19 @@ OVERFLOW_ARGV = (
 )
 
 
+BAD_CONFIG_VALUES = [
+    pytest.param({"n": "4097"}, "field n ", id="int-as-str"),
+    pytest.param({"n": 4097.0}, "field n ", id="int-as-float"),
+    pytest.param({"seed": True}, "field seed ", id="int-as-bool"),
+    pytest.param({"L": "8"}, "field L ", id="float-as-str"),
+    pytest.param({"t": None}, "field t ", id="float-null"),
+    pytest.param({"config": {"h_list": "0.5"}}, "field h_list ", id="list-as-str"),
+    pytest.param([1, 2], "not a JSON object", id="not-an-object"),
+    pytest.param({"alpha": math.inf}, "field alpha ", id="float-inf"),
+    pytest.param({"h_list": [0.5, math.nan]}, "field h_list ", id="list-nan"),
+]
+
+
 REFINE_SMALL = ["refine", "--family", "brownian", "--L", "4", "--reps", "2",
                 "--h-list", "0.0625"]
 
@@ -390,20 +404,7 @@ class TestErrors:
     def test_bad_parameter(self, tmp_path, argv):
         assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
 
-    @pytest.mark.parametrize(
-        "config,message",
-        [
-            pytest.param({"n": "4097"}, "field n ", id="int-as-str"),
-            pytest.param({"n": 4097.0}, "field n ", id="int-as-float"),
-            pytest.param({"seed": True}, "field seed ", id="int-as-bool"),
-            pytest.param({"L": "8"}, "field L ", id="float-as-str"),
-            pytest.param({"t": None}, "field t ", id="float-null"),
-            pytest.param({"config": {"h_list": "0.5"}}, "field h_list ", id="list-as-str"),
-            pytest.param([1, 2], "not a JSON object", id="not-an-object"),
-            pytest.param({"alpha": math.inf}, "field alpha ", id="float-inf"),
-            pytest.param({"h_list": [0.5, math.nan]}, "field h_list ", id="list-nan"),
-        ],
-    )
+    @pytest.mark.parametrize("config,message", BAD_CONFIG_VALUES)
     def test_bad_config_value(self, tmp_path, capsys, config, message):
         # a config file value must have the type its flag parses to
         path = tmp_path / "config.json"
@@ -412,6 +413,21 @@ class TestErrors:
         assert rc == EXIT_BAD_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError" and message in err["message"]
+
+    @pytest.mark.parametrize("route", ["direct", "replace"])
+    @pytest.mark.parametrize(
+        "config,message", [p for p in BAD_CONFIG_VALUES if isinstance(p.values[0], dict)])
+    def test_bad_config_value_built_in_python(self, tmp_path, route, config, message):
+        # a config built directly or by dataclasses.replace passes the
+        # check a config file does, before anything is written
+        fields = config.get("config", config)
+        with pytest.raises(ParameterError, match=message):
+            if route == "direct":
+                cfg = ExperimentConfig(**fields)
+            else:
+                cfg = dataclasses.replace(ExperimentConfig(n=65, L=2.0), **fields)
+            run_experiment(cfg, "simulate", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", OVERFLOW_ARGV)
     def test_overflow_names_the_parameter(self, tmp_path, capsys, argv):

@@ -69,6 +69,12 @@ class TestGridSpec:
             with pytest.raises(GridError):
                 GridSpec(L, 11)
 
+    def test_step_must_not_underflow(self):
+        # 2L/(n - 1) rounds to 0, so every point would be +-0.0
+        with pytest.raises(GridError, match="underflows"):
+            GridSpec(5e-324, 129)
+        assert GridSpec(5e-324, 3).h == 5e-324
+
 
 class TestSamplePath:
     def test_zero_variance_brownian_is_flat(self):
@@ -201,6 +207,17 @@ class TestStableIncrement:
     def test_h_must_be_positive(self):
         with pytest.raises(ParameterError):
             stable_increments(1.5, 0.0, 1.0, 0.0, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("alpha,c,h", [(0.75, 1.0, 1e300), (0.51, 1.0, 1e160),
+                                           (0.75, 1e300, 1e10)])
+    def test_step_scale_overflow(self, alpha, c, h):
+        # h^(1/alpha) raises OverflowError as a float power, and c times it
+        # overflows to inf; both are found before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="step scale"):
+            stable_increments(alpha, 0.0, c, h, 10, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestClassify:

@@ -2,13 +2,14 @@
 
 Each config field takes each extreme value of its kind, on two of the six
 subcommands (a pair that rotates with the value), on top of a small base
-config.  Every argv must exit 0 or with its typed code and warn nothing;
-on exit 0 every number written must be finite, except the +-inf sentinels
-of vertices.csv and the NaN medians of a refine row whose replicates all
-failed.  Values that only ask for a lot of work (a replicate count of
-2**64, an eps of 5e-324) are left out.  No argv may reach a grid of more
-than MAX_GRID points: huge grids must be rejected before anything is
-sampled or allocated.
+config; L and the stable scale also take each float extreme on all six
+subcommands at stable alpha = 0.75.  Every argv must exit 0 or with its
+typed code and warn nothing; on exit 0 every number written must be
+finite, except the +-inf sentinels of vertices.csv and the NaN medians of
+a refine row whose replicates all failed.  Values that only ask for a lot
+of work (a replicate count of 2**64, an eps of 5e-324) are left out.  No
+argv may reach a grid of more than MAX_GRID points: huge grids must be
+rejected before anything is sampled or allocated.
 """
 
 import csv
@@ -49,6 +50,12 @@ def _flag(name: str) -> str:
     return "--reps" if name == "n_rep" else "--" + name.replace("_", "-")
 
 
+def _param(sub: str, config: dict, family: str, name: str, value: str):
+    # --flag=value, so that a value such as -1 is no option
+    argv = [sub, *(f"{_flag(n)}={v}" for n, v in {**BASE, **config}.items())]
+    return pytest.param(argv, id=f"{sub}-{family}-{name}={value}")
+
+
 def _sweep():
     k = 0
     for f in dataclasses.fields(ExperimentConfig):
@@ -58,23 +65,24 @@ def _sweep():
             for j in range(2):
                 sub = SUBCOMMANDS[(k + 3 * j) % 6]
                 family = FAMILY_OF.get(f.name, FAMILIES[(k // 6 + j) % len(FAMILIES)])
-                config = {**BASE, "family": family, f.name: value}
-                # --flag=value, so that a value such as -1 is no option
-                argv = [sub, *(f"{_flag(n)}={v}" for n, v in config.items())]
-                yield pytest.param(argv, id=f"{sub}-{family}-{f.name}={value}")
+                yield _param(sub, {"family": family, f.name: value}, family, f.name, value)
             k += 1
+    # below alpha = 1 the stable step scale c*h^(1/alpha) can overflow
+    # where it does not at the default alpha = 1.5
+    for name in ("L", "scale"):
+        for value in FLOATS:
+            for sub in SUBCOMMANDS:
+                config = {"family": "stable", "alpha": "0.75", name: value}
+                yield _param(sub, config, "stable-alpha=0.75", name, value)
 
 
 SWEEP = list(_sweep())
-# one parser serves every argv: building it is about half of a small run
-PARSER = cli.build_parser()
 
 
 @pytest.fixture
 def sweep_setup(monkeypatch):
     """Fail any grid of more than MAX_GRID points that gets its points,
-    a sampled path or a zero path; main reuses PARSER."""
-    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    a sampled path or a zero path."""
 
     def guard(fn):
         def guarded(*args, **kwargs):
@@ -121,4 +129,4 @@ def test_extreme_value(tmp_path, sweep_setup, argv):
 
 
 def test_sweep_size():
-    assert 290 <= len(SWEEP) <= 330
+    assert 390 <= len(SWEEP) <= 430
