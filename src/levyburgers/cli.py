@@ -60,9 +60,10 @@ EXIT_INSUFFICIENT = 4
 EXIT_OUT_OF_DOMAIN = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, JSON-round-trippable experiment description."""
+    """Flat, JSON-round-trippable experiment description.  Frozen, so every
+    field passes the __post_init__ check: change one by dataclasses.replace."""
 
     family: str = "brownian"
     sigma: float = 1.0

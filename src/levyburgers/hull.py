@@ -2,14 +2,16 @@
 
 The majorant is the minimal concave function dominating the points.  Its
 vertex chain is found in three vectorized stages: a dyadic chord filter
-drops the points lying strictly below a chord of two other input points,
-a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996) splits
-every open segment of a level at its farthest point, and one orientation
-check over consecutive candidate triples confirms the chain.  Only when
-that check flags a triple does a monotone-chain pass run, over the
-candidates alone.  The edge slopes are stored once, padded with +/-inf
-sentinels at the chain ends where the majorant is unconstrained by the
-data, so vertex k has left slope s[k] and right slope s[k+1].
+drops the points lying strictly below a chord of two other input points
+and compacts its survivors between levels, so that later levels cost
+only what is left; a level-synchronous QuickHull (Barber, Dobkin &
+Huhdanpaa 1996) splits every open segment of a level at its farthest
+point; and one orientation check over consecutive candidate triples
+confirms the chain.  Only when that check flags a triple does a
+monotone-chain pass run, over the candidates alone.  The edge slopes are
+stored once, padded with +/-inf sentinels at the chain ends where the
+majorant is unconstrained by the data, so vertex k has left slope s[k]
+and right slope s[k+1].
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ COLLINEAR_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 # that no product of two coordinate differences overflows.
 SCALE_EXPONENT = 500
 
-# Points per block of the chord filter: its scratch buffers stay at
-# 128 KiB each whatever n is, so the filter adds little to peak memory.
+# Points per block of the chord filter: its three scratch buffers stay at
+# 128 KiB each whatever n is, and only the compacted survivors are copied,
+# so the filter adds little to peak memory.
 FILTER_BLOCK = 16384
 
 
@@ -86,18 +89,23 @@ def _pops(y1, v1, y2, v2, y3, v3):
 def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Sorted int32 indices of the points that survive the dyadic filter.
 
-    For k = 1, 2, 4, ... < n/2, every point certainly below the chord of
-    its neighbours at index distance k is dropped; a point below a chord
-    of two input points is never a vertex.  Each level runs in place over
-    blocks of FILTER_BLOCK points with three block-sized buffers.
+    For k = 1, 2, 4, ... while 2k is below the length of the list, every
+    point certainly below the chord of the points k places to its left and
+    right in the list is dropped.  The list starts as every point and is
+    compacted to the survivors once a quarter of it is gone, so a level
+    costs O(survivors) and there are at most log2(n) levels.  Every chord
+    joins two input points, and a point below such a chord is never a
+    vertex.  Each level runs over blocks of FILTER_BLOCK points with three
+    block-sized buffers.
     """
-    n = len(ys)
-    size = min(n, FILTER_BLOCK)
+    size = min(len(ys), FILTER_BLOCK)
     p, q, w = np.empty(size), np.empty(size), np.empty(size)
     keep = np.empty(size, dtype=bool)
-    alive = np.ones(n, dtype=bool)
+    idx = np.arange(len(ys), dtype=np.int32)
+    alive = np.ones(len(ys), dtype=bool)
     k = 1
-    while 2 * k < n:
+    while 2 * k < len(idx):
+        n = len(idx)
         for start in range(k, n - k, FILTER_BLOCK):
             stop = min(start + FILTER_BLOCK, n - k)
             lo, hi = slice(start - k, stop - k), slice(start + k, stop + k)
@@ -117,8 +125,15 @@ def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
             P *= COLLINEAR_ERRBOUND
             np.less_equal(W, P, out=K)
             alive[mid] &= K
+        # a compaction costs about as much as a level, so it waits until a
+        # quarter of the list is gone: near-flat inputs, which lose a few
+        # points per level, are then never compacted
+        if 4 * np.count_nonzero(alive) <= 3 * n:
+            kept = np.flatnonzero(alive)
+            idx, ys, vs = idx[kept], ys[kept], vs[kept]
+            alive = np.ones(len(idx), dtype=bool)
         k *= 2
-    return np.flatnonzero(alive).astype(np.int32)
+    return idx[alive]
 
 
 def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -134,15 +149,17 @@ def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     seg = np.zeros(len(rest), dtype=np.int32)  # left vertex of each open point
     while len(rest):
         ya, va = ys[verts], vs[verts]
-        slope = np.diff(va) / np.diff(ya)
+        slope = (va[1:] - va[:-1]) / (ya[1:] - ya[:-1])
         d = (vr - va[seg]) - slope[seg] * (yr - ya[seg])
         above = d > 0
         rest, seg, d, yr, vr = rest[above], seg[above], d[above], yr[above], vr[above]
         if not len(rest):
             break
-        starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        dmax = np.maximum.reduceat(d, starts)
-        far = d == np.repeat(dmax, np.diff(starts, append=len(seg)))
+        new = np.empty(len(seg), dtype=bool)  # first open point of a segment
+        new[0] = True
+        np.not_equal(seg[1:], seg[:-1], out=new[1:])
+        dmax = np.maximum.reduceat(d, np.flatnonzero(new))
+        far = d == dmax[np.cumsum(new) - 1]
         verts = np.insert(verts, seg[far] + 1, rest[far])
         # every new vertex left of an open point shifts its segment by one
         seg += np.cumsum(far, dtype=np.int32)

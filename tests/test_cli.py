@@ -429,6 +429,16 @@ class TestErrors:
             run_experiment(cfg, "simulate", tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_config_fields_cannot_be_assigned(self):
+        # an assignment would skip __post_init__ and let inf reach the
+        # effective config; replace goes through the check
+        cfg = ExperimentConfig(n=65, L=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha = math.inf
+        assert cfg.alpha == 1.5
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            dataclasses.replace(cfg, alpha=math.inf)
+
     @pytest.mark.parametrize("argv", OVERFLOW_ARGV)
     def test_overflow_names_the_parameter(self, tmp_path, capsys, argv):
         # finite inputs whose Poisson mean, parabola term or path values

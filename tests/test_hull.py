@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +205,16 @@ LEVY_FAMILIES = {
 }
 
 
+def assert_matches_reference(ys, vs):
+    """The chord filter keeps every vertex of the per-point chain, and the
+    hull returns exactly that chain's indices."""
+    ref = reference_chain(ys, vs)
+    assert np.isin(ref, hull._chord_filter(ys, vs)).all()
+    cm = upper_concave_majorant(np.column_stack([ys, vs]))
+    assert np.array_equal(cm.indices, ref)
+    return cm
+
+
 class TestMatchesMonotoneChain:
     """The vectorized hull returns exactly the vertex indices of the
     per-point monotone chain on the inputs the solver sees."""
@@ -212,25 +224,31 @@ class TestMatchesMonotoneChain:
     def test_levy_families(self, family, n):
         grid = GridSpec(16.0, n)
         for seed in (1, 2):
-            ys, vs = _shifted(sample_path(LEVY_FAMILIES[family], grid, seed))
-            cm = upper_concave_majorant(np.column_stack([ys, vs]))
-            assert np.array_equal(cm.indices, reference_chain(ys, vs))
+            path = sample_path(LEVY_FAMILIES[family], grid, seed)
+            assert_matches_reference(*_shifted(path))
 
     def test_near_flat_brownian(self):
         grid = GridSpec(16.0, 16385)
         for seed in range(3):
-            ys, vs = _shifted(sample_path(LevyParams.brownian(1e-3), grid, seed))
-            cm = upper_concave_majorant(np.column_stack([ys, vs]))
-            assert np.array_equal(cm.indices, reference_chain(ys, vs))
+            path = sample_path(LevyParams.brownian(1e-3), grid, seed)
+            assert_matches_reference(*_shifted(path))
 
     @pytest.mark.parametrize("fixture", [zero_path, jump_up, jump_down])
     def test_fixtures(self, fixture):
         grid = GridSpec(16.0, 16385)
-        ys, vs = _shifted(fixture(grid))
-        cm = upper_concave_majorant(np.column_stack([ys, vs]))
-        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+        cm = assert_matches_reference(*_shifted(fixture(grid)))
         if fixture is zero_path:
             assert len(cm) == grid.n
+
+    @pytest.mark.parametrize("n", [4097, 65537])
+    def test_one_spike_parabola(self, n):
+        """A spike on a parabola: each filter level drops only the two
+        points next to the spike's shadow, the slowest input for a filter
+        that repeats a level until nothing drops."""
+        ys = np.linspace(-16.0, 16.0, n)
+        vs = -ys * ys / 2
+        vs[n // 3] += 50.0
+        assert_matches_reference(ys, vs)
 
     @pytest.mark.parametrize(
         "ys, vs",
@@ -254,3 +272,19 @@ class TestMatchesMonotoneChain:
         assert hull._pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
         cm = upper_concave_majorant(np.column_stack([ys, vs]))
         assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+
+def test_peak_memory_bounded():
+    """One hull at n = 65537, given the column view solve() passes, peaks
+    under 2 MiB of traced allocations: the filter works in blocks and on
+    its survivors, never in full-n float scratch arrays (each 512 KiB)."""
+    ys, vs = _shifted(sample_path(LEVY_FAMILIES["stable1.5"], GridSpec(16.0, 65537), 1))
+    pts = np.array([ys, vs]).T
+    upper_concave_majorant(pts)
+    tracemalloc.start()
+    try:
+        upper_concave_majorant(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
