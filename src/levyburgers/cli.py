@@ -222,7 +222,7 @@ def _shocks(config: ExperimentConfig, emit) -> None:
 def _regen(config: ExperimentConfig, emit) -> None:
     if config.n_rep < 1:
         raise ParameterError(f"n_rep must be >= 1, got {config.n_rep}")
-    rep = regen_report(config.build_path(), config.t, k_max=config.k_max)
+    rep = regen_report(solve(config.build_path(), config.t), k_max=config.k_max)
     payload = rep._asdict()
     scans = [rep]
     if config.n_rep > 1 and config.family not in FIXTURES:

@@ -7,14 +7,14 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .levy import GridSpec, LevyPath, jump_array
+from .levy import GridSpec, LevyPath, _grid_floats, jump_array
 
 
 def zero_path(grid: GridSpec) -> LevyPath:
     """psi0 identically 0 (the sigma=0 degenerate case)."""
     return LevyPath(
         grid=grid,
-        values=np.zeros(grid.n),
+        values=_grid_floats(grid, lambda: np.zeros(grid.n)),
         tracked_jumps=jump_array([], []),
         params=None,
         seed=None,

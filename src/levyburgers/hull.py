@@ -50,8 +50,7 @@ class ConcaveMajorant:
     ``indices`` the positions of the vertices in the input cloud.  ``s``
     (length m+1) is +inf, the strictly decreasing edge slopes, then -inf:
     vertex k has left slope ``s[k]`` and right slope ``s[k+1]``, and every
-    reader of a slope interval slices this one array.  ``slopes`` is the
-    view ``s[1:-1]`` of the m-1 edge slopes.
+    reader of a slope interval slices this one array.
     """
 
     ys: np.ndarray
@@ -64,10 +63,6 @@ class ConcaveMajorant:
         s[0], s[-1] = np.inf, -np.inf
         np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
         object.__setattr__(self, "s", s)
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self.s[1:-1]
 
     def __len__(self) -> int:
         return len(self.ys)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,12 +67,25 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """Grid points, anchored so that points()[zero_index] == 0.0 exactly."""
-        return (np.arange(self.n) - self.zero_index) * self.h
+        i0 = self.zero_index
+        pts = _grid_floats(self, lambda: np.arange(-i0, self.n - i0, dtype=float))
+        pts *= self.h
+        return pts
 
     @classmethod
     def symmetric(cls, L: float, n: int) -> "GridSpec":
         """GridSpec(L, n), the grid [-L, L] with n points."""
         return cls(L, n)
+
+
+def _grid_floats(grid: GridSpec, make: Callable[[], np.ndarray]) -> np.ndarray:
+    """make(), an array of grid.n floats; GridError where numpy refuses that
+    size (a MemoryError, or np.arange's ValueError "array is too big"),
+    which GridSpec cannot check: it depends on the memory at hand."""
+    try:
+        return make()
+    except (MemoryError, ValueError) as exc:
+        raise GridError(f"n={grid.n} grid points are more than memory holds") from exc
 
 
 @dataclass(frozen=True)
@@ -346,7 +359,7 @@ def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     n_right = grid.n - 1 - i0
     n_left = i0
 
-    values = np.empty(grid.n)
+    values = _grid_floats(grid, lambda: np.empty(grid.n))
     values[i0] = 0.0
     # an overflow shows as a non-finite value, checked once below
     with np.errstate(over="ignore", invalid="ignore"):

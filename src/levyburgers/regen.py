@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError, ParameterError
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
-from .solver import BurgersSolution, owning_vertices, solve, solved_replicates
+from .solver import BurgersSolution, owning_vertices, solved_replicates
 
 # u is sampled at this many equispaced points on each side of T when
 # building the feature vectors.
@@ -64,15 +64,13 @@ def _scan_r_index(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int 
     return None
 
 
-def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> int | None:
+def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> int:
     """First grid index >= start whose entire future satisfies the strict
-    parabola bound."""
-    n = len(ys)
-    for i in range(start, n):
+    parabola bound; the last grid point, with an empty future, always does."""
+    for i in range(start, len(ys)):
         fut = values[i + 1 :] - values[i]
         if np.all(fut < (ys[i + 1 :] - ys[i]) ** 2 / (2.0 * t)):
             return i
-    return None
 
 
 def _first_zero(sol: BurgersSolution) -> float | None:
@@ -150,14 +148,14 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
     return RkResult(rk=rk, converged=converged, steps=len(rk) - 1)
 
 
-def regen_report(path: LevyPath, t: float, k_max: int = 64) -> RegenReport:
-    """rst_scan plus the r_k walk in one report."""
+def regen_report(sol: BurgersSolution, k_max: int = 64) -> RegenReport:
+    """rst_scan plus the r_k walk of the solved flow ``sol`` in one report."""
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
-    base = rst_scan(path, t, solve(path, t))
+    base = rst_scan(sol.path, sol.t, sol)
     if base.R is None:
         return base
-    walk = rk_sequence(path, t, k_max=k_max, r0=base.R)
+    walk = rk_sequence(sol.path, sol.t, k_max=k_max, r0=base.R)
     return base._replace(rk=walk.rk, rk_converged=walk.converged, steps=walk.steps)
 
 

@@ -53,12 +53,8 @@ class Rarefaction(NamedTuple):
 
 class ShockReport(NamedTuple):
     shocks: list[Shock]
-    contacts: np.ndarray
-    contact_indices: np.ndarray
     zero_set: np.ndarray
-    zero_indices: np.ndarray
     rarefactions: list[Rarefaction]
-    window: tuple[float, float]
 
 
 class GapStat(NamedTuple):
@@ -118,7 +114,7 @@ def macroscopic_edges(sol: BurgersSolution) -> np.ndarray:
     return np.diff(sol.vertex_grid_indices) >= 2
 
 
-def _window_zero_indices(sol: BurgersSolution, lo: float, hi: float) -> np.ndarray:
+def _window_zeros(sol: BurgersSolution, lo: float, hi: float) -> np.ndarray:
     """zero_set_indices restricted to vertices in [lo, hi]."""
     z = zero_set_indices(sol)
     return z[(sol.vertex_ys[z] >= lo) & (sol.vertex_ys[z] <= hi)]
@@ -155,17 +151,8 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
         (r_hi - r_lo).tolist(), ba[r].tolist(),
     ))
 
-    in_window = np.flatnonzero((ys >= lo) & (ys <= hi))
-    zero_idx = _window_zero_indices(sol, lo, hi)
-    return ShockReport(
-        shocks=shocks,
-        contacts=ys[in_window],
-        contact_indices=in_window,
-        zero_set=ys[zero_idx],
-        zero_indices=zero_idx,
-        rarefactions=rarefactions,
-        window=sol.window,
-    )
+    zero_set = ys[_window_zeros(sol, lo, hi)]
+    return ShockReport(shocks=shocks, zero_set=zero_set, rarefactions=rarefactions)
 
 
 def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
@@ -180,7 +167,7 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     each constancy-interval piece.  An empty zero set gives an empty report.
     """
     ys, edge_x = sol.vertex_ys, sol.edge_x
-    z = _window_zero_indices(sol, *sol.window)
+    z = _window_zeros(sol, *sol.window)
     g = np.flatnonzero(np.diff(sol.vertex_grid_indices[z]) > 1)
     z1, z2 = ys[z[g]], ys[z[g + 1]]
     if not len(g):
@@ -284,7 +271,7 @@ def window_stats(
     lo, hi, n_pts = _stats_window(window, sol.path.grid)
     ys = sol.vertex_ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
-    n_zero = len(_window_zero_indices(sol, lo, hi))
+    n_zero = len(_window_zeros(sol, lo, hi))
 
     # x_lo <= x_hi and clipping is monotone, so no length is negative
     lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)

@@ -161,7 +161,7 @@ def test_c03_closed_form_fixtures():
     w = pts[(pts >= lo) & (pts <= hi)]
     checks.append(("up: zero set", np.array_equal(
         zp, np.concatenate([w[w <= -1.0], w[w >= 0.0]]))))
-    rr = regen_report(path, 1.0)
+    rr = regen_report(sol)
     checks.append(("up: R,S,T = 0", (rr.R, rr.S, rr.T_first) == (0.0, 0.0, 0.0)))
     checks.append(("up: rk", rr.rk == [0.0] and rr.rk_converged))
 
@@ -180,7 +180,7 @@ def test_c03_closed_form_fixtures():
         checks.append((f"down: a({x})", abs(evaluate_solution(sol, x).a - a_hand) <= 2 * h))
     ev = evaluate_solution(sol, float(s.x))
     checks.append(("down: one-sided u", abs(ev.u_minus - 1.0) <= 2 * h and abs(ev.u) <= 2 * h))
-    rr = regen_report(path, 1.0)
+    rr = regen_report(sol)
     checks.append(("down: R=S=T near 1", rr.R == rr.S == rr.T_first
                    and abs(rr.R - 1.0) <= 2 * h))
     checks.append(("down: rk", rr.rk == [rr.R] and rr.rk_converged))

@@ -14,7 +14,7 @@ import pytest
 import cli_corpus
 import levyburgers
 from levyburgers import LevyParams, ParameterError, extract_shocks, sample_path, solve
-from levyburgers import cli, regen, solver
+from levyburgers import cli, solver
 from levyburgers.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -230,7 +230,7 @@ class TestRegenSubcommand:
             calls.append(path.seed)
             return solve(path, t)
 
-        for module in (cli, regen, solver):
+        for module in (cli, solver):
             monkeypatch.setattr(module, "solve", counting_solve)
         n_rep = 100
         rc = main(

@@ -15,6 +15,7 @@ from levyburgers import (
     classify,
     sample_path,
     stable_increments,
+    zero_path,
 )
 from levyburgers import levy
 from levyburgers.levy import MAX_FLOAT64_ITEMS
@@ -75,8 +76,34 @@ class TestGridSpec:
             GridSpec(5e-324, 129)
         assert GridSpec(5e-324, 3).h == 5e-324
 
+    @pytest.mark.parametrize(
+        "L,n",
+        [(1.0, 7), (5e-300, 129), (4.0, 801), (8.0, 4097), (16.0, 16385),
+         (16.0, 65537), (1e300, 65537)],
+    )
+    def test_points_bitwise(self, L, n):
+        # the float arange gives the bits of the int arange cast to float
+        g = GridSpec(L, n)
+        want = (np.arange(n) - g.zero_index) * g.h
+        assert g.points().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [MAX_FLOAT64_ITEMS, 2**59 + 1], ids=["n", "h"])
+    def test_points_beyond_memory(self, n):
+        # 8 and 4 EiB, beyond any address space: numpy refuses them at once
+        # (n = 2**59 + 1 on [-1, 1] is the step h = 2**-58)
+        with pytest.raises(GridError, match="more than memory holds"):
+            GridSpec(1.0, n).points()
+
 
 class TestSamplePath:
+    def test_grid_beyond_memory(self):
+        # 8 EiB of path values: refused before anything is drawn
+        grid = GridSpec(1.0, MAX_FLOAT64_ITEMS)
+        with pytest.raises(GridError, match="more than memory holds"):
+            sample_path(LevyParams.brownian(1.0), grid, seed=0)
+        with pytest.raises(GridError, match="more than memory holds"):
+            zero_path(grid)
+
     def test_zero_variance_brownian_is_flat(self):
         g = GridSpec(2.0, 65)
         p = sample_path(LevyParams.brownian(0.0), g, seed=7)

@@ -43,28 +43,28 @@ def dcor_pdist_reference(x, y):
 
 class TestFixtureScans:
     def test_zero_path(self, grid_fixture):
-        rep = regen_report(zero_path(grid_fixture), 1.0)
+        rep = regen_report(solve(zero_path(grid_fixture), 1.0))
         assert (rep.R, rep.S, rep.T_first) == (0.0, 0.0, 0.0)
         assert rep.rk == [0.0]
         assert rep.s_equals_t and rep.rk_converged and rep.steps == 0
 
     def test_jump_up_at_half(self, grid_fixture):
         path = step_path(grid_fixture, 0.5, 0.5)
-        rep = regen_report(path, 1.0)
+        rep = regen_report(solve(path, 1.0))
         assert (rep.R, rep.S, rep.T_first) == (0.0, 0.5, 0.5)
         assert rep.rk == [0.0, 0.5]
         assert rep.s_equals_t and rep.rk_converged
 
     def test_jump_up_at_origin(self, grid_fixture):
         path = step_path(grid_fixture, 0.5, 0.0)
-        rep = regen_report(path, 1.0)
+        rep = regen_report(solve(path, 1.0))
         assert (rep.R, rep.S, rep.T_first) == (0.0, 0.0, 0.0)
         assert rep.rk == [0.0]
 
     def test_jump_down(self, grid_fixture):
         # the first nonnegative zero-velocity point sits one cell left of 1
         h = grid_fixture.h
-        rep = regen_report(jump_down(grid_fixture, 0.5), 1.0)
+        rep = regen_report(solve(jump_down(grid_fixture, 0.5), 1.0))
         for v in (rep.R, rep.S, rep.T_first):
             assert abs(v - 1.0) <= 2 * h
         assert rep.R == rep.S == rep.T_first
@@ -73,7 +73,7 @@ class TestFixtureScans:
 
     def test_no_r_no_walk(self):
         # the drop of 100 at -1 keeps every point right of 0 from the R test
-        rep = regen_report(jump_down(GridSpec(4.0, 801), 100.0, -1.0), 1.0)
+        rep = regen_report(solve(jump_down(GridSpec(4.0, 801), 100.0, -1.0), 1.0))
         assert (rep.R, rep.S, rep.T_first, rep.s_equals_t) == (None, None, None, None)
         assert rep.rk == [] and not rep.rk_converged and rep.steps == 0
 

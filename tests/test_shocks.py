@@ -59,7 +59,8 @@ class TestZeroPath:
         lo, hi = sol.window
         pts = grid_fixture.points()
         expected = pts[(pts >= lo) & (pts <= hi)]
-        assert np.array_equal(rep.contacts, expected)
+        ys = sol.vertex_ys
+        assert np.array_equal(ys[(ys >= lo) & (ys <= hi)], expected)
         assert np.array_equal(rep.zero_set, expected)
 
     def test_rarefactions_have_length_h(self, zero_report, grid_fixture):
@@ -185,13 +186,15 @@ class TestRandomPathInvariants:
 
     def test_zero_set_contained_in_contacts(self, solutions):
         for sol in solutions:
-            rep = extract_shocks(sol)
-            assert set(rep.zero_indices).issubset(set(rep.contact_indices))
+            lo, hi = sol.window
+            ys = sol.vertex_ys
+            contacts = ys[(ys >= lo) & (ys <= hi)]
+            assert set(extract_shocks(sol).zero_set).issubset(set(contacts))
 
     def test_rarefactions_tile_window(self, solutions):
         for sol in solutions:
             rep = extract_shocks(sol)
-            lo, hi = rep.window
+            lo, hi = sol.window
             total = sum(r.length for r in rep.rarefactions)
             assert abs(total - (hi - lo)) < 1e-9
             # disjoint: ordered by construction, no overlap
@@ -348,7 +351,6 @@ def reference_extract_shocks(sol) -> ShockReport:
             boundary_affected=bool(sol.boundary_affected[k] or sol.boundary_affected[k + 1]),
         ))
 
-    in_window = np.flatnonzero((ys >= lo) & (ys <= hi))
     zero_all = zero_set_indices(sol)
     zero_idx = zero_all[(ys[zero_all] >= lo) & (ys[zero_all] <= hi)]
 
@@ -361,11 +363,7 @@ def reference_extract_shocks(sol) -> ShockReport:
                 vertex_y=float(ys[k]), x_lo=r_lo, x_hi=r_hi, length=r_hi - r_lo,
                 boundary_affected=bool(sol.boundary_affected[k]),
             ))
-    return ShockReport(
-        shocks=shocks, contacts=ys[in_window], contact_indices=in_window,
-        zero_set=ys[zero_idx], zero_indices=zero_idx, rarefactions=rarefactions,
-        window=sol.window,
-    )
+    return ShockReport(shocks=shocks, zero_set=ys[zero_idx], rarefactions=rarefactions)
 
 
 def reference_gap_samples(sol, z1, z2):
@@ -441,10 +439,8 @@ def test_array_extraction_matches_per_vertex_reference():
         got, want = extract_shocks(sol), reference_extract_shocks(sol)
         _assert_same_records(got.shocks, want.shocks)
         _assert_same_records(got.rarefactions, want.rarefactions)
-        for name in ("contacts", "contact_indices", "zero_set", "zero_indices"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert got.window == want.window
+        assert got.zero_set.dtype == want.zero_set.dtype
+        assert np.array_equal(got.zero_set, want.zero_set)
 
         assert sign_pattern(sol) == reference_sign_pattern(sol)
         n_paths += 1
