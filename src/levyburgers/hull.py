@@ -1,17 +1,19 @@
 """Upper concave majorant of a finite point cloud.
 
 The majorant is the minimal concave function dominating the points.  Its
-vertex chain is found in three vectorized stages: a dyadic chord filter
-drops the points lying strictly below a chord of two other input points
-and compacts its survivors between levels, so that later levels cost
-only what is left; a level-synchronous QuickHull (Barber, Dobkin &
-Huhdanpaa 1996) splits every open segment of a level at its farthest
-point; and one orientation check over consecutive candidate triples
-confirms the chain.  Only when that check flags a triple does a
-monotone-chain pass run, over the candidates alone.  The edge slopes are
-stored once, padded with +/-inf sentinels at the chain ends where the
-majorant is unconstrained by the data, so vertex k has left slope s[k]
-and right slope s[k+1].
+vertex chain is found in vectorized stages: a dyadic chord filter drops
+the points lying strictly below a chord of two other input points and
+compacts its survivors between levels, so that later levels cost only
+what is left; one orientation check over consecutive survivor triples
+then certifies them as the chain when none flags, which settles the
+near-flat inputs whose every point is a vertex.  Only when that check
+flags a triple does a level-synchronous QuickHull (Barber, Dobkin &
+Huhdanpaa 1996) split every open segment of a level at its farthest
+point, the same check confirm its candidates, and, when it flags again,
+a monotone-chain pass run over the candidates alone.  The edge slopes
+are stored once, padded with +/-inf sentinels at the chain ends where
+the majorant is unconstrained by the data, so vertex k has left slope
+s[k] and right slope s[k+1].
 """
 
 from __future__ import annotations
@@ -163,6 +165,18 @@ def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return verts
 
 
+def _flagged(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> bool:
+    """True when some consecutive triple of the sorted indices idx pops.
+
+    When none does, the chain of idx has strictly decreasing slopes, so it
+    is locally and hence globally concave; if idx holds every vertex of
+    the hull, it is the hull's vertex chain.
+    """
+    cy, cv = ys[idx], vs[idx]
+    with np.errstate(over="ignore"):
+        return bool(_pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any())
+
+
 def _chain(ys: list[float], vs: list[float]) -> list[int]:
     """Positions of the monotone-chain vertices of sorted points."""
     stack: list[int] = []
@@ -183,9 +197,13 @@ def upper_concave_majorant(
 
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
     y to the max v beforehand).  Interior points collinear with their
-    neighbours are removed.  The filter and the QuickHull levels are
+    neighbours are removed.  The stages run in the order filter, check,
+    QuickHull only if the check flags a triple, check, chain pass only if
+    it flags again.  The filter, the checks and the QuickHull levels are
     O(n log n) array work; the Python chain pass runs only on the
-    candidates, and only when one of their triples fails the check.
+    QuickHull candidates.  Every filtered point lies under a chord of two
+    input points, so the survivors hold every vertex, and a check that
+    passes on them or on the candidates certifies them as the chain.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -201,12 +219,11 @@ def upper_concave_majorant(
     big = max(-ys[0], ys[-1], vs.max(), -vs.min())
     shift = max(0, math.frexp(big)[1] - SCALE_EXPONENT)
     sy, sv = (np.ldexp(ys, -shift), np.ldexp(vs, -shift)) if shift else (ys, vs)
-    idx = _quickhull(sy, sv, _chord_filter(sy, sv))
-    cy, cv = sy[idx], sv[idx]
-    with np.errstate(over="ignore"):
-        flagged = _pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
-    if flagged:
-        idx = idx[_chain(cy.tolist(), cv.tolist())]
+    idx = _chord_filter(sy, sv)
+    if _flagged(sy, sv, idx):
+        idx = _quickhull(sy, sv, idx)
+        if _flagged(sy, sv, idx):
+            idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
     idx = idx.astype(np.intp)
     return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 

@@ -7,6 +7,9 @@ constancy (rarefaction) record.  Every plain result record of the package
 is a NamedTuple, and a row record is one CSV row under the columns
 ``_fields``; a class stays a dataclass only where it validates or derives a
 field, defines a method, is ``replace``d by the tests or builds CLI flags.
+A report's shock and rarefaction rows are ``Records``: rows of a
+NamedTuple type held as one array per field, so that extraction stays
+array work, and built as rows of Python floats and bools only when read.
 On a finite grid every vertex has a positive-length constancy interval, so
 rarefaction claims are studied through refinement trends rather than
 per-grid booleans.
@@ -15,6 +18,7 @@ per-grid booleans.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +55,36 @@ class Rarefaction(NamedTuple):
     boundary_affected: bool
 
 
+class Records(Sequence):
+    """Rows of the NamedTuple type ``row_type``, held as ``columns``, one
+    array per ``row_type._fields`` entry.
+
+    ``len`` counts rows.  Iterating or indexing builds ``row_type`` rows
+    whose values are Python floats and bools; a slice is again Records.
+    """
+
+    __slots__ = ("row_type", "columns")
+
+    def __init__(self, row_type: type, *columns: np.ndarray):
+        self.row_type = row_type
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self.row_type, *(c[i] for c in self.columns))
+        return self.row_type(*(c[i].item() for c in self.columns))
+
+    def __iter__(self):
+        return map(self.row_type, *(c.tolist() for c in self.columns))
+
+
 class ShockReport(NamedTuple):
-    shocks: list[Shock]
+    shocks: Records  # of Shock
     zero_set: np.ndarray
-    rarefactions: list[Rarefaction]
+    rarefactions: Records  # of Rarefaction
 
 
 class GapStat(NamedTuple):
@@ -138,18 +168,14 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     a_minus, a_plus = ys[k], ys[k + 1]
     mass = a_plus - a_minus
     dpsi = sol.path.values[gidx[k + 1]] - sol.path.values[gidx[k]]
-    shocks = list(map(
-        Shock, sol.edge_x[k].tolist(), a_minus.tolist(), a_plus.tolist(),
-        mass.tolist(), (-dpsi / mass).tolist(), (ba[k] | ba[k + 1]).tolist(),
-    ))
+    shocks = Records(
+        Shock, sol.edge_x[k], a_minus, a_plus, mass, -dpsi / mass, ba[k] | ba[k + 1]
+    )
 
     r_lo, r_hi = np.clip(sol.x_lo, lo, hi), np.clip(sol.x_hi, lo, hi)
     r = np.flatnonzero(r_hi > r_lo)
     r_lo, r_hi = r_lo[r], r_hi[r]
-    rarefactions = list(map(
-        Rarefaction, ys[r].tolist(), r_lo.tolist(), r_hi.tolist(),
-        (r_hi - r_lo).tolist(), ba[r].tolist(),
-    ))
+    rarefactions = Records(Rarefaction, ys[r], r_lo, r_hi, r_hi - r_lo, ba[r])
 
     zero_set = ys[_window_zeros(sol, lo, hi)]
     return ShockReport(shocks=shocks, zero_set=zero_set, rarefactions=rarefactions)

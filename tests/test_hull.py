@@ -191,10 +191,10 @@ def test_hypothesis_hull_matches_oracle(points):
     assert np.all(np.diff(cm.s[1:-1]) < 0)
 
 
-def _shifted(path):
-    """Grid and shifted potential at t = 1, the cloud solve() hands the hull."""
+def _shifted(path, t=1.0):
+    """Grid and shifted potential at t, the cloud solve() hands the hull."""
     ys = path.grid.points()
-    return ys, path.values - ys * ys / 2.0
+    return ys, path.values - ys * ys / (2.0 * t)
 
 
 LEVY_FAMILIES = {
@@ -272,6 +272,43 @@ class TestMatchesMonotoneChain:
         assert hull._pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any()
         cm = upper_concave_majorant(np.column_stack([ys, vs]))
         assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+
+class TestCertifiedFilter:
+    """The check on the chord filter's survivors certifies them as the
+    chain when no triple pops, and QuickHull runs only when one does."""
+
+    @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("source", ["zero", "sigma1e-12"])
+    def test_all_vertex_inputs_skip_quickhull(self, source, t, monkeypatch):
+        grid = GridSpec(16.0, 16385)
+        if source == "zero":
+            path = zero_path(grid)
+        else:
+            path = sample_path(LevyParams.brownian(1e-12), grid, 1)
+
+        def refuse(*args):
+            raise AssertionError("QuickHull ran on a certified chain")
+
+        monkeypatch.setattr(hull, "_quickhull", refuse)
+        cm = assert_matches_reference(*_shifted(path, t))
+        assert len(cm) == grid.n
+
+    @pytest.mark.parametrize("fixture", [jump_up, jump_down])
+    def test_jump_fixtures_reach_quickhull(self, fixture, monkeypatch):
+        """A step leaves a survivor under the chord of its neighbours, so
+        the check flags and QuickHull runs once, on the survivors."""
+        calls = []
+        quickhull = hull._quickhull
+
+        def counted(ys, vs, idx):
+            calls.append(len(idx))
+            return quickhull(ys, vs, idx)
+
+        monkeypatch.setattr(hull, "_quickhull", counted)
+        ys, vs = _shifted(fixture(GridSpec(16.0, 16385)))
+        cm = assert_matches_reference(ys, vs)
+        assert calls == [len(hull._chord_filter(ys, vs))] and len(cm) < calls[0]
 
 
 def test_peak_memory_bounded():

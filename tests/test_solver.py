@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from levyburgers import (
     solve,
     solve_naive,
     step_path,
+    upper_concave_majorant,
     zero_path,
     zero_set_indices,
 )
@@ -337,6 +340,50 @@ def test_oracle_sweep_at_real_grid_sizes(case):
     xs = xs[(xs >= lo) & (xs <= hi)]
     a_hull = sol.vertex_ys[owning_vertices(sol, xs)]
     assert np.array_equal(a_hull, solve_naive(path, t, xs))
+
+
+NESTING_TIMES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+# the ORACLE_SWEEP paths, each once, by case name without its t
+NESTING_PATHS = {c.rsplit("-t", 1)[0]: ORACLE_SWEEP[c][:3] for c in ORACLE_SWEEP}
+NESTING_FIXTURES = {
+    "zero": zero_path,
+    "jump_up": lambda grid: jump_up(grid, 0.5),
+    "jump_down": lambda grid: jump_down(grid, 0.5),
+    "sigma1e-3": lambda grid: sample_path(LevyParams.brownian(1e-3), grid, 7),
+}
+
+
+def _nesting_path(case):
+    if case in NESTING_FIXTURES:
+        return NESTING_FIXTURES[case](GridSpec(16.0, 16385))
+    L, n, params = NESTING_PATHS[case]
+    grid = GridSpec(L, n)
+    return _noisy_step(grid, 7) if params is None else sample_path(params, grid, 7)
+
+
+@pytest.mark.parametrize("case", [*NESTING_PATHS, *NESTING_FIXTURES])
+def test_hull_vertices_nest_in_time(case):
+    """Hopf-Lax nesting, with no oracle: for t1 < t2 the shifted potentials
+    differ by the concave c*y^2 (c = 1/(2 t1) - 1/(2 t2) > 0), so every
+    contact point at t2 is one at t1, V(t2) in V(t1), and the hull at t2
+    of the V(t1) points alone is the full hull at t2.  Each t from 1e-6 to
+    1e6 whose parabola term stays finite at the grid end; the dense
+    fixtures are all-vertex at small t, so the certified filter is
+    crossed at extreme t."""
+    path = _nesting_path(case)
+    ys = path.grid.points()
+    y_end = float(ys[-1])
+    times = [t for t in NESTING_TIMES if math.isfinite(y_end * y_end / (2.0 * t))]
+    assert len(times) >= 3
+    prev = None
+    for t in times:
+        vs = path.values - ys * ys / (2.0 * t)
+        full = upper_concave_majorant(np.array([ys, vs]).T).indices
+        if prev is not None:
+            assert np.isin(full, prev).all()
+            nested = upper_concave_majorant(np.array([ys[prev], vs[prev]]).T)
+            assert np.array_equal(prev[nested.indices], full)
+        prev = full
 
 
 def _adversarial_params():
