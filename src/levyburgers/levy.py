@@ -5,6 +5,10 @@ stationary independent increments and psi0(0) = 0.  This module samples
 such paths on a uniform grid symmetric about the origin, classifies the
 supported families (regularity flags used downstream), and provides a
 Monte Carlo diagnostic for the abrupt/eroded integral criterion.
+
+A path is one array of values, written once: each side of 0 is summed in
+place from its own increment stream, and its jumps are tagged from that
+side's raw increments, with sizes read back from the values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GridError, ParameterError
+from .errors import GridError, InputError, ParameterError
 
 FAMILIES = ("brownian", "stable", "cpoisson")
 
@@ -193,11 +197,12 @@ def jump_array(index, size) -> np.ndarray:
 class LevyPath:
     """Discretized two-sided potential path.
 
-    ``values[i]`` is psi0 at ``grid.points()[i]``; ``tracked_jumps`` is a
-    JUMP_DTYPE array with one (grid index, signed size) record per
-    increment tagged as a jump, the index being the first grid point whose
-    value includes the jump.  Indices are strictly increasing.  Arrays are
-    treated as immutable after construction.
+    ``values[i]`` is psi0 at ``grid.points()[i]``: one finite float per
+    grid point, checked here, so every solver may rely on it.
+    ``tracked_jumps`` is a JUMP_DTYPE array with one (grid index, signed
+    size) record per increment tagged as a jump, the index being the first
+    grid point whose value includes the jump.  Indices are strictly
+    increasing.  Arrays are treated as immutable after construction.
     """
 
     grid: GridSpec
@@ -205,6 +210,13 @@ class LevyPath:
     tracked_jumps: np.ndarray
     params: LevyParams | None
     seed: int | None
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if shape != (self.grid.n,):
+            raise InputError(f"need one value per grid point, shape ({self.grid.n},); got {shape}")
+        if not np.isfinite(self.values).all():
+            raise InputError("path values must be finite")
 
 
 def _check_stable(alpha: float, beta: float, c: float) -> None:
@@ -301,26 +313,16 @@ def _cell_increments(
     return sums
 
 
-def _tag_jumps(
-    params: LevyParams, incr: np.ndarray, embedded: np.ndarray, h: float
-) -> np.ndarray:
-    """Tag macroscopic jumps among the cell increments, in grid order.
-
-    ``incr[c]`` and ``embedded[c]`` are the raw and the embedded increment
-    over cell c, so grid point c + 1 is the first to include it.
-    Detection thresholds the raw increments; the stored size is the
-    increment embedded in the path values, so jumps reproduce the value
-    differences bit for bit.
-    """
+def _jump_cells(params: LevyParams, incr: np.ndarray, h: float) -> np.ndarray:
+    """Positions in one side's raw increments ``incr`` that are tagged as
+    jumps: stable increments above JUMP_THRESHOLD_SCALES step scales, every
+    nonzero compound Poisson increment, and no Brownian one."""
     if params.family == "brownian":
-        return jump_array([], [])
+        return np.empty(0, np.intp)
     if params.family == "stable":
         thr = JUMP_THRESHOLD_SCALES * params.scale * h ** (1.0 / params.alpha)
-        mask = np.abs(incr) > thr
-    else:
-        mask = incr != 0.0
-    cells = np.flatnonzero(mask & (embedded != 0.0))
-    return jump_array(cells + 1, embedded[cells])
+        return np.flatnonzero(np.abs(incr) > thr)
+    return np.flatnonzero(incr != 0.0)
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
@@ -346,38 +348,45 @@ def _overflow_error(params: LevyParams) -> ParameterError:
 def sample_path(params: LevyParams, grid: GridSpec, seed: int) -> LevyPath:
     """Sample psi0 on the grid; pure function of (params, grid, seed).
 
-    The two sides of 0 use independent child streams of the seed.  Right
-    of 0 the values are cumulative sums of i.i.d. step-h increments; left
-    of 0 they are negated cumulative sums of an independent increment
-    stream walked leftward, so increments over every grid cell are i.i.d.
-    with the step-h law and psi0(0) = 0.
+    The two sides of 0 use independent child streams of the seed, each
+    drawing i0 = grid.zero_index i.i.d. step-h increments, so increments
+    over every grid cell are i.i.d. with the step-h law and psi0(0) = 0.
+    Each side is summed in place into ``values``: rightward from 0, and
+    leftward from 0 and then negated.  Jumps are tagged from each side's
+    own raw increments; the stored size is read back from ``values`` at
+    the tagged cells only, so it equals the value difference bit for bit.
     """
     ss = _seed_sequence(seed)
     right_ss, left_ss = ss.spawn(2)
     i0 = grid.zero_index
     h = grid.h
-    n_right = grid.n - 1 - i0
-    n_left = i0
 
     values = _grid_floats(grid, lambda: np.empty(grid.n))
     values[i0] = 0.0
+    # psi0(y) for y < 0 is minus the sum of the increments between y and 0;
+    # incr_l[k] is the increment over cell i0 - 1 - k, and i0 >= 1
+    left = values[i0 - 1 :: -1]
     # an overflow shows as a non-finite value, checked once below
     with np.errstate(over="ignore", invalid="ignore"):
-        incr_r = _cell_increments(params, h, n_right, np.random.default_rng(right_ss))
-        incr_l = _cell_increments(params, h, n_left, np.random.default_rng(left_ss))
-        values[i0 + 1 :] = np.cumsum(incr_r)
-        # incr_l[k] is the increment over cell (i0-1-k); psi0(y) for y < 0
-        # is minus the sum of the increments between y and 0
-        values[:i0] = -np.cumsum(incr_l)[::-1]
+        incr_r = _cell_increments(params, h, i0, np.random.default_rng(right_ss))
+        incr_l = _cell_increments(params, h, i0, np.random.default_rng(left_ss))
+        np.cumsum(incr_r, out=values[i0 + 1 :])
+        np.cumsum(incr_l, out=left)
+        np.negative(left, out=left)
     if not np.isfinite(values).all():
         raise _overflow_error(params)
 
-    # incr_l walks leftward from 0; reversed, it lines up with the cells
-    jumps = _tag_jumps(params, np.concatenate([incr_l[::-1], incr_r]), np.diff(values), h)
+    # right position k is cell i0 + k, left position k is cell i0 - 1 - k;
+    # grid point c + 1 is the first to include the increment over cell c
+    cells = np.concatenate(
+        [i0 - 1 - _jump_cells(params, incr_l, h)[::-1], i0 + _jump_cells(params, incr_r, h)]
+    )
+    sizes = values[cells + 1] - values[cells]
+    tagged = sizes != 0.0
     return LevyPath(
         grid=grid,
         values=values,
-        tracked_jumps=jumps,
+        tracked_jumps=jump_array(cells[tagged] + 1, sizes[tagged]),
         params=params,
         seed=ss.entropy[0],  # the masked seed
     )

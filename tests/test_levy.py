@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from levyburgers import (
     GridSpec,
     JumpDist,
     LevyParams,
+    LevyPath,
     ParameterError,
     abruptness_integral_estimate,
     classify,
@@ -93,6 +95,76 @@ class TestGridSpec:
         # (n = 2**59 + 1 on [-1, 1] is the step h = 2**-58)
         with pytest.raises(GridError, match="more than memory holds"):
             GridSpec(1.0, n).points()
+
+
+def reference_sample_path(params, grid, seed):
+    """The two-temporary sampler that sample_path replaced, kept as its
+    bitwise reference: each side cumsummed into a new array, the left one
+    negated and reversed, then jumps tagged over the concatenated raw
+    increments against np.diff of the values."""
+    ss = levy._seed_sequence(seed)
+    right_ss, left_ss = ss.spawn(2)
+    i0, h = grid.zero_index, grid.h
+    values = np.empty(grid.n)
+    values[i0] = 0.0
+    incr_r = levy._cell_increments(params, h, grid.n - 1 - i0, np.random.default_rng(right_ss))
+    incr_l = levy._cell_increments(params, h, i0, np.random.default_rng(left_ss))
+    values[i0 + 1 :] = np.cumsum(incr_r)
+    values[:i0] = -np.cumsum(incr_l)[::-1]
+    incr = np.concatenate([incr_l[::-1], incr_r])
+    embedded = np.diff(values)
+    if params.family == "brownian":
+        mask = np.zeros(incr.size, bool)
+    elif params.family == "stable":
+        mask = np.abs(incr) > levy.JUMP_THRESHOLD_SCALES * params.scale * h ** (1.0 / params.alpha)
+    else:
+        mask = incr != 0.0
+    cells = np.flatnonzero(mask & (embedded != 0.0))
+    jumps = levy.jump_array(cells + 1, embedded[cells])
+    return LevyPath(grid, values, jumps, params, ss.entropy[0])
+
+
+REFERENCE_LAWS = {
+    "brownian": LevyParams.brownian(1.0),
+    "brownian0": LevyParams.brownian(0.0),
+    "stable1.5": LevyParams.stable(1.5, 0.0),
+    "stable0.75": LevyParams.stable(0.75, 0.0),
+    "stable0.51+": LevyParams.stable(0.51, 1.0),
+    "stable0.51-": LevyParams.stable(0.51, -1.0),
+    "cauchy": LevyParams.cauchy(),
+    "cp-normal": LevyParams.compound_poisson(0.5, JumpDist("normal", 0.0, 1.0)),
+    "cp-uniform": LevyParams.compound_poisson(1e3, JumpDist("uniform", -1.0, 2.0)),
+    "cp-fixed": LevyParams.compound_poisson(2.0, JumpDist("fixed", 0.5)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4097, 65537])
+@pytest.mark.parametrize("law", REFERENCE_LAWS)
+def test_sample_path_matches_reference(law, n):
+    """Same values, jumps and seed as the reference, byte for byte, so a
+    -0.0 counts; the law flags the tagging (none, thresholded, nonzero)."""
+    grid = GridSpec(8.0, n)
+    for seed in range(3):
+        got = sample_path(REFERENCE_LAWS[law], grid, seed)
+        want = reference_sample_path(REFERENCE_LAWS[law], grid, seed)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tracked_jumps.tobytes() == want.tracked_jumps.tobytes()
+        assert got.seed == want.seed
+
+
+def test_sample_path_peak_memory_bounded():
+    """One Brownian path at n = 65537 peaks under 1.25 MiB of traced
+    allocations: its values (512 KiB) and the two per-side increment
+    arrays (256 KiB each), with no other full-grid scratch array."""
+    grid = GridSpec(16.0, 65537)
+    sample_path(LevyParams.brownian(1.0), grid, 1)
+    tracemalloc.start()
+    try:
+        sample_path(LevyParams.brownian(1.0), grid, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 class TestSamplePath:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from levyburgers import (
     GridSpec,
+    InputError,
     LevyBurgersError,
     LevyParams,
     LevyPath,
@@ -20,6 +21,7 @@ from levyburgers import (
     lagrangian_position,
     moreau_envelope,
     prox_fixed_points,
+    rk_sequence,
     sample_path,
     solve,
     solve_naive,
@@ -28,6 +30,7 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
+from levyburgers.levy import jump_array
 from levyburgers.solver import owning_vertices
 from conftest import derived_seed
 
@@ -371,10 +374,16 @@ def test_hull_vertices_nest_in_time(case):
     fixtures are all-vertex at small t, so the certified filter is
     crossed at extreme t."""
     path = _nesting_path(case)
-    ys = path.grid.points()
-    y_end = float(ys[-1])
+    y_end = float(path.grid.points()[-1])
     times = [t for t in NESTING_TIMES if math.isfinite(y_end * y_end / (2.0 * t))]
     assert len(times) >= 3
+    _assert_hulls_nest(path, times)
+
+
+def _assert_hulls_nest(path, times):
+    """For increasing times, V(t2) in V(t1) and the hull at t2 of the V(t1)
+    points alone is the full hull at t2."""
+    ys = path.grid.points()
     prev = None
     for t in times:
         vs = path.values - ys * ys / (2.0 * t)
@@ -430,7 +439,56 @@ def test_hypothesis_adversarial_regimes_match_oracle(params, half, half_width, t
     assert np.array_equal([ev.a for ev in evs], solve_naive(sol.path, t, xs))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    params=_adversarial_params(),
+    half=st.integers(1, 32),
+    half_width=st.sampled_from([1.0, 4.0, 16.0]),
+    t=st.floats(1e-6, 1e6),
+    ratio=st.sampled_from([1.5, 2.0, 10.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_hypothesis_adversarial_regimes_nest_in_time(params, half, half_width, t, ratio, seed):
+    """Hopf-Lax nesting from t to t * ratio over the adversarial regimes,
+    with no oracle; a path that cannot be sampled, or whose shifted
+    potential is not finite, is skipped."""
+    grid = GridSpec(half_width, 2 * half + 1)
+    try:
+        path = sample_path(params, grid, seed)
+    except LevyBurgersError:
+        return
+    ys = grid.points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(path.values - ys * ys / (2.0 * t)).all():
+            return
+    _assert_hulls_nest(path, [t, t * ratio])
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda path: solve(path, 1.0),
+            lambda path: solve_naive(path, 1.0, [0.0]),
+            lambda path: rk_sequence(path, 1.0, r0=0.0),
+        ],
+        ids=["solve", "solve_naive", "rk_sequence"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [(7, np.nan), (0, np.inf), (40, np.inf), None],
+        ids=["nan", "inf-first", "inf-inside", "short"],
+    )
+    def test_bad_values_refused(self, call, bad):
+        """A path holds one finite value per grid point: a NaN, an inf or
+        63 values on the 65-point grid is refused where the path is built,
+        so no solver is handed it."""
+        grid = GridSpec(2.0, 65)
+        values = np.zeros(65 if bad else 63)
+        if bad:
+            values[bad[0]] = bad[1]
+        with pytest.raises(InputError):
+            call(LevyPath(grid, values, jump_array([], []), None, None))
+
     def test_nonpositive_t(self, grid_fixture):
         with pytest.raises(ParameterError):
             solve(zero_path(grid_fixture), 0.0)
