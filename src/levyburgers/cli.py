@@ -198,25 +198,24 @@ def _simulate(config: ExperimentConfig, emit) -> None:
 def _solve(config: ExperimentConfig, emit) -> None:
     path = config.build_path()
     sol = solve(path, config.t)
-    s = sol.majorant.s
+    cm = sol.majorant
     emit(
         "vertices.csv",
         ["y", "c_bar", "s_left", "s_right", "x_lo", "x_hi", "boundary_affected"],
-        zip(sol.vertex_ys, sol.vertex_values, s[:-1], s[1:], sol.x_lo, sol.x_hi,
-            sol.boundary_affected),
+        zip(cm.ys, cm.vs, cm.s[:-1], cm.s[1:], sol.x_lo, sol.x_hi, sol.boundary_affected),
     )
     lo, hi = sol.window
     ys = path.grid.points()
     xs = ys[(ys >= lo) & (ys <= hi)]
-    a = sol.vertex_ys[owning_vertices(sol, xs)]
+    a = cm.ys[owning_vertices(sol, xs)]
     emit("eulerian.csv", ["x", "a", "u"], zip(xs, a, (xs - a) / config.t))
 
 
 def _shocks(config: ExperimentConfig, emit) -> None:
     rep = extract_shocks(solve(config.build_path(), config.t))
-    emit("shocks.csv", Shock._fields, rep.shocks)
+    emit("shocks.csv", Shock._fields, zip(*rep.shocks.columns))
     emit("zero_set.csv", ["y"], zip(rep.zero_set))
-    emit("rarefactions.csv", Rarefaction._fields, rep.rarefactions)
+    emit("rarefactions.csv", Rarefaction._fields, zip(*rep.rarefactions.columns))
 
 
 def _regen(config: ExperimentConfig, emit) -> None:

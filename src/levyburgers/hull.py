@@ -44,6 +44,17 @@ SCALE_EXPONENT = 500
 FILTER_BLOCK = 16384
 
 
+def read_only(a) -> np.ndarray:
+    """``a`` as an array that refuses writes: ``a`` itself, flagged
+    read-only, when it owns its data, else a read-only copy, so that no
+    handle to a borrowed buffer can change it later."""
+    a = np.asarray(a)
+    if not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ConcaveMajorant:
     """Vertex/slope representation of an upper concave hull.
@@ -52,7 +63,8 @@ class ConcaveMajorant:
     ``indices`` the positions of the vertices in the input cloud.  ``s``
     (length m+1) is +inf, the strictly decreasing edge slopes, then -inf:
     vertex k has left slope ``s[k]`` and right slope ``s[k+1]``, and every
-    reader of a slope interval slices this one array.
+    reader of a slope interval slices this one array.  All four arrays
+    are read-only.
     """
 
     ys: np.ndarray
@@ -61,10 +73,12 @@ class ConcaveMajorant:
     s: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        for name in ("ys", "vs", "indices"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         s = np.empty(len(self.ys) + 1)
         s[0], s[-1] = np.inf, -np.inf
         np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", read_only(s))
 
     def __len__(self) -> int:
         return len(self.ys)

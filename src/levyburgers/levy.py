@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GridError, InputError, ParameterError
+from .hull import read_only
 
 FAMILIES = ("brownian", "stable", "cpoisson")
 
@@ -202,7 +203,7 @@ class LevyPath:
     ``tracked_jumps`` is a JUMP_DTYPE array with one (grid index, signed
     size) record per increment tagged as a jump, the index being the first
     grid point whose value includes the jump.  Indices are strictly
-    increasing.  Arrays are treated as immutable after construction.
+    increasing.  Both arrays are read-only.
     """
 
     grid: GridSpec
@@ -217,6 +218,8 @@ class LevyPath:
             raise InputError(f"need one value per grid point, shape ({self.grid.n},); got {shape}")
         if not np.isfinite(self.values).all():
             raise InputError("path values must be finite")
+        for name in ("values", "tracked_jumps"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def _check_stable(alpha: float, beta: float, c: float) -> None:

@@ -75,7 +75,7 @@ def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> i
 
 def _first_zero(sol: BurgersSolution) -> float | None:
     """Smallest nonnegative element of the zero set, over the whole grid."""
-    zy = sol.vertex_ys[zero_set_indices(sol)]
+    zy = sol.majorant.ys[zero_set_indices(sol)]
     zy = zy[zy >= 0.0]
     return float(zy[0]) if len(zy) else None
 
@@ -215,7 +215,7 @@ def permutation_pvalue(
     count = 0
     for _ in range(n_perm):
         perm = rng.permutation(len(bb))
-        if _dcor(aa, bb[np.ix_(perm, perm)], dvar_x, dvar_y) >= obs:
+        if _dcor(aa, bb[perm][:, perm], dvar_x, dvar_y) >= obs:
             count += 1
     return obs, (1 + count) / (1 + n_perm)
 
@@ -230,7 +230,7 @@ def _side_features(
     # edge_x is nondecreasing (t > 0): a range of it counts the shocks
     side = "right" if closed_right else "left"
     lo_k, hi_k = np.searchsorted(sol.edge_x[macroscopic_edges(sol)], [lo, hi], side=side)
-    u = (xs - sol.vertex_ys[owning_vertices(sol, xs)]) / sol.t
+    u = (xs - sol.majorant.ys[owning_vertices(sol, xs)]) / sol.t
     return np.array([u.mean(), u.min(), float(hi_k - lo_k)])
 
 

@@ -122,7 +122,7 @@ def zero_set_indices(sol: BurgersSolution) -> np.ndarray:
     The closed slope interval keeps tie vertices, mirroring the closure in
     the definition of the zero-velocity set.
     """
-    target = -sol.vertex_ys / sol.t
+    target = -sol.majorant.ys / sol.t
     s = sol.majorant.s
     return np.flatnonzero((s[1:] <= target) & (target <= s[:-1]))
 
@@ -133,7 +133,7 @@ def epsilon_regular_indices(sol: BurgersSolution) -> np.ndarray:
     Finite-resolution proxy for contact points isolated on neither side
     (particles untouched by collisions).
     """
-    close = np.diff(sol.vertex_grid_indices) < 10
+    close = np.diff(sol.majorant.indices) < 10
     return np.flatnonzero(close[:-1] & close[1:]) + 1
 
 
@@ -141,13 +141,13 @@ def macroscopic_edges(sol: BurgersSolution) -> np.ndarray:
     """Mask of the hull edges whose interval swallows at least one interior
     grid point (grid-index gap >= 2): single-cell edges are the
     discretization of a continuous increase of a(.), not discontinuities."""
-    return np.diff(sol.vertex_grid_indices) >= 2
+    return np.diff(sol.majorant.indices) >= 2
 
 
 def _window_zeros(sol: BurgersSolution, lo: float, hi: float) -> np.ndarray:
     """zero_set_indices restricted to vertices in [lo, hi]."""
     z = zero_set_indices(sol)
-    return z[(sol.vertex_ys[z] >= lo) & (sol.vertex_ys[z] <= hi)]
+    return z[(sol.majorant.ys[z] >= lo) & (sol.majorant.ys[z] <= hi)]
 
 
 def extract_shocks(sol: BurgersSolution) -> ShockReport:
@@ -160,8 +160,8 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     recomputed here.
     """
     lo, hi = sol.window
-    ys = sol.vertex_ys
-    gidx = sol.vertex_grid_indices
+    ys = sol.majorant.ys
+    gidx = sol.majorant.indices
     ba = sol.boundary_affected
 
     k = np.flatnonzero((sol.edge_x >= lo) & (sol.edge_x <= hi) & macroscopic_edges(sol))
@@ -192,9 +192,9 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     sampled at u(x-), u(x) at each shock x in it and at the midpoint of
     each constancy-interval piece.  An empty zero set gives an empty report.
     """
-    ys, edge_x = sol.vertex_ys, sol.edge_x
+    ys, edge_x = sol.majorant.ys, sol.edge_x
     z = _window_zeros(sol, *sol.window)
-    g = np.flatnonzero(np.diff(sol.vertex_grid_indices[z]) > 1)
+    g = np.flatnonzero(np.diff(sol.majorant.indices[z]) > 1)
     z1, z2 = ys[z[g]], ys[z[g + 1]]
     if not len(g):
         return SignPatternReport(violations=[], gap_stats=[])
@@ -244,12 +244,12 @@ def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
     size 0, counts as untracked.
     """
     path = sol.path
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     tol = ONE_SIDED_TOL_CELLS * path.grid.h
     below = (sol.x_hi <= ys + tol) & (sol.x_lo < ys - tol)
     above = (sol.x_lo >= ys - tol) & (sol.x_hi > ys + tol)
     one_sided = (below | above) & ~sol.boundary_affected
-    g = sol.vertex_grid_indices[one_sided]
+    g = sol.majorant.indices[one_sided]
 
     # jump sizes by grid index, 0 where none is tracked; index -1 wraps to a pad
     size = np.zeros(path.grid.n + 1)
@@ -295,7 +295,7 @@ def window_stats(
     window.
     """
     lo, hi, n_pts = _stats_window(window, sol.path.grid)
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
     n_zero = len(_window_zeros(sol, lo, hi))
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, ParameterError, WindowTooSmallError
-from .hull import ConcaveMajorant, upper_concave_majorant
+from .hull import ConcaveMajorant, read_only, upper_concave_majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 
 # Fraction of the grid length trimmed from each side to form the analysis
@@ -41,34 +41,37 @@ class BurgersSolution:
     """Exact piecewise representation of a(., t) and u(., t).
 
     Vertex k of the shifted-potential majorant owns the Eulerian interval
-    [x_lo[k], x_hi[k]] on which a(x) = vertex_ys[k]; consecutive intervals
-    share a single shock point and tile the line.  ``edge_x`` holds the
-    shared endpoints (the shock locations), increasing.  Ties at shared
-    endpoints resolve to the right vertex, which realizes both the right
-    continuity of a and the largest-argmax convention.
+    [breaks[k], breaks[k+1]] on which a(x) = majorant.ys[k].  ``breaks`` =
+    -t * majorant.s is -inf, the m-1 shock locations increasing, then +inf,
+    so consecutive intervals share a shock point and tile the line;
+    ``x_lo``, ``x_hi`` and ``edge_x`` (the shocks) are views of it.  Ties
+    at shared endpoints resolve to the right vertex, which realizes both
+    the right continuity of a and the largest-argmax convention.  The
+    arrays are read-only.
     """
 
     t: float
     path: LevyPath
     majorant: ConcaveMajorant
     window: tuple[float, float]
-    x_lo: np.ndarray
-    x_hi: np.ndarray
+    breaks: np.ndarray
     boundary_affected: np.ndarray
-    edge_x: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "breaks", read_only(self.breaks))
+        object.__setattr__(self, "boundary_affected", read_only(self.boundary_affected))
 
     @property
-    def vertex_ys(self) -> np.ndarray:
-        return self.majorant.ys
+    def x_lo(self) -> np.ndarray:
+        return self.breaks[:-1]
 
     @property
-    def vertex_values(self) -> np.ndarray:
-        """Majorant values at the vertices (shifted potential)."""
-        return self.majorant.vs
+    def x_hi(self) -> np.ndarray:
+        return self.breaks[1:]
 
     @property
-    def vertex_grid_indices(self) -> np.ndarray:
-        return self.majorant.indices
+    def edge_x(self) -> np.ndarray:
+        return self.breaks[1:-1]
 
     def __len__(self) -> int:
         return len(self.majorant)
@@ -113,20 +116,17 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
         breaks = -t * cm.s
     if not np.isfinite(breaks[1:-1]).all():
         raise ParameterError(f"t={t:g} times a hull slope overflows float64; lower t")
-    x_lo, x_hi = breaks[:-1], breaks[1:]
 
     window = analysis_window(path.grid)
-    boundary = (x_lo < window[0]) | (x_hi > window[1])
+    boundary = (breaks[:-1] < window[0]) | (breaks[1:] > window[1])
 
     return BurgersSolution(
         t=t,
         path=path,
         majorant=cm,
         window=window,
-        x_lo=x_lo,
-        x_hi=x_hi,
+        breaks=breaks,
         boundary_affected=boundary,
-        edge_x=x_hi[:-1],
     )
 
 
@@ -172,8 +172,8 @@ def evaluate_solution(sol: BurgersSolution, x: float) -> EulerianValues:
     """
     kr = _owning_vertex(sol, x)
     kl = int(np.searchsorted(sol.edge_x, x, side="left"))
-    a = float(sol.vertex_ys[kr])
-    a_minus = float(sol.vertex_ys[kl])
+    a = float(sol.majorant.ys[kr])
+    a_minus = float(sol.majorant.ys[kl])
     return EulerianValues(
         a=a, a_minus=a_minus, u=(x - a) / sol.t, u_minus=(x - a_minus) / sol.t
     )
@@ -205,7 +205,7 @@ def lagrangian_position(sol: BurgersSolution, a: float) -> float:
     interval sit at the shock point; a particle that is itself a vertex
     sits inside its own constancy interval (at a when untouched).
     """
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     if not ys[0] <= a <= ys[-1]:
         raise OutOfDomainError(f"a={a} outside the Lagrangian window")
     k = int(np.searchsorted(ys, a, side="left"))
@@ -222,7 +222,7 @@ def moreau_envelope(sol: BurgersSolution, x: float) -> float:
     """
     k = _owning_vertex(sol, x)
     t = sol.t
-    return float(sol.vertex_values[k] + x * sol.vertex_ys[k] / t - x * x / (2.0 * t))
+    return float(sol.majorant.vs[k] + x * sol.majorant.ys[k] / t - x * x / (2.0 * t))
 
 
 def prox_fixed_points(sol: BurgersSolution) -> np.ndarray:
@@ -231,5 +231,5 @@ def prox_fixed_points(sol: BurgersSolution) -> np.ndarray:
     These are the fixed points of the proximal mapping x -> a(x); interval
     membership is closed on both ends.
     """
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     return np.flatnonzero((sol.x_lo <= ys) & (ys <= sol.x_hi))

@@ -121,7 +121,7 @@ class TestScanInvariants:
                 continue
             walk = [R]
             for _ in range(len(sol)):
-                a = float(sol.vertex_ys[owning_vertices(sol, walk[-1])])
+                a = float(sol.majorant.ys[owning_vertices(sol, walk[-1])])
                 if a == walk[-1]:
                     break
                 walk.append(a)

@@ -59,7 +59,7 @@ class TestZeroPath:
         lo, hi = sol.window
         pts = grid_fixture.points()
         expected = pts[(pts >= lo) & (pts <= hi)]
-        ys = sol.vertex_ys
+        ys = sol.majorant.ys
         assert np.array_equal(ys[(ys >= lo) & (ys <= hi)], expected)
         assert np.array_equal(rep.zero_set, expected)
 
@@ -187,7 +187,7 @@ class TestRandomPathInvariants:
     def test_zero_set_contained_in_contacts(self, solutions):
         for sol in solutions:
             lo, hi = sol.window
-            ys = sol.vertex_ys
+            ys = sol.majorant.ys
             contacts = ys[(ys >= lo) & (ys <= hi)]
             assert set(extract_shocks(sol).zero_set).issubset(set(contacts))
 
@@ -333,8 +333,8 @@ class TestRefinementStudy:
 
 def reference_extract_shocks(sol) -> ShockReport:
     lo, hi = sol.window
-    ys = sol.vertex_ys
-    gidx = sol.vertex_grid_indices
+    ys = sol.majorant.ys
+    gidx = sol.majorant.indices
     vals = sol.path.values
 
     in_win = (sol.edge_x >= lo) & (sol.edge_x <= hi)
@@ -367,7 +367,7 @@ def reference_extract_shocks(sol) -> ShockReport:
 
 
 def reference_gap_samples(sol, z1, z2):
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     t = sol.t
     samples = []
     for k in np.flatnonzero((sol.edge_x > z1) & (sol.edge_x < z2)):
@@ -494,12 +494,12 @@ def test_sign_pattern_reports_a_violation():
     # and the zero set, read off the slopes, does not see it
     grid = GridSpec(8.0, 4097)
     sol = solve(sample_path(LevyParams.stable(0.75, 0.0, 0.1), grid, derived_seed(4302)), 1.0)
-    ys = sol.vertex_ys
+    ys = sol.majorant.ys
     z = zero_set_indices(sol)
     z = z[(ys[z] >= sol.window[0]) & (ys[z] <= sol.window[1])]
     k = next(k for k in range(z[0], z[-1]) if sol.x_hi[k] < ys[k])
     d = ys[k] - 0.5 * (sol.x_lo[k] + sol.x_hi[k])
-    shifted = replace(sol, x_lo=sol.x_lo + d, x_hi=sol.x_hi + d, edge_x=sol.edge_x + d)
+    shifted = replace(sol, breaks=sol.breaks + d)
     sp = sign_pattern(shifted)
     assert sp.violations
     assert sp == reference_sign_pattern(shifted)
@@ -511,8 +511,8 @@ def test_sign_pattern_reports_a_violation():
 
 def reference_contact_jump_signs(sol, path) -> JumpSignReport:
     h = path.grid.h
-    ys = sol.vertex_ys
-    gidx = sol.vertex_grid_indices
+    ys = sol.majorant.ys
+    gidx = sol.majorant.indices
     jump_idx = np.array([j for j, _ in path.tracked_jumps.tolist()], dtype=np.intp)
     jump_size = np.array([s for _, s in path.tracked_jumps.tolist()])
 

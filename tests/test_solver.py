@@ -14,6 +14,7 @@ from levyburgers import (
     OutOfDomainError,
     ParameterError,
     WindowTooSmallError,
+    contact_jump_signs,
     evaluate_solution,
     extract_shocks,
     jump_down,
@@ -21,8 +22,10 @@ from levyburgers import (
     lagrangian_position,
     moreau_envelope,
     prox_fixed_points,
+    regen_report,
     rk_sequence,
     sample_path,
+    sign_pattern,
     solve,
     solve_naive,
     step_path,
@@ -55,7 +58,7 @@ def jump_down_sol(grid_fixture):
 class TestZeroPath:
     def test_every_grid_point_is_a_vertex(self, zero_sol, grid_fixture):
         assert len(zero_sol) == grid_fixture.n
-        assert np.array_equal(zero_sol.vertex_ys, grid_fixture.points())
+        assert np.array_equal(zero_sol.majorant.ys, grid_fixture.points())
 
     def test_identity_map_and_zero_velocity(self, zero_sol, grid_fixture):
         lo, hi = zero_sol.window
@@ -76,8 +79,8 @@ class TestZeroPath:
 
     def test_lagrangian_identity(self, zero_sol):
         for a in (-1.5, 0.0, 0.73, 1.99):
-            k = np.searchsorted(zero_sol.vertex_ys, a)
-            a_grid = float(zero_sol.vertex_ys[k])
+            k = np.searchsorted(zero_sol.majorant.ys, a)
+            a_grid = float(zero_sol.majorant.ys[k])
             assert lagrangian_position(zero_sol, a_grid) == a_grid
 
 
@@ -86,9 +89,9 @@ class TestJumpUp:
         _, sol = jump_up_sol
         pts = grid_fixture.points()
         expected = np.concatenate([pts[pts <= -1.0], pts[pts >= 0.0]])
-        assert np.array_equal(sol.vertex_ys, expected)
-        k0 = np.searchsorted(sol.vertex_ys, 0.0)
-        assert sol.vertex_values[k0] == 0.5
+        assert np.array_equal(sol.majorant.ys, expected)
+        k0 = np.searchsorted(sol.majorant.ys, 0.0)
+        assert sol.majorant.vs[k0] == 0.5
 
     def test_piecewise_a(self, jump_up_sol):
         _, sol = jump_up_sol
@@ -118,7 +121,7 @@ class TestJumpDown:
         path, sol = jump_down_sol
         h = path.grid.h
         # single macroscopic edge at x = 1 - h
-        gaps = np.diff(sol.vertex_grid_indices)
+        gaps = np.diff(sol.majorant.indices)
         big = np.flatnonzero(gaps >= 2)
         assert len(big) == 1
         k = big[0]
@@ -184,7 +187,7 @@ class TestStructuralInvariants:
             # right continuity at shared endpoints: a(x) is the right vertex
             for k, x in enumerate(sol.edge_x):
                 if lo <= x <= hi:
-                    assert evaluate_solution(sol, float(x)).a == sol.vertex_ys[k + 1]
+                    assert evaluate_solution(sol, float(x)).a == sol.majorant.ys[k + 1]
 
     def test_downward_jumps_only(self, grid_standard):
         for path in _random_paths(grid_standard, 4):
@@ -208,8 +211,8 @@ class TestStructuralInvariants:
             interior = np.flatnonzero(~sol.boundary_affected)
             for k in interior[:: max(1, len(interior) // 10)]:
                 x = 0.5 * (sol.x_lo[k] + sol.x_hi[k])
-                yk = sol.vertex_ys[k]
-                vk = path.values[sol.vertex_grid_indices[k]] - (yk - x) ** 2 / 2.0
+                yk = sol.majorant.ys[k]
+                vk = path.values[sol.majorant.indices[k]] - (yk - x) ** 2 / 2.0
                 samples = rng.choice(len(ys), 50, replace=False)
                 lhs = path.values[samples] - (ys[samples] - x) ** 2 / 2.0
                 assert np.all(lhs <= vk + 1e-9)
@@ -341,7 +344,7 @@ def test_oracle_sweep_at_real_grid_sizes(case):
     sample = np.random.default_rng(7).choice(window, min(64, len(window)), replace=False)
     xs = ys[np.union1d(np.concatenate([i - 1, i, i + 1]), sample)]
     xs = xs[(xs >= lo) & (xs <= hi)]
-    a_hull = sol.vertex_ys[owning_vertices(sol, xs)]
+    a_hull = sol.majorant.ys[owning_vertices(sol, xs)]
     assert np.array_equal(a_hull, solve_naive(path, t, xs))
 
 
@@ -464,6 +467,67 @@ def test_hypothesis_adversarial_regimes_nest_in_time(params, half, half_width, t
     _assert_hulls_nest(path, [t, t * ratio])
 
 
+# law: (params, b, a), the law's own self-similarity psi(2^b y) =d 2^a psi(y)
+SCALE_LAWS = {
+    "brownian": (LevyParams.brownian(1.0), 2, 1),
+    "stable1.5": (LevyParams.stable(1.5, 0.0), 3, 2),
+    "cauchy": (LevyParams.cauchy(), 1, 1),
+    "stable0.75": (LevyParams.stable(0.75, 0.0), 3, 4),
+}
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("L", [4.0, 16.0])
+@pytest.mark.parametrize("law", SCALE_LAWS)
+def test_exact_scale_covariance(law, L, t):
+    """Scaling y by 2^b, psi0 by 2^a and t by 2^(2b-a) scales the shifted
+    potential by exactly 2^a and every Eulerian break by exactly 2^b, so
+    every answer read off the hull scales by exact powers of two: no
+    oracle is needed.  It breaks if a tolerance stops being relative or
+    counted in grid cells."""
+    params, b, a = SCALE_LAWS[law]
+    cx, cu = 2.0**b, 2.0 ** (a - b)
+    path = sample_path(params, GridSpec(L, 4097), derived_seed(2100, b, a))
+    jumps = path.tracked_jumps
+    big = LevyPath(
+        GridSpec(L * cx, 4097), path.values * 2.0**a,
+        jump_array(jumps["index"], jumps["size"] * 2.0**a), None, None,
+    )
+    sol, big_sol = solve(path, t), solve(big, t * 2.0 ** (2 * b - a))
+
+    assert np.array_equal(big_sol.majorant.indices, sol.majorant.indices)
+    assert np.array_equal(big_sol.boundary_affected, sol.boundary_affected)
+    assert np.array_equal(big_sol.x_lo, sol.x_lo * cx)
+    assert np.array_equal(big_sol.edge_x, sol.edge_x * cx)
+    zero = sol.majorant.ys[zero_set_indices(sol)]
+    assert np.array_equal(big_sol.majorant.ys[zero_set_indices(big_sol)], zero * cx)
+
+    rep, big_rep = extract_shocks(sol), extract_shocks(big_sol)
+    assert np.array_equal(big_rep.zero_set, rep.zero_set * cx)
+    for records, big_records, factors in [
+        (rep.shocks, big_rep.shocks, (cx, cx, cx, cx, cu, 1)),
+        (rep.rarefactions, big_rep.rarefactions, (cx, cx, cx, cx, 1)),
+    ]:
+        for col, big_col, f in zip(records.columns, big_records.columns, factors):
+            assert np.array_equal(big_col, col * f)
+
+    sp = sign_pattern(sol)
+    assert sign_pattern(big_sol) == sp._replace(
+        violations=[tuple(v * cx for v in row) for row in sp.violations],
+        gap_stats=[g._replace(gap=(g.gap[0] * cx, g.gap[1] * cx)) for g in sp.gap_stats],
+    )
+    assert contact_jump_signs(big_sol) == contact_jump_signs(sol)
+
+    def scaled(y):
+        return None if y is None else y * cx
+
+    reg = regen_report(sol)
+    assert regen_report(big_sol) == reg._replace(
+        R=scaled(reg.R), S=scaled(reg.S), T_first=scaled(reg.T_first),
+        rk=[r * cx for r in reg.rk],
+    )
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "call",
@@ -488,6 +552,27 @@ class TestErrors:
             values[bad[0]] = bad[1]
         with pytest.raises(InputError):
             call(LevyPath(grid, values, jump_array([], []), None, None))
+
+    def test_arrays_are_read_only(self):
+        """A path is checked where it is built, and its hull and solution
+        are read by every report: a later write into any of their arrays
+        raises, so no reader sees values that were never checked.  An
+        array that borrows its buffer is copied, so the lender cannot
+        change it either."""
+        path = jump_up(GridSpec(2.0, 65), 0.5)
+        sol = solve(path, 1.0)
+        cm = sol.majorant
+        arrays = [
+            path.values, path.tracked_jumps, cm.ys, cm.vs, cm.indices, cm.s,
+            sol.breaks, sol.boundary_affected, sol.x_lo, sol.x_hi, sol.edge_x,
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+        lender = np.zeros(66)
+        path = LevyPath(path.grid, lender[1:], path.tracked_jumps, None, None)
+        lender[1] = np.inf
+        assert path.values[0] == 0.0
 
     def test_nonpositive_t(self, grid_fixture):
         with pytest.raises(ParameterError):
