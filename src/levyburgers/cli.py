@@ -24,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    GridError,
-    InputError,
-    InsufficientDataError,
-    LevyBurgersError,
-    OutOfDomainError,
-    ParameterError,
-    WindowTooSmallError,
-)
+from .errors import LevyBurgersError, ParameterError
 from .fixtures import jump_down, jump_up, zero_path
 from .levy import (
     FAMILIES,
@@ -53,11 +45,6 @@ from .solver import owning_vertices, solve, solved_replicates
 FIXTURES = {"zero": lambda g, *_: zero_path(g), "jump_up": jump_up, "jump_down": jump_down}
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_BAD_CONFIG = 2
-EXIT_WINDOW = 3
-EXIT_INSUFFICIENT = 4
-EXIT_OUT_OF_DOMAIN = 5
 
 
 @dataclass(frozen=True)
@@ -343,14 +330,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
-_EXIT_CODES = (
-    (WindowTooSmallError, EXIT_WINDOW),
-    (InsufficientDataError, EXIT_INSUFFICIENT),
-    (OutOfDomainError, EXIT_OUT_OF_DOMAIN),
-    ((ParameterError, GridError, InputError), EXIT_BAD_CONFIG),
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -358,16 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         run_experiment(config, args.subcommand, args.out_dir)
         return EXIT_OK
     except LevyBurgersError as exc:
-        code = EXIT_UNEXPECTED
-        for types, c in _EXIT_CODES:
-            if isinstance(exc, types):
-                code = c
-                break
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -64,7 +64,8 @@ class ConcaveMajorant:
     (length m+1) is +inf, the strictly decreasing edge slopes, then -inf:
     vertex k has left slope ``s[k]`` and right slope ``s[k+1]``, and every
     reader of a slope interval slices this one array.  All four arrays
-    are read-only.
+    are read-only.  An interior slope that overflows float64 raises
+    InputError.
     """
 
     ys: np.ndarray
@@ -78,6 +79,8 @@ class ConcaveMajorant:
         s = np.empty(len(self.ys) + 1)
         s[0], s[-1] = np.inf, -np.inf
         np.divide(np.diff(self.vs), np.diff(self.ys), out=s[1:-1])
+        if not np.isfinite(s[1:-1]).all():
+            raise InputError("a majorant edge slope overflows float64")
         object.__setattr__(self, "s", read_only(s))
 
     def __len__(self) -> int:
@@ -187,8 +190,7 @@ def _flagged(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> bool:
     the hull, it is the hull's vertex chain.
     """
     cy, cv = ys[idx], vs[idx]
-    with np.errstate(over="ignore"):
-        return bool(_pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any())
+    return bool(_pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any())
 
 
 def _chain(ys: list[float], vs: list[float]) -> list[int]:
@@ -210,7 +212,8 @@ def upper_concave_majorant(
     """Vertex chain of the upper concave hull of points sorted by y.
 
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
-    y to the max v beforehand).  Interior points collinear with their
+    y to the max v beforehand), and raises InputError when an edge slope
+    of the chain overflows float64.  Interior points collinear with their
     neighbours are removed.  The stages run in the order filter, check,
     QuickHull only if the check flags a triple, check, chain pass only if
     it flags again.  The filter, the checks and the QuickHull levels are
@@ -233,13 +236,16 @@ def upper_concave_majorant(
     big = max(-ys[0], ys[-1], vs.max(), -vs.min())
     shift = max(0, math.frexp(big)[1] - SCALE_EXPONENT)
     sy, sv = (np.ldexp(ys, -shift), np.ldexp(vs, -shift)) if shift else (ys, vs)
-    idx = _chord_filter(sy, sv)
-    if _flagged(sy, sv, idx):
-        idx = _quickhull(sy, sv, idx)
+    # a slope may overflow to inf in every stage; a chain left with one is
+    # refused by ConcaveMajorant
+    with np.errstate(over="ignore"):
+        idx = _chord_filter(sy, sv)
         if _flagged(sy, sv, idx):
-            idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
-    idx = idx.astype(np.intp)
-    return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
+            idx = _quickhull(sy, sv, idx)
+            if _flagged(sy, sv, idx):
+                idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
+        idx = idx.astype(np.intp)
+        return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 
 
 def query(cm: ConcaveMajorant, y: float) -> tuple[float, float, float]:

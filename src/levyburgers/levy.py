@@ -14,6 +14,7 @@ side's raw increments, with sizes read back from the values.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -52,6 +53,10 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise GridError(f"the grid point count must be an integer, got n={self.n!r}") from None
         if self.n < 3 or self.n % 2 == 0:
             raise GridError(f"need an odd number n >= 3 of grid points, got n={self.n}")
         if self.n > MAX_FLOAT64_ITEMS:
@@ -203,7 +208,8 @@ class LevyPath:
     ``tracked_jumps`` is a JUMP_DTYPE array with one (grid index, signed
     size) record per increment tagged as a jump, the index being the first
     grid point whose value includes the jump.  Indices are strictly
-    increasing.  Both arrays are read-only.
+    increasing in [0, n - 1], checked here; an empty sequence stands for
+    no jumps.  Both arrays are read-only.
     """
 
     grid: GridSpec
@@ -218,8 +224,23 @@ class LevyPath:
             raise InputError(f"need one value per grid point, shape ({self.grid.n},); got {shape}")
         if not np.isfinite(self.values).all():
             raise InputError("path values must be finite")
-        for name in ("values", "tracked_jumps"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
+        jumps = np.asarray(self.tracked_jumps)
+        if jumps.shape == (0,):
+            jumps = np.empty(0, JUMP_DTYPE)
+        if jumps.dtype != JUMP_DTYPE or jumps.ndim != 1:
+            raise InputError(
+                f"tracked jumps must be a 1-d JUMP_DTYPE array, got {jumps.dtype} "
+                f"of shape {jumps.shape}"
+            )
+        idx = jumps["index"]
+        if len(idx) and not (
+            idx[0] >= 0 and idx[-1] < self.grid.n and (idx[1:] > idx[:-1]).all()
+        ):
+            raise InputError(
+                f"tracked jump indices must strictly increase within [0, {self.grid.n - 1}]"
+            )
+        object.__setattr__(self, "values", read_only(self.values))
+        object.__setattr__(self, "tracked_jumps", read_only(jumps))
 
 
 def _check_stable(alpha: float, beta: float, c: float) -> None:

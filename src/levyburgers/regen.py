@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError, ParameterError
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
-from .solver import BurgersSolution, owning_vertices, solved_replicates
+from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
 
 # u is sampled at this many equispaced points on each side of T when
 # building the feature vectors.
@@ -125,8 +125,7 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
     (ties to the larger index); the walk stops at the first fixed point.
     Exceeding k_max is reported, not fatal.
     """
-    if not 0.0 < t < math.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
+    check_time(t)
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     ys = path.grid.points()
@@ -302,6 +301,7 @@ def independence_test(
     Builds each solved replicate's feature vectors (mean u, min u, shock
     count) with replicate_features and tests them with independence_report.
     """
+    check_time(t)
     if n_rep < MIN_INDEPENDENCE_REPS:
         raise ParameterError(f"need n_rep >= {MIN_INDEPENDENCE_REPS}")
     features = [

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GridError, ParameterError
 from .levy import GridSpec, LevyParams
-from .solver import BurgersSolution, analysis_window, solved_replicates
+from .solver import BurgersSolution, analysis_window, check_time, solved_replicates
 
 # One-cell tolerance when deciding that a vertex is attained from one side
 # only; shock locations on the grid carry O(h) discretization error.
@@ -323,6 +323,7 @@ def refinement_study(
     counted and skipped.  Every input, every grid included, is checked
     before the first replicate is sampled.
     """
+    check_time(t)
     if n_rep < 1:
         raise ParameterError(f"n_rep must be >= 1, got {n_rep}")
     if not h_list:

@@ -77,6 +77,12 @@ class BurgersSolution:
         return len(self.majorant)
 
 
+def check_time(t: float) -> None:
+    """Refuse a time t that is not finite and > 0."""
+    if not 0.0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
+
+
 def analysis_window(grid: GridSpec) -> tuple[float, float]:
     """The grid minus WINDOW_MARGIN_FRACTION of its length on each side."""
     margin = WINDOW_MARGIN_FRACTION * (2 * grid.L)
@@ -90,8 +96,7 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
     the shifted potential: the global argmax may then lie off-grid and no
     window statistic would be trustworthy.
     """
-    if not 0.0 < t < np.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
+    check_time(t)
     ys = path.grid.points()
     # the parabola term is largest at the grid ends ys[0] = -ys[-1]; checked
     # in Python floats, which overflow to inf without a warning
@@ -186,8 +191,7 @@ def solve_naive(path: LevyPath, t: float, xs) -> np.ndarray:
     floating-point ties break to the larger index.  This is the
     independent oracle for the hull solver.
     """
-    if not 0.0 < t < np.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
+    check_time(t)
     ys = path.grid.points()
     vals = path.values
     out = np.empty(len(xs))

@@ -13,12 +13,12 @@ import pytest
 
 import cli_corpus
 import levyburgers
-from levyburgers import LevyParams, ParameterError, extract_shocks, sample_path, solve
-from levyburgers import cli, solver
+from levyburgers import (
+    LevyParams, ParameterError, WindowTooSmallError, extract_shocks, sample_path, solve,
+)
+from levyburgers import cli, errors, solver
 from levyburgers.cli import (
-    EXIT_BAD_CONFIG,
     EXIT_OK,
-    EXIT_WINDOW,
     ExperimentConfig,
     build_parser,
     config_from_args,
@@ -325,7 +325,7 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         rc = main(["solve", "--config", str(bad), "--out-dir", str(tmp_path)])
-        assert rc == EXIT_BAD_CONFIG
+        assert rc == ParameterError.exit_code
 
     @pytest.mark.parametrize(
         "argv",
@@ -402,7 +402,7 @@ class TestErrors:
         ],
     )
     def test_bad_parameter(self, tmp_path, argv):
-        assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+        assert main([*argv, "--out-dir", str(tmp_path)]) == ParameterError.exit_code
 
     @pytest.mark.parametrize("config,message", BAD_CONFIG_VALUES)
     def test_bad_config_value(self, tmp_path, capsys, config, message):
@@ -410,7 +410,7 @@ class TestErrors:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         rc = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
-        assert rc == EXIT_BAD_CONFIG
+        assert rc == ParameterError.exit_code
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError" and message in err["message"]
 
@@ -446,7 +446,7 @@ class TestErrors:
         # them or rejects them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_BAD_CONFIG
+            assert main([*argv, "--out-dir", str(tmp_path)]) == ParameterError.exit_code
         assert '"error": "ParameterError"' in capsys.readouterr().err
 
     def test_huge_int_is_finite(self):
@@ -457,10 +457,19 @@ class TestErrors:
         with pytest.raises(ParameterError):
             run_experiment(ExperimentConfig(), "nope", tmp_path)
 
+    def test_exit_codes(self):
+        # each error type carries the exit status main returns for it
+        codes = {name: cls.exit_code for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, Exception)}
+        assert codes == {
+            "LevyBurgersError": 1, "ParameterError": 2, "GridError": 2, "InputError": 2,
+            "WindowTooSmallError": 3, "InsufficientDataError": 4, "OutOfDomainError": 5,
+        }
+
     def test_window_error_exit_code(self, tmp_path):
         # a seed whose shifted potential peaks at the grid end on a tiny grid
         par = LevyParams.stable(0.75, 0.0, 5.0)
-        from levyburgers import GridSpec, WindowTooSmallError
+        from levyburgers import GridSpec
 
         grid = GridSpec(1.0, 65)
         chosen = None
@@ -479,4 +488,4 @@ class TestErrors:
                 "--out-dir", str(tmp_path),
             ]
         )
-        assert rc == EXIT_WINDOW
+        assert rc == WindowTooSmallError.exit_code

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestExamples:
             upper_concave_majorant([(0, 0), (0, 1)])
         with pytest.raises(InputError):
             upper_concave_majorant([(1, 0), (0, 1)])
+
+    def test_slope_overflow(self):
+        # the chain is [0, 1, 2, 3], whose first edge slope (1e310) is no
+        # float64; QuickHull's own slopes overflow too and must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="slope overflows"):
+                upper_concave_majorant([(0, 0), (1e-300, 1e10), (2e-300, 1.5e10), (1, 0)])
 
 
 class TestQuery:

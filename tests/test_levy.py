@@ -72,6 +72,13 @@ class TestGridSpec:
             with pytest.raises(GridError):
                 GridSpec(L, 11)
 
+    def test_point_count_must_be_an_integer(self):
+        # a float n would reach np.empty as a bare TypeError; a numpy int
+        # is an integer
+        with pytest.raises(GridError, match="integer"):
+            GridSpec(4.0, 801.0)
+        assert GridSpec(4.0, np.int64(801)).points()[400] == 0.0
+
     def test_step_must_not_underflow(self):
         # 2L/(n - 1) rounds to 0, so every point would be +-0.0
         with pytest.raises(GridError, match="underflows"):

@@ -24,6 +24,7 @@ from levyburgers import (
     step_path,
     zero_path,
 )
+from levyburgers import solver
 from levyburgers.regen import independence_report, replicate_features
 from levyburgers.solver import owning_vertices, solved_replicates
 from conftest import derived_seed
@@ -221,6 +222,11 @@ class TestIndependenceTest:
     def test_needs_enough_reps(self, grid_standard):
         with pytest.raises(ParameterError):
             independence_test(LevyParams.stable(1.5, 0, 0.2), grid_standard, 1.0, 0.5, 50, 1)
+
+    def test_bad_time_draws_no_sample(self, monkeypatch, grid_standard):
+        monkeypatch.setattr(solver, "sample_path", lambda *a: pytest.fail("sampled a path"))
+        with pytest.raises(ParameterError, match="t must be finite and > 0"):
+            independence_test(LevyParams.brownian(1.0), grid_standard, -1.0, 0.5, 100, 1)
 
     @pytest.mark.parametrize("w", [0.0, -1.0, np.inf, np.nan])
     def test_feature_window_must_be_finite_positive(self, grid_fixture, w):

@@ -303,17 +303,19 @@ class TestRefinementStudy:
         assert row.n == round(2 * L / h) + 1
 
     @pytest.mark.parametrize(
-        "h_list,window,error",
+        "t,h_list,window,error",
         [
-            pytest.param([0.0625, 0.03], None, GridError, id="h-not-dividing"),
-            pytest.param([0.0625, 0.03125], (5.0, 6.0), ParameterError, id="window-outside"),
+            pytest.param(1.0, [0.0625, 0.03], None, GridError, id="h-not-dividing"),
+            pytest.param(1.0, [0.0625, 0.03125], (5.0, 6.0), ParameterError,
+                         id="window-outside"),
             # 0.1 is a point of the first grid; the second has none in the window
-            pytest.param([0.1, 0.0625], (0.09, 0.11), ParameterError,
+            pytest.param(1.0, [0.1, 0.0625], (0.09, 0.11), ParameterError,
                          id="window-between-points"),
+            pytest.param(-1.0, [0.0625], None, ParameterError, id="t-negative"),
         ],
     )
-    def test_bad_input_draws_no_sample(self, monkeypatch, h_list, window, error):
-        # every grid and the window are checked before the first replicate
+    def test_bad_input_draws_no_sample(self, monkeypatch, t, h_list, window, error):
+        # t, every grid and the window are checked before the first replicate
         calls = []
 
         def counting_sample_path(*args):
@@ -322,7 +324,7 @@ class TestRefinementStudy:
 
         monkeypatch.setattr(solver, "sample_path", counting_sample_path)
         with pytest.raises(error):
-            refinement_study(LevyParams.brownian(1.0), 1.0, 8.0, h_list, 200, seed=0,
+            refinement_study(LevyParams.brownian(1.0), t, 8.0, h_list, 200, seed=0,
                              window=window)
         assert calls == []
 

@@ -553,6 +553,27 @@ class TestErrors:
         with pytest.raises(InputError):
             call(LevyPath(grid, values, jump_array([], []), None, None))
 
+    @pytest.mark.parametrize(
+        "jumps",
+        [jump_array([801], [0.5]), jump_array([-1], [0.5]), jump_array([400, 400], [0.5, 0.5]),
+         np.zeros(2), np.zeros((0, 2))],
+        ids=["past-end", "negative", "repeated", "float", "2-d"],
+    )
+    def test_bad_jumps_refused(self, jumps):
+        """Tracked jump indices strictly increase within the grid and come
+        as a JUMP_DTYPE array; anything else is refused where the path is
+        built, not later as a bare IndexError."""
+        with pytest.raises(InputError, match="tracked jump"):
+            LevyPath(GridSpec(4.0, 801), np.zeros(801), jumps, None, None)
+
+    def test_no_jumps_as_empty_sequence(self):
+        # () stands for no jumps; index 0 is a grid point a jump may sit on
+        grid = GridSpec(4.0, 801)
+        path = LevyPath(grid, np.zeros(801), (), None, None)
+        assert path.tracked_jumps.dtype == jump_array([], []).dtype
+        assert contact_jump_signs(solve(path, 1.0)) == (0, 0, 0)
+        assert len(step_path(grid, 0.5, -4.0).tracked_jumps) == 1
+
     def test_arrays_are_read_only(self):
         """A path is checked where it is built, and its hull and solution
         are read by every report: a later write into any of their arrays

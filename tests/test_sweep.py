@@ -20,7 +20,7 @@ import warnings
 
 import pytest
 
-from levyburgers import GridSpec, cli, solver
+from levyburgers import GridSpec, LevyBurgersError, cli, solver
 from levyburgers.cli import EXIT_OK, ExperimentConfig, _field_type, main
 
 SUBCOMMANDS = tuple(cli.SUBCOMMANDS)
@@ -41,8 +41,8 @@ FAMILY_OF = {
 FAMILIES = ("brownian", "stable", "cpoisson")
 BASE = {"L": "2", "n": "129", "n_mc": "1000", "eps_list": "0.1,0.01",
         "h_list": "0.0625,0.03125"}
-TYPED_EXITS = {EXIT_OK, cli.EXIT_BAD_CONFIG, cli.EXIT_WINDOW, cli.EXIT_INSUFFICIENT,
-               cli.EXIT_OUT_OF_DOMAIN}
+# every error type's own exit code; the base class's 1 is no typed exit
+TYPED_EXITS = {EXIT_OK, *(e.exit_code for e in LevyBurgersError.__subclasses__())}
 MAX_GRID = 2**16 + 1
 
 
