@@ -207,9 +207,9 @@ class LevyPath:
     grid point, checked here, so every solver may rely on it.
     ``tracked_jumps`` is a JUMP_DTYPE array with one (grid index, signed
     size) record per increment tagged as a jump, the index being the first
-    grid point whose value includes the jump.  Indices are strictly
-    increasing in [0, n - 1], checked here; an empty sequence stands for
-    no jumps.  Both arrays are read-only.
+    grid point whose value includes the jump.  Sizes are finite and
+    indices strictly increasing in [0, n - 1], checked here; an empty
+    sequence stands for no jumps.  Both arrays are read-only.
     """
 
     grid: GridSpec
@@ -232,6 +232,8 @@ class LevyPath:
                 f"tracked jumps must be a 1-d JUMP_DTYPE array, got {jumps.dtype} "
                 f"of shape {jumps.shape}"
             )
+        if not np.isfinite(jumps["size"]).all():
+            raise InputError("tracked jump sizes must be finite")
         idx = jumps["index"]
         if len(idx) and not (
             idx[0] >= 0 and idx[-1] < self.grid.n and (idx[1:] > idx[:-1]).all()

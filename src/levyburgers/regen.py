@@ -4,21 +4,37 @@ The first nonnegative zero-velocity point T of a flow admits a two-stage
 scan construction: R is the first nonnegative point whose entire past
 stays under the centered parabola, S the first point at or after R whose
 entire future stays strictly under it; S coincides with T pathwise.  An
-iterated argsup map started at R walks to the same point.  Regenerativity
-of the zero set is probed statistically: low-dimensional features of the
-flow before and after T are tested for dependence across replicates with
-a distance-correlation permutation test (the test can only fail to
-falsify; it never proves full-process independence).
+iterated argsup map started at R walks to the same point.
+
+The scans nominate, then confirm.  With f = values - y^2/(2t), a point j
+breaks the bound at i exactly when f_j + y_i y_j / t exceeds its value at
+j = i (reaches it, for the strict S bound), so the vertex of the upper
+concave majorant of f that a line of slope -y_i/t touches is the likeliest
+killer of i.  One majorant per side, of the raw path on [0, i0) for R and
+on (R, n) for S, never the solved hull, nominates that witness for every
+candidate, and a witness that breaks the bound, evaluated exactly as the
+bound itself is, rejects its candidate.  The survivors are checked in
+order against the whole bound, and the first that holds is the answer.
+A candidate is rejected only by a real violation and accepted only by the
+full check, so the majorant decides the speed, never the result; where it
+cannot be built, every candidate is a survivor.
+
+Regenerativity of the zero set is probed statistically: low-dimensional
+features of the flow before and after T are tested for dependence across
+replicates with a distance-correlation permutation test (the test can
+only fail to falsify; it never proves full-process independence).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ParameterError
+from .hull import FILTER_BLOCK, ConcaveMajorant, upper_concave_majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
 from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
@@ -54,23 +70,89 @@ class IndependenceReport(NamedTuple):
     n_dropped: int
 
 
-def _scan_r_index(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None:
-    """First grid index >= i0 whose entire past satisfies the closed
-    parabola bound values[j] - values[i] <= (y_i - y_j)^2 / (2t)."""
-    for i in range(i0, len(ys)):
-        past = values[:i] - values[i]
-        if np.all(past <= (ys[i] - ys[:i]) ** 2 / (2.0 * t)):
-            return i
+def _filter_majorant(
+    values: np.ndarray, ys: np.ndarray, lo: int, hi: int, t: float
+) -> ConcaveMajorant | None:
+    """Upper concave majorant of f = values - y^2/(2t) on the grid indices
+    [lo, hi), or None where there is none to filter with: fewer than two
+    points, or an f or an edge slope that overflows (InputError)."""
+    if hi - lo < 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = values[lo:hi] - ys[lo:hi] ** 2 / (2.0 * t)
+    try:
+        return upper_concave_majorant(np.column_stack((ys[lo:hi], f)))
+    except InputError:
+        return None
+
+
+def _witnesses(cm: ConcaveMajorant, lo: int, y: np.ndarray, t: float) -> np.ndarray:
+    """For each candidate y_i, the grid index of the vertex of ``cm`` (built
+    on [lo, hi)) that a line of slope -y_i/t touches: the j maximizing
+    f_j + y_i y_j / t, which is the j most likely to break the parabola
+    bound at i.  Only a nomination; rounding may pick a near miss."""
+    with np.errstate(over="ignore"):
+        k = np.searchsorted(-cm.s, y / t) - 1
+    return lo + cm.indices[k]
+
+
+def _past_holds(values: np.ndarray, ys: np.ndarray, i: int, lo: int, hi: int, t: float) -> bool:
+    """The closed R bound values[j] - values[i] <= (y_i - y_j)^2 / (2t)
+    for every j in [lo, hi)."""
+    past = values[lo:hi] - values[i]
+    return bool(np.all(past <= (ys[i] - ys[lo:hi]) ** 2 / (2.0 * t)))
+
+
+def _future_holds(values: np.ndarray, ys: np.ndarray, i: int, t: float) -> bool:
+    """The strict S bound values[j] - values[i] < (y_j - y_i)^2 / (2t) for
+    every j > i; an empty future holds."""
+    fut = values[i + 1 :] - values[i]
+    return bool(np.all(fut < (ys[i + 1 :] - ys[i]) ** 2 / (2.0 * t)))
+
+
+def _scan_r(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None:
+    """First grid index i >= i0 whose entire past satisfies the closed
+    parabola bound, or None.
+
+    Per block of candidates, the majorant of f on [0, i0) nominates one
+    witness j each, and a witness that breaks the bound, in the bound's
+    own arithmetic, rejects its candidate.  Each survivor in turn is then
+    checked against [i0, i), where its witnesses are not nominated, and
+    against [0, i0); the first that holds is R.
+    """
+    cm = _filter_majorant(values, ys, 0, i0, t)
+    for start in range(i0, len(ys), FILTER_BLOCK):
+        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
+        if cm is not None:
+            j = _witnesses(cm, 0, ys[cand], t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept = values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / (2.0 * t)
+            cand = cand[kept]
+        for i in cand.tolist():
+            if _past_holds(values, ys, i, i0, i, t) and _past_holds(values, ys, i, 0, i0, t):
+                return i
     return None
 
 
-def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> int:
-    """First grid index >= start whose entire future satisfies the strict
-    parabola bound; the last grid point, with an empty future, always does."""
-    for i in range(start, len(ys)):
-        fut = values[i + 1 :] - values[i]
-        if np.all(fut < (ys[i + 1 :] - ys[i]) ** 2 / (2.0 * t)):
-            return i
+def _scan_s(values: np.ndarray, ys: np.ndarray, r: int, t: float) -> int:
+    """First grid index i >= r whose entire future satisfies the strict
+    parabola bound; the last grid point, with an empty future, always does.
+
+    The mirror of _scan_r on the majorant of f on (r, n): a witness past
+    i that breaks the strict bound rejects i, a witness at or before i is
+    none, and each survivor in turn is checked against its whole future.
+    """
+    cm = _filter_majorant(values, ys, r + 1, len(ys), t)
+    for start in range(r, len(ys), FILTER_BLOCK):
+        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
+        if cm is not None:
+            j = _witnesses(cm, r + 1, ys[cand], t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept = values[j] - values[cand] < (ys[j] - ys[cand]) ** 2 / (2.0 * t)
+            cand = cand[kept | (j <= cand)]
+        for i in cand.tolist():
+            if _future_holds(values, ys, i, t):
+                return i
 
 
 def _first_zero(sol: BurgersSolution) -> float | None:
@@ -81,7 +163,12 @@ def _first_zero(sol: BurgersSolution) -> float | None:
 
 
 def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
-    """Direct O(n^2) scan for (R, S) plus T from the zero set.
+    """(R, S) by the nominate-then-confirm scans, plus T from the zero set.
+
+    A majorant of the raw path only nominates a witness per candidate;
+    every answer is confirmed by the parabola condition itself, so R and
+    S are those of the direct O(n^2) scans, index for index, for about
+    one extra hull pass per side plus the confirming checks.
 
     The parabola conditions compare plain grid values at their own grid
     offsets; a left limit is carried by the previous grid point, which is
@@ -97,8 +184,8 @@ def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
     values = path.values
     i0 = path.grid.zero_index
 
-    r_idx = _scan_r_index(values, ys, i0, t)
-    s_idx = _scan_s_index(values, ys, r_idx, t) if r_idx is not None else None
+    r_idx = _scan_r(values, ys, i0, t)
+    s_idx = _scan_s(values, ys, r_idx, t) if r_idx is not None else None
     t_first = _first_zero(sol)
 
     s_val = float(ys[s_idx]) if s_idx is not None else None
@@ -117,6 +204,16 @@ class RkResult(NamedTuple):
     steps: int
 
 
+def _check_k_max(k_max) -> None:
+    """ParameterError unless k_max is an integer >= 1; a bool is none."""
+    try:
+        ok = not isinstance(k_max, bool) and operator.index(k_max) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"k_max must be an integer >= 1, got {k_max!r}")
+
+
 def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkResult:
     """Iterated argsup walk from the grid point r0 = R toward the first zero point.
 
@@ -126,8 +223,7 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
     Exceeding k_max is reported, not fatal.
     """
     check_time(t)
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
+    _check_k_max(k_max)
     ys = path.grid.points()
     values = path.values
     i = int(np.searchsorted(ys, r0))
@@ -149,8 +245,7 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
 
 def regen_report(sol: BurgersSolution, k_max: int = 64) -> RegenReport:
     """rst_scan plus the r_k walk of the solved flow ``sol`` in one report."""
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
+    _check_k_max(k_max)
     base = rst_scan(sol.path, sol.t, sol)
     if base.R is None:
         return base

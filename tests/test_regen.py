@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 from scipy.stats import kstest
 
@@ -9,12 +11,15 @@ from levyburgers import (
     GridSpec,
     InputError,
     InsufficientDataError,
+    LevyBurgersError,
     LevyParams,
+    LevyPath,
     ParameterError,
     WindowTooSmallError,
     distance_correlation,
     independence_test,
     jump_down,
+    jump_up,
     permutation_pvalue,
     regen_report,
     rk_sequence,
@@ -22,12 +27,32 @@ from levyburgers import (
     sample_path,
     solve,
     step_path,
+    upper_concave_majorant,
     zero_path,
 )
-from levyburgers import solver
+from levyburgers import regen, solver
 from levyburgers.regen import independence_report, replicate_features
 from levyburgers.solver import owning_vertices, solved_replicates
-from conftest import derived_seed
+from conftest import adversarial_params, derived_seed
+
+
+def _scan_r_index(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None:
+    """First grid index >= i0 whose entire past satisfies the closed
+    parabola bound values[j] - values[i] <= (y_i - y_j)^2 / (2t)."""
+    for i in range(i0, len(ys)):
+        past = values[:i] - values[i]
+        if np.all(past <= (ys[i] - ys[:i]) ** 2 / (2.0 * t)):
+            return i
+    return None
+
+
+def _scan_s_index(values: np.ndarray, ys: np.ndarray, start: int, t: float) -> int:
+    """First grid index >= start whose entire future satisfies the strict
+    parabola bound; the last grid point, with an empty future, always does."""
+    for i in range(start, len(ys)):
+        fut = values[i + 1 :] - values[i]
+        if np.all(fut < (ys[i + 1 :] - ys[i]) ** 2 / (2.0 * t)):
+            return i
 
 
 def dcor_pdist_reference(x, y):
@@ -146,10 +171,145 @@ class TestScanInvariants:
         with pytest.raises(ParameterError):
             rk_sequence(zero_path(grid_fixture), 1.0, k_max=0, r0=0.0)
 
+    @pytest.mark.parametrize("k_max", [0, -3, 2.5, True, np.float64(4.0), "8"])
+    def test_k_max_must_be_a_positive_integer(self, monkeypatch, grid_fixture, k_max):
+        path = zero_path(grid_fixture)
+        with pytest.raises(ParameterError, match="k_max"):
+            rk_sequence(path, 1.0, k_max=k_max, r0=0.0)
+        # checked before any scan runs
+        monkeypatch.setattr(regen, "rst_scan", lambda *a: pytest.fail("scanned"))
+        with pytest.raises(ParameterError, match="k_max"):
+            regen_report(solve(path, 1.0), k_max=k_max)
+
+    def test_k_max_takes_a_numpy_integer(self, grid_fixture):
+        walk = rk_sequence(zero_path(grid_fixture), 1.0, k_max=np.int64(2), r0=0.0)
+        assert walk.converged and walk.rk == [0.0]
+
     @pytest.mark.parametrize("t", [0.0, np.inf, np.nan])
     def test_rk_requires_finite_positive_t(self, grid_fixture, t):
         with pytest.raises(ParameterError):
             rk_sequence(zero_path(grid_fixture), t, r0=0.0)
+
+
+def assert_scans_match_oracles(path: LevyPath, t: float) -> tuple[int | None, int | None]:
+    """The filtered R and S scans give the O(n^2) oracles' grid indices;
+    returns them."""
+    ys, values, i0 = path.grid.points(), path.values, path.grid.zero_index
+    r = _scan_r_index(values, ys, i0, t)
+    assert regen._scan_r(values, ys, i0, t) == r
+    if r is None:
+        return None, None
+    s = _scan_s_index(values, ys, r, t)
+    assert regen._scan_s(values, ys, r, t) == s
+    return r, s
+
+
+STEP_GRID = GridSpec(16.0, 65537)
+
+
+def _noisy(grid: GridSpec, values: np.ndarray, seed: int) -> LevyPath:
+    """values plus Brownian noise of sigma 1e-3."""
+    noise = sample_path(LevyParams.brownian(1e-3), grid, seed)
+    return LevyPath(grid, values + noise.values, (), None, seed)
+
+
+def _two_spikes() -> LevyPath:
+    # the drop of 2.6 at -1 lets R sit near 1.28 on its own, but the spike
+    # of 2.0 at 0.01 breaks the bound of every point up to about 2.01: those
+    # killers lie past 0, where the filter nominates none
+    ys = STEP_GRID.points()
+    values = jump_down(STEP_GRID, 2.6, -1.0).values.copy()
+    values[STEP_GRID.zero_index + round(0.01 / STEP_GRID.h)] += 2.0
+    return _noisy(STEP_GRID, values, 23)
+
+
+NAMED_SCAN_CASES = [
+    *(
+        pytest.param(lambda d=d: _noisy(STEP_GRID, jump_down(STEP_GRID, d).values, 1), None,
+                     id=f"step-{d}")
+        for d in (0.5, 2.0, 4.5)
+    ),
+    pytest.param(_two_spikes, None, id="two-spikes"),
+    pytest.param(lambda: jump_down(GridSpec(4.0, 801), 100.0, -1.0), (None, None), id="no-R"),
+    # every bound ties at 0
+    pytest.param(lambda: zero_path(GridSpec(4.0, 801)), (400, 400), id="zero-ties"),
+    pytest.param(lambda: sample_path(LevyParams.cauchy(1.0), GridSpec(1.0, 3), 7), None,
+                 id="n3"),
+    # the jump of 100 at the right end breaks every strict future bound
+    pytest.param(lambda: jump_up(GridSpec(4.0, 801), 100.0, 4.0), (400, 800),
+                 id="S-last-point"),
+]
+
+
+class TestScanOracles:
+    """The R and S scans nominate witnesses from a majorant and confirm
+    with the bound's own arithmetic; the O(n^2) scans above are the
+    oracles they must match index for index."""
+
+    @pytest.mark.parametrize("build,expected", NAMED_SCAN_CASES)
+    def test_named_cases(self, build, expected):
+        found = assert_scans_match_oracles(build(), 1.0)
+        if expected is not None:
+            assert found == expected
+
+    def test_step_killers_are_nominated(self):
+        # on a noisy step at 0 the killer of every candidate short of R sits
+        # left of 0, so the filter rejects them all and one candidate is
+        # confirmed
+        path = _noisy(STEP_GRID, jump_down(STEP_GRID, 2.0).values, 1)
+        ys, values, i0 = STEP_GRID.points(), path.values, STEP_GRID.zero_index
+        r = regen._scan_r(values, ys, i0, 1.0)
+        assert abs(ys[r] - 2.0) < 0.05
+        cand = np.arange(i0, r)
+        cm = regen._filter_majorant(values, ys, 0, i0, 1.0)
+        j = regen._witnesses(cm, 0, ys[cand], 1.0)
+        assert not (values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / 2.0).any()
+
+    def test_falls_back_when_the_filter_majorant_overflows(self):
+        # on a grid of h = 2.5e-301 the dip of 1e10 just left of 0 gives the
+        # majorant of [0, i0) an edge slope past float64, so the R scan runs
+        # unfiltered; the dip is no vertex of the whole grid's hull
+        grid = GridSpec(1e-300, 9)
+        values = np.zeros(9)
+        values[3], values[5] = -1e10, 1.0
+        path = LevyPath(grid, values, (), None, None)
+        ys = grid.points()
+        with pytest.raises(InputError, match="overflows"):
+            upper_concave_majorant(np.column_stack((ys[:4], values[:4] - ys[:4] ** 2 / 2.0)))
+        assert regen._filter_majorant(values, ys, 0, 4, 1.0) is None
+        assert assert_scans_match_oracles(path, 1.0) == (4, 5)
+        rep = rst_scan(path, 1.0, solve(path, 1.0))
+        assert (rep.R, rep.S) == (ys[4], ys[5])
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 100.0, 1e6])
+    @pytest.mark.parametrize(
+        "par",
+        [LevyParams.brownian(1.0), LevyParams.stable(1.5, 0.0, 0.4),
+         LevyParams.stable(0.75, 0.0, 0.1), LevyParams.stable(0.55, 0.5, 1.0),
+         LevyParams.cauchy(1.0)],
+        ids=["brownian", "stable1.5", "stable0.75", "stable0.55", "cauchy"],
+    )
+    def test_real_grid_size(self, par, t):
+        for seed in range(3):
+            assert_scans_match_oracles(sample_path(par, GridSpec(16.0, 8193), seed), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=adversarial_params(),
+    half=st.integers(1, 32),
+    half_width=st.sampled_from([1.0, 4.0, 16.0]),
+    t=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32),
+)
+def test_hypothesis_adversarial_regimes_match_oracles(params, half, half_width, t, seed):
+    """Heavy tails, near-flat paths, t over twelve decades and grids of 3
+    to 65 points: the filtered scans give the oracles' indices."""
+    try:
+        path = sample_path(params, GridSpec(half_width, 2 * half + 1), seed)
+    except LevyBurgersError:
+        return
+    assert_scans_match_oracles(path, t)
 
 
 class TestPermutationMachinery:

@@ -35,7 +35,7 @@ from levyburgers import (
 )
 from levyburgers.levy import jump_array
 from levyburgers.solver import owning_vertices
-from conftest import derived_seed
+from conftest import adversarial_params, derived_seed
 
 
 @pytest.fixture(scope="module")
@@ -398,28 +398,9 @@ def _assert_hulls_nest(path, times):
         prev = full
 
 
-def _adversarial_params():
-    return st.one_of(
-        st.builds(
-            LevyParams.stable,
-            st.floats(0.5, 0.6, exclude_min=True),
-            st.floats(-1.0, 1.0),
-            st.floats(1e-3, 1e3),
-        ),
-        st.builds(
-            LevyParams.stable,
-            st.floats(0.5, 2.0, exclude_min=True).filter(lambda a: a != 1.0),
-            st.floats(-1.0, 1.0),
-            st.floats(1e-3, 1e3),
-        ),
-        st.builds(LevyParams.cauchy, st.floats(1e-3, 1e3)),
-        st.builds(LevyParams.brownian, st.sampled_from([0.0, 1e-300, 1e-12, 1e-6])),
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    params=_adversarial_params(),
+    params=adversarial_params(),
     half=st.integers(1, 32),
     half_width=st.sampled_from([1.0, 4.0, 16.0]),
     t=st.floats(1e-6, 1e6),
@@ -444,7 +425,7 @@ def test_hypothesis_adversarial_regimes_match_oracle(params, half, half_width, t
 
 @settings(max_examples=150, deadline=None)
 @given(
-    params=_adversarial_params(),
+    params=adversarial_params(),
     half=st.integers(1, 32),
     half_width=st.sampled_from([1.0, 4.0, 16.0]),
     t=st.floats(1e-6, 1e6),
@@ -556,13 +537,14 @@ class TestErrors:
     @pytest.mark.parametrize(
         "jumps",
         [jump_array([801], [0.5]), jump_array([-1], [0.5]), jump_array([400, 400], [0.5, 0.5]),
-         np.zeros(2), np.zeros((0, 2))],
-        ids=["past-end", "negative", "repeated", "float", "2-d"],
+         np.zeros(2), np.zeros((0, 2)), jump_array([400], [np.nan]), jump_array([400], [np.inf])],
+        ids=["past-end", "negative", "repeated", "float", "2-d", "size-nan", "size-inf"],
     )
     def test_bad_jumps_refused(self, jumps):
-        """Tracked jump indices strictly increase within the grid and come
-        as a JUMP_DTYPE array; anything else is refused where the path is
-        built, not later as a bare IndexError."""
+        """Tracked jump indices strictly increase within the grid, sizes are
+        finite, and both come as a JUMP_DTYPE array; anything else is refused
+        where the path is built, not later as a bare IndexError or as a
+        contact jump of no sign."""
         with pytest.raises(InputError, match="tracked jump"):
             LevyPath(GridSpec(4.0, 801), np.zeros(801), jumps, None, None)
 
