@@ -40,7 +40,8 @@ SCALE_EXPONENT = 500
 
 # Points per block of the chord filter: its three scratch buffers stay at
 # 128 KiB each whatever n is, and only the compacted survivors are copied,
-# so the filter adds little to peak memory.
+# so the filter adds little to peak memory.  The regen scans nominate
+# witnesses for blocks of this many candidates, for the same reason.
 FILTER_BLOCK = 16384
 
 

@@ -217,7 +217,6 @@ def _two_spikes() -> LevyPath:
     # the drop of 2.6 at -1 lets R sit near 1.28 on its own, but the spike
     # of 2.0 at 0.01 breaks the bound of every point up to about 2.01: those
     # killers lie past 0, where the filter nominates none
-    ys = STEP_GRID.points()
     values = jump_down(STEP_GRID, 2.6, -1.0).values.copy()
     values[STEP_GRID.zero_index + round(0.01 / STEP_GRID.h)] += 2.0
     return _noisy(STEP_GRID, values, 23)
