@@ -6,11 +6,16 @@ the points lying strictly below a chord of two other input points and
 compacts its survivors between levels, so that later levels cost only
 what is left; one orientation check over consecutive survivor triples
 then certifies them as the chain when none flags, which settles the
-near-flat inputs whose every point is a vertex.  Only when that check
-flags a triple does a level-synchronous QuickHull (Barber, Dobkin &
-Huhdanpaa 1996) split every open segment of a level at its farthest
-point, the same check confirm its candidates, and, when it flags again,
-a monotone-chain pass run over the candidates alone.  The edge slopes
+near-flat inputs whose every point is a vertex.  When it flags a few
+triples, as one jump of the potential does, the monotone chain (Andrew
+1979) runs over the survivors in bulk: each run of unflagged survivors
+is pushed as one slice, and only the stretches where points pop are
+searched with vectorized orientation tests.  When it flags many, or the
+bulk chain runs out of its budget, a level-synchronous QuickHull
+(Barber, Dobkin & Huhdanpaa 1996) splits every open segment of a level
+at its farthest point, the same check confirms its candidates, and,
+when it flags again, a monotone-chain pass runs over the candidates
+alone.  The edge slopes
 are stored once, padded with +/-inf sentinels at the chain ends where
 the majorant is unconstrained by the data, so vertex k has left slope
 s[k] and right slope s[k+1].
@@ -43,6 +48,18 @@ SCALE_EXPONENT = 500
 # so the filter adds little to peak memory.  The regen scans nominate
 # witnesses for blocks of this many candidates, for the same reason.
 FILTER_BLOCK = 16384
+
+# The monotone chain runs in bulk over N filter survivors when at most
+# N / _FEW_FLAGS of their consecutive triples pop.  Its searches test
+# chunks of _FIRST_CHUNK points and more, and it hands the survivors to
+# QuickHull before its chunks would hold over N / _POINTS_SHARE points
+# or number over N / _CHUNKS_SHARE.  On a 2-core Xeon a chunk costs about
+# 9 us plus 20 ns per point, and QuickHull 60-350 ns per survivor, so a
+# bulk pass that gives up wastes a few percent of the QuickHull.
+_FEW_FLAGS = 1024
+_POINTS_SHARE = 8
+_CHUNKS_SHARE = 256
+_FIRST_CHUNK = 32
 
 
 def read_only(a) -> np.ndarray:
@@ -183,15 +200,15 @@ def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return verts
 
 
-def _flagged(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> bool:
-    """True when some consecutive triple of the sorted indices idx pops.
+def _flags(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Positions k where the consecutive triple k, k+1, k+2 of the sorted
+    points pops.
 
-    When none does, the chain of idx has strictly decreasing slopes, so it
-    is locally and hence globally concave; if idx holds every vertex of
-    the hull, it is the hull's vertex chain.
+    When there are none, the chain of the points has strictly decreasing
+    slopes, so it is locally and hence globally concave; if the points
+    hold every vertex of the hull, they are the hull's vertex chain.
     """
-    cy, cv = ys[idx], vs[idx]
-    return bool(_pops(cy[:-2], cv[:-2], cy[1:-1], cv[1:-1], cy[2:], cv[2:]).any())
+    return np.flatnonzero(_pops(ys[:-2], vs[:-2], ys[1:-1], vs[1:-1], ys[2:], vs[2:]))
 
 
 def _chain(ys: list[float], vs: list[float]) -> list[int]:
@@ -207,6 +224,91 @@ def _chain(ys: list[float], vs: list[float]) -> list[int]:
     return stack
 
 
+def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray | None:
+    """_chain(ys, vs) as an index array, or None once the budget runs out.
+
+    flags are the positions of the popping consecutive triples (_flags).
+    While the top two points of the stack are consecutive, every point up
+    to the last one of the next flagged triple is pushed as one slice.
+    That last one pops its predecessor, and then pops back through the
+    stack until a triple keeps its middle point.  Where the top two
+    points (a, p) are not consecutive, each next point is tested against
+    them: one that pops p but not a replaces p, one that keeps p makes
+    the top consecutive again, and one that pops both pops back.  Both
+    searches test triples with _pops in chunks grown x4 from
+    _FIRST_CHUNK, so each decision is _chain's on the same floats.
+    """
+    n = len(ys)
+    points, chunks = n // _POINTS_SHARE, n // _CHUNKS_SHARE  # left in the budget
+
+    def first(test, count):
+        """First offset in [0, count) where test(lo, hi), which covers
+        offsets lo..hi-1, is true, else count; None over budget."""
+        nonlocal points, chunks
+        lo, size = 0, _FIRST_CHUNK
+        while lo < count:
+            hi = min(lo + size, count)
+            points -= hi - lo
+            chunks -= 1
+            if points < 0 or chunks < 0:
+                return None
+            hit = np.flatnonzero(test(lo, hi))
+            if hit.size:
+                return lo + int(hit[0])
+            lo, size = hi, 4 * size
+        return count
+
+    def stops(lo, hi):  # offsets from j; true where a point keeps p or pops a
+        q = np.arange(j + lo, j + hi)
+        keeps = ~_pops(ys[a], vs[a], ys[q - 1], vs[q - 1], ys[q], vs[q])
+        if top < 3:
+            return keeps
+        b = stack[top - 3]
+        return keeps | _pops(ys[b], vs[b], ys[a], vs[a], ys[q], vs[q])
+
+    def kept(lo, hi):  # offsets down from the top; true where j keeps it
+        mid = stack[top - hi : top - lo][::-1]
+        left = stack[top - hi - 1 : top - lo - 1][::-1]
+        return ~_pops(ys[left], vs[left], ys[mid], vs[mid], ys[j], vs[j])
+
+    stack = np.empty(n, dtype=np.intp)
+    stack[:2] = 0, 1
+    top, j = 2, 2  # stack[:top] is the chain of the points before j
+    while j < n:
+        a = int(stack[top - 2])
+        if a == j - 2:
+            k = np.searchsorted(flags, a)
+            end = int(flags[k]) + 2 if k < len(flags) else n
+            stack[top : top + end - j] = np.arange(j, end)
+            top += end - j
+            j = end
+            if j == n:
+                break
+            top -= 1  # j pops its predecessor
+        else:
+            i = first(stops, n - j)
+            if i is None:
+                return None
+            j += i
+            stack[top - 1] = j - 1
+            if j == n:
+                break
+            if not _pops(ys[a], vs[a], ys[j - 1], vs[j - 1], ys[j], vs[j]):
+                stack[top] = j
+                top += 1
+                j += 1
+                continue
+            top -= 2  # j pops its predecessor and a
+        i = first(kept, top - 1)
+        if i is None:
+            return None
+        top -= i
+        stack[top] = j
+        top += 1
+        j += 1
+    return stack[:top]
+
+
 def upper_concave_majorant(
     points: list[tuple[float, float]] | np.ndarray,
 ) -> ConcaveMajorant:
@@ -215,13 +317,17 @@ def upper_concave_majorant(
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
     y to the max v beforehand), and raises InputError when an edge slope
     of the chain overflows float64.  Interior points collinear with their
-    neighbours are removed.  The stages run in the order filter, check,
-    QuickHull only if the check flags a triple, check, chain pass only if
-    it flags again.  The filter, the checks and the QuickHull levels are
-    O(n log n) array work; the Python chain pass runs only on the
-    QuickHull candidates.  Every filtered point lies under a chord of two
-    input points, so the survivors hold every vertex, and a check that
-    passes on them or on the candidates certifies them as the chain.
+    neighbours are removed.  The stages run in the order filter, check;
+    if the check flags at most one survivor triple in _FEW_FLAGS, the
+    bulk chain over the survivors; if it flags more, or the bulk chain
+    gives up, QuickHull, check, chain pass only if it flags again.  The
+    filter, the checks and the QuickHull levels are O(n log n) array work;
+    the bulk chain's Python loop turns once per flag and per chunk, and
+    the Python chain pass runs only on the QuickHull candidates.  Every
+    filtered point lies under a chord of two input points, so the
+    survivors hold every vertex, and a check that passes on them or on
+    the candidates certifies them as the chain.  The bulk chain's result
+    is _chain over the survivors, index for index.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -241,10 +347,18 @@ def upper_concave_majorant(
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
         idx = _chord_filter(sy, sv)
-        if _flagged(sy, sv, idx):
+        cy, cv = sy[idx], sv[idx]
+        flags = _flags(cy, cv)
+        chain = None
+        if 0 < len(flags) * _FEW_FLAGS <= len(idx):
+            chain = _bulk_chain(cy, cv, flags)
+        if chain is not None:
+            idx = idx[chain]
+        elif len(flags):
             idx = _quickhull(sy, sv, idx)
-            if _flagged(sy, sv, idx):
-                idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
+            cy, cv = sy[idx], sv[idx]
+            if len(_flags(cy, cv)):
+                idx = idx[_chain(cy.tolist(), cv.tolist())]
         idx = idx.astype(np.intp)
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 

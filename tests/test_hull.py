@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from levyburgers import (
     GridSpec,
     InputError,
+    JumpDist,
     LevyParams,
     OutOfDomainError,
     jump_down,
@@ -59,6 +60,23 @@ def reference_chain(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.asarray(stack, dtype=np.intp)
 
 
+def spiked_parabola(n: int, spikes: int):
+    """-y^2/2 on [-16, 16] with the points k*n // (spikes + 2), k = 1, ...,
+    spikes, raised by 50."""
+    ys = np.linspace(-16.0, 16.0, n)
+    vs = -ys * ys / 2
+    vs[np.arange(1, spikes + 1) * n // (spikes + 2)] += 50.0
+    return ys, vs
+
+
+def step_parabola(n: int, delta: float):
+    """-y^2/2 on [-16, 16], lowered by delta from y = 0 on."""
+    ys = np.linspace(-16.0, 16.0, n)
+    vs = -ys * ys / 2
+    vs[ys >= 0] -= delta
+    return ys, vs
+
+
 def random_cloud(rng, n):
     ys = np.sort(rng.uniform(-10, 10, n))
     while np.any(np.diff(ys) <= 0):
@@ -101,6 +119,23 @@ class TestExamples:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="slope overflows"):
                 upper_concave_majorant([(0, 0), (1e-300, 1e10), (2e-300, 1.5e10), (1, 0)])
+
+    def test_slope_overflow_on_the_bulk_chain(self, monkeypatch):
+        """A step parabola with one flagged triple takes the bulk chain; a
+        first point 1e150 below it at distance 1e-160 makes the chain's
+        first edge slope overflow, which must raise without a warning."""
+        ys, vs = step_parabola(4097, 0.5)
+        ys = np.concatenate([[-1e-160], ys / 32 + 0.5])
+        vs = np.concatenate([[vs[0] - 1e150], vs])
+
+        def refuse(*args):
+            raise AssertionError("QuickHull ran on a few-flag cloud")
+
+        monkeypatch.setattr(hull, "_quickhull", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="slope overflows"):
+                upper_concave_majorant(np.column_stack([ys, vs]))
 
 
 class TestQuery:
@@ -254,10 +289,24 @@ class TestMatchesMonotoneChain:
         """A spike on a parabola: each filter level drops only the two
         points next to the spike's shadow, the slowest input for a filter
         that repeats a level until nothing drops."""
-        ys = np.linspace(-16.0, 16.0, n)
-        vs = -ys * ys / 2
-        vs[n // 3] += 50.0
-        assert_matches_reference(ys, vs)
+        assert_matches_reference(*spiked_parabola(n, 1))
+
+    @pytest.mark.parametrize("delta", [0.5, 4.5])
+    def test_step_parabola(self, delta):
+        assert_matches_reference(*step_parabola(4097, delta))
+
+    @pytest.mark.parametrize("spikes", [5, 40])
+    def test_spiked_parabola(self, spikes):
+        assert_matches_reference(*spiked_parabola(4097, spikes))
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_compound_poisson(self, t):
+        assert_matches_reference(*_compound_poisson(4097, t))
+
+    @pytest.mark.parametrize("family", ["cauchy", "stable1.5"])
+    def test_small_t(self, family):
+        path = sample_path(LEVY_FAMILIES[family], GridSpec(16.0, 4097), 1)
+        assert_matches_reference(*_shifted(path, 1e-6))
 
     @pytest.mark.parametrize(
         "ys, vs",
@@ -285,7 +334,8 @@ class TestMatchesMonotoneChain:
 
 class TestCertifiedFilter:
     """The check on the chord filter's survivors certifies them as the
-    chain when no triple pops, and QuickHull runs only when one does."""
+    chain when no triple pops, the bulk chain runs when few pop, and
+    QuickHull runs only when many pop or the bulk chain gives up."""
 
     @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("source", ["zero", "sigma1e-12"])
@@ -303,21 +353,120 @@ class TestCertifiedFilter:
         cm = assert_matches_reference(*_shifted(path, t))
         assert len(cm) == grid.n
 
+    @pytest.mark.parametrize("t", [1e-3, 1.0])
     @pytest.mark.parametrize("fixture", [jump_up, jump_down])
-    def test_jump_fixtures_reach_quickhull(self, fixture, monkeypatch):
-        """A step leaves a survivor under the chord of its neighbours, so
-        the check flags and QuickHull runs once, on the survivors."""
-        calls = []
-        quickhull = hull._quickhull
+    def test_jump_fixtures_skip_quickhull(self, fixture, t, monkeypatch):
+        """A step leaves one flagged survivor triple, and the bulk chain
+        settles it without QuickHull."""
+
+        def refuse(*args):
+            raise AssertionError("QuickHull ran on a one-flag input")
+
+        monkeypatch.setattr(hull, "_quickhull", refuse)
+        assert_matches_reference(*_shifted(fixture(GridSpec(16.0, 16385)), t))
+
+    @pytest.mark.parametrize("spikes", [1, 5])
+    def test_spiked_parabolas_reach_quickhull(self, spikes, monkeypatch):
+        """One spike leaves two flagged triples, and its tangents reach so
+        far that the bulk chain runs out of budget; five spikes flag too
+        many triples to start it.  Either way QuickHull runs once, on the
+        survivors."""
+        bulk, calls = [], []
+        bulk_chain, quickhull = hull._bulk_chain, hull._quickhull
+
+        def counted_bulk(ys, vs, flags):
+            bulk.append(bulk_chain(ys, vs, flags))
+            return bulk[-1]
 
         def counted(ys, vs, idx):
-            calls.append(len(idx))
+            calls.append(idx)
             return quickhull(ys, vs, idx)
 
+        monkeypatch.setattr(hull, "_bulk_chain", counted_bulk)
         monkeypatch.setattr(hull, "_quickhull", counted)
-        ys, vs = _shifted(fixture(GridSpec(16.0, 16385)))
-        cm = assert_matches_reference(ys, vs)
-        assert calls == [len(hull._chord_filter(ys, vs))] and len(cm) < calls[0]
+        ys, vs = spiked_parabola(4097, spikes)
+        assert_matches_reference(ys, vs)
+        assert len(calls) == 1 and np.array_equal(calls[0], hull._chord_filter(ys, vs))
+        assert [b is None for b in bulk] == ([True] if spikes == 1 else [])
+
+
+def _unlimited_bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
+    """hull._bulk_chain on sorted points with its budget lifted."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_POINTS_SHARE", 1e-9)
+        mp.setattr(hull, "_CHUNKS_SHARE", 1e-9)
+        mp.setattr(hull, "_FIRST_CHUNK", first_chunk)
+        with np.errstate(over="ignore"):
+            chain = hull._bulk_chain(ys, vs, hull._flags(ys, vs))
+    assert chain is not None
+    return chain
+
+
+def _compound_poisson(n: int, t: float = 1.0):
+    params = LevyParams.compound_poisson(1.0, JumpDist("normal", 0.0, 1.0))
+    return _shifted(sample_path(params, GridSpec(16.0, n), 1), t)
+
+
+DEFECT_INPUTS = {
+    "jump_up": lambda: _shifted(jump_up(GridSpec(16.0, 4097))),
+    "jump_down": lambda: _shifted(jump_down(GridSpec(16.0, 4097))),
+    "step0.5": lambda: step_parabola(4097, 0.5),
+    "step4.5": lambda: step_parabola(4097, 4.5),
+    "spike1": lambda: spiked_parabola(4097, 1),
+    "spike5": lambda: spiked_parabola(4097, 5),
+    "cpoisson": lambda: _compound_poisson(4097),
+}
+
+
+class TestBulkChain:
+    """The bulk chain returns _chain over the same points, index for index,
+    or gives up (None) within its budget."""
+
+    @pytest.mark.parametrize("first_chunk", [1, 32])
+    @pytest.mark.parametrize("name", sorted(DEFECT_INPUTS))
+    def test_equals_chain_over_survivors(self, name, first_chunk):
+        ys, vs = DEFECT_INPUTS[name]()
+        idx = hull._chord_filter(ys, vs)
+        cy, cv = ys[idx], vs[idx]
+        chain = _unlimited_bulk_chain(cy, cv, first_chunk)
+        assert chain.tolist() == hull._chain(cy.tolist(), cv.tolist())
+        with np.errstate(over="ignore"):
+            budgeted = hull._bulk_chain(cy, cv, hull._flags(cy, cv))
+        assert budgeted is None or np.array_equal(budgeted, chain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=400),
+    log_t=st.floats(min_value=-2.0, max_value=3.0),
+    defects=st.lists(
+        st.tuples(
+            st.sampled_from(["step", "spike", "dent"]),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=-4.0, max_value=2.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    first_chunk=st.sampled_from([1, 2, 32]),
+)
+def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
+    """Parabola chains with 1-4 injected steps, spikes or dents: the bulk
+    chain over every point equals _chain, and the hull equals the
+    per-point reference chain."""
+    ys = np.linspace(-4.0, 4.0, n)
+    vs = -ys * ys / (2 * 10.0**log_t)
+    for kind, where, log_size in defects:
+        k = min(int(where * n), n - 1)
+        size = 10.0**log_size
+        if kind == "step":
+            vs[k:] -= size
+        else:
+            vs[k] += size if kind == "spike" else -size
+    chain = _unlimited_bulk_chain(ys, vs, first_chunk)
+    assert chain.tolist() == hull._chain(ys.tolist(), vs.tolist())
+    cm = upper_concave_majorant(np.column_stack([ys, vs]))
+    assert np.array_equal(cm.indices, reference_chain(ys, vs))
 
 
 def test_peak_memory_bounded():
