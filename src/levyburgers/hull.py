@@ -1,24 +1,30 @@
 """Upper concave majorant of a finite point cloud.
 
 The majorant is the minimal concave function dominating the points.  Its
-vertex chain is found in vectorized stages: a dyadic chord filter drops
+vertex chain is found in vectorized stages.  A dyadic chord filter drops
 the points lying strictly below a chord of two other input points and
 compacts its survivors between levels, so that later levels cost only
-what is left; one orientation check over consecutive survivor triples
-then certifies them as the chain when none flags, which settles the
-near-flat inputs whose every point is a vertex.  When it flags a few
-triples, as one jump of the potential does, the monotone chain (Andrew
-1979) runs over the survivors in bulk: each run of unflagged survivors
-is pushed as one slice, and only the stretches where points pop are
-searched with vectorized orientation tests.  When it flags many, or the
-bulk chain runs out of its budget, a level-synchronous QuickHull
-(Barber, Dobkin & Huhdanpaa 1996) splits every open segment of a level
-at its farthest point, the same check confirms its candidates, and,
-when it flags again, a monotone-chain pass runs over the candidates
-alone.  The edge slopes
-are stored once, padded with +/-inf sentinels at the chain ends where
-the majorant is unconstrained by the data, so vertex k has left slope
-s[k] and right slope s[k+1].
+what is left.  One orientation check over consecutive survivor triples
+then tells, from one determinant per triple, which triples pop and which
+middle points lie certainly below the chord of their neighbours.  When
+none pops, the survivors are certified as the chain, which settles the
+near-flat inputs whose every point is a vertex.  When many pop and most
+of them are certainly below, as on noisy paths, the survivors are peeled,
+the throw-away step of Akl & Toussaint (1978): passes drop the points
+certainly below the chord of their list neighbours, the chord filter runs
+again, and the check runs on what is left.  When a few triples pop, as
+one jump of the potential makes them, the monotone chain (Andrew 1979)
+runs over the list in bulk: each run of unflagged points is pushed as one
+slice, and only the stretches where points pop are searched with
+vectorized orientation tests.  When many still pop, or the bulk chain
+runs out of its budget, a level-synchronous QuickHull (Barber, Dobkin &
+Huhdanpaa 1996) splits every open segment of a level at its farthest
+point, the same check confirms its candidates, and, when it flags again,
+a monotone-chain pass runs over the candidates alone; a list short
+enough goes to that pass at once.  The edge slopes are stored once,
+padded with +/-inf sentinels at the chain ends where the majorant is
+unconstrained by the data, so vertex k has left slope s[k] and right
+slope s[k+1].
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ import numpy as np
 
 from .errors import InputError, OutOfDomainError
 
-# Relative forward error bound of the orientation determinant of _pops
-# (Shewchuk 1997, "ccwerrboundA").  A triple whose determinant lies within
+# Relative forward error bound of the orientation determinant of _pops and
+# _orient (Shewchuk 1997, "ccwerrboundA").  A triple whose determinant lies within
 # this bound times the sum of the magnitudes of its two products cannot be
 # told apart from collinear and is flattened, keeping the extreme points of
 # each collinear run; slope-tie vertices would break strict slope
@@ -39,8 +45,10 @@ from .errors import InputError, OutOfDomainError
 _EPS = float(np.finfo(float).eps)
 COLLINEAR_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 
-# Coordinates from 2^SCALE_EXPONENT in magnitude on are scaled below it, so
-# that no product of two coordinate differences overflows.
+# When the largest magnitudes of the two axes multiply to 2^(2 *
+# SCALE_EXPONENT) or more, or one of them does alone, each axis from
+# 2^SCALE_EXPONENT in magnitude on is scaled below it by its own power of
+# two, so that no product of two coordinate differences overflows.
 SCALE_EXPONENT = 500
 
 # Points per block of the chord filter: its three scratch buffers stay at
@@ -49,17 +57,32 @@ SCALE_EXPONENT = 500
 # witnesses for blocks of this many candidates, for the same reason.
 FILTER_BLOCK = 16384
 
-# The monotone chain runs in bulk over N filter survivors when at most
-# N / _FEW_FLAGS of their consecutive triples pop.  Its searches test
-# chunks of _FIRST_CHUNK points and more, and it hands the survivors to
-# QuickHull before its chunks would hold over N / _POINTS_SHARE points
-# or number over N / _CHUNKS_SHARE.  On a 2-core Xeon a chunk costs about
-# 9 us plus 20 ns per point, and QuickHull 60-350 ns per survivor, so a
-# bulk pass that gives up wastes a few percent of the QuickHull.
+# The monotone chain runs in bulk over N filter survivors, peeled or not,
+# when at most N / _FEW_FLAGS of their consecutive triples pop.  Its
+# searches test chunks of _FIRST_CHUNK points and more, and it hands the
+# survivors to QuickHull before its chunks would hold over N /
+# _POINTS_SHARE points or number over N / _CHUNKS_SHARE.  On a 2-core Xeon
+# a chunk costs about 9 us plus 20 ns per point, and QuickHull 60-350 ns
+# per survivor, so a bulk pass that gives up wastes a few percent of the
+# QuickHull.
 _FEW_FLAGS = 1024
 _POINTS_SHARE = 8
 _CHUNKS_SHARE = 256
 _FIRST_CHUNK = 32
+
+# The survivors are peeled when at least one in _PEEL_SHARE of them is
+# certainly below the chord of its list neighbours and at most one in
+# _FEW_FLAGS of them flags without being so, since the peel cannot drop
+# those; passes repeat while one drops one point in _PEEL_SHARE.  Noisy
+# paths have a third to a half of their survivors below; spiked
+# parabolas and compound Poisson paths one in a hundred or fewer, and they
+# go to QuickHull as before.
+_PEEL_SHARE = 8
+
+# A list of at most _CHAIN_POINTS points that still flags goes to the
+# Python chain pass at once: on a 2-core Xeon it costs about 0.5 us per
+# point, and QuickHull with its check 90-310 us on lists of 20-450 points.
+_CHAIN_POINTS = 256
 
 
 def read_only(a) -> np.ndarray:
@@ -118,6 +141,33 @@ def _pops(y1, v1, y2, v2, y3, v3):
     return (p - q >= -COLLINEAR_ERRBOUND * (abs(p) + abs(q))) | tied
 
 
+def _orient(ys, vs, k: int, start: int, stop: int, P, Q, W) -> None:
+    """Orientation of the triples (i - k, i, i + k) of sorted points for i
+    in [start, stop): W gets the determinant, positive where point i lies
+    below the chord of the other two, and P its forward error bound
+    (COLLINEAR_ERRBOUND times the sum of the magnitudes of the two
+    products).  P, Q and W are scratch buffers of length stop - start."""
+    lo, mid, hi = slice(start - k, stop - k), slice(start, stop), slice(start + k, stop + k)
+    np.subtract(ys[mid], ys[lo], out=P)
+    np.subtract(vs[hi], vs[lo], out=W)
+    P *= W
+    np.subtract(vs[mid], vs[lo], out=Q)
+    np.subtract(ys[hi], ys[lo], out=W)
+    Q *= W
+    np.subtract(P, Q, out=W)
+    np.abs(P, out=P)
+    np.abs(Q, out=Q)
+    P += Q
+    P *= COLLINEAR_ERRBOUND
+
+
+def _scratch(n: int):
+    """Three float buffers and one bool buffer for blocks of at most
+    FILTER_BLOCK + 1 of n points."""
+    size = min(n, FILTER_BLOCK) + 1
+    return np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
 def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Sorted int32 indices of the points that survive the dyadic filter.
 
@@ -130,9 +180,7 @@ def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     vertex.  Each level runs over blocks of FILTER_BLOCK points with three
     block-sized buffers.
     """
-    size = min(len(ys), FILTER_BLOCK)
-    p, q, w = np.empty(size), np.empty(size), np.empty(size)
-    keep = np.empty(size, dtype=bool)
+    p, q, w, keep = _scratch(len(ys))
     idx = np.arange(len(ys), dtype=np.int32)
     alive = np.ones(len(ys), dtype=bool)
     k = 1
@@ -140,23 +188,11 @@ def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         n = len(idx)
         for start in range(k, n - k, FILTER_BLOCK):
             stop = min(start + FILTER_BLOCK, n - k)
-            lo, hi = slice(start - k, stop - k), slice(start + k, stop + k)
-            mid = slice(start, stop)
             m = stop - start
-            P, Q, W, K = p[:m], q[:m], w[:m], keep[:m]
-            np.subtract(ys[mid], ys[lo], out=P)
-            np.subtract(vs[hi], vs[lo], out=W)
-            P *= W
-            np.subtract(vs[mid], vs[lo], out=Q)
-            np.subtract(ys[hi], ys[lo], out=W)
-            Q *= W
-            np.subtract(P, Q, out=W)  # > 0 where the middle point is below
-            np.abs(P, out=P)
-            np.abs(Q, out=Q)
-            P += Q
-            P *= COLLINEAR_ERRBOUND
+            P, W, K = p[:m], w[:m], keep[:m]
+            _orient(ys, vs, k, start, stop, P, q[:m], W)
             np.less_equal(W, P, out=K)
-            alive[mid] &= K
+            alive[start:stop] &= K
         # a compaction costs about as much as a level, so it waits until a
         # quarter of the list is gone: near-flat inputs, which lose a few
         # points per level, are then never compacted
@@ -200,15 +236,65 @@ def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return verts
 
 
-def _flags(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Positions k where the consecutive triple k, k+1, k+2 of the sorted
-    points pops.
+def _check(ys: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, below) over the consecutive triples k, k+1, k+2 of sorted
+    points: flags are the positions k where the triple pops (_pops), and
+    below those where point k+1 is certainly below the chord of k and k+2,
+    the chord filter's test.
 
-    When there are none, the chain of the points has strictly decreasing
-    slopes, so it is locally and hence globally concave; if the points
-    hold every vertex of the hull, they are the hull's vertex chain.
+    One orientation per triple serves both, in blocks of FILTER_BLOCK
+    points; the slope-tie test runs after it and can only add flags.
+    When there are no flags, the chain of the points has strictly
+    decreasing slopes, so it is locally and hence globally concave; if
+    the points hold every vertex of the hull, they are the hull's vertex
+    chain.  A point below is never a vertex.
     """
-    return np.flatnonzero(_pops(ys[:-2], vs[:-2], ys[1:-1], vs[1:-1], ys[2:], vs[2:]))
+    n = max(len(ys) - 2, 0)
+    p, q, w, t = _scratch(n)
+    keeps, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for start in range(1, n + 1, FILTER_BLOCK):
+        stop = min(start + FILTER_BLOCK, n + 1)
+        m = stop - start
+        P, Q, W, out = p[:m], q[:m], w[:m], slice(start - 1, stop - 1)
+        _orient(ys, vs, 1, start, stop, P, Q, W)
+        np.greater(W, P, out=below[out])
+        np.negative(P, out=P)
+        np.less(W, P, out=keeps[out])
+        # edge slopes start-1 .. stop-1; the middle point keeps only where
+        # its left slope is strictly above its right one
+        S, D = p[: m + 1], w[: m + 1]
+        np.subtract(vs[start : stop + 1], vs[start - 1 : stop], out=S)
+        np.subtract(ys[start : stop + 1], ys[start - 1 : stop], out=D)
+        S /= D
+        np.greater(S[:-1], S[1:], out=t[:m])
+        keeps[out] &= t[:m]
+    return np.flatnonzero(~keeps), np.flatnonzero(below)
+
+
+def _peel(
+    ys: np.ndarray, vs: np.ndarray, idx: np.ndarray, below: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, flags): the sorted indices idx with certain non-vertices
+    dropped, and the check's flags on what is left.
+
+    A pass drops the points at the positions below + 1 of the list, each
+    certainly below the chord of its two list neighbours, and checks the
+    rest; passes repeat while one drops at least one point in
+    _PEEL_SHARE.  While many triples still flag, the chord filter runs
+    again on the peeled list and one more pass follows it.
+    """
+    while True:
+        idx = np.delete(idx, below + 1)
+        flags, below = _check(ys[idx], vs[idx])
+        if len(below) * _PEEL_SHARE < len(idx):
+            break
+    if len(flags) * _FEW_FLAGS > len(idx):
+        idx = idx[_chord_filter(ys[idx], vs[idx])]
+        flags, below = _check(ys[idx], vs[idx])
+        if len(below):
+            idx = np.delete(idx, below + 1)
+            flags = _check(ys[idx], vs[idx])[0]
+    return idx, flags
 
 
 def _chain(ys: list[float], vs: list[float]) -> list[int]:
@@ -317,17 +403,21 @@ def upper_concave_majorant(
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
     y to the max v beforehand), and raises InputError when an edge slope
     of the chain overflows float64.  Interior points collinear with their
-    neighbours are removed.  The stages run in the order filter, check;
-    if the check flags at most one survivor triple in _FEW_FLAGS, the
-    bulk chain over the survivors; if it flags more, or the bulk chain
-    gives up, QuickHull, check, chain pass only if it flags again.  The
-    filter, the checks and the QuickHull levels are O(n log n) array work;
-    the bulk chain's Python loop turns once per flag and per chunk, and
-    the Python chain pass runs only on the QuickHull candidates.  Every
-    filtered point lies under a chord of two input points, so the
-    survivors hold every vertex, and a check that passes on them or on
-    the candidates certifies them as the chain.  The bulk chain's result
-    is _chain over the survivors, index for index.
+    neighbours are removed.  The stages run in this order, each only while
+    the check still flags a triple of the list:
+    filter, check; the peel, when at least one survivor in _PEEL_SHARE is
+    certainly below the chord of its neighbours and at most one in
+    _FEW_FLAGS flags otherwise, with its passes, a second filter round,
+    one more pass and the check; the bulk chain, when at most one triple
+    in _FEW_FLAGS flags; QuickHull over a list of over _CHAIN_POINTS
+    points, then the check; the chain pass.  The filter, the peel, the
+    checks and the QuickHull levels are O(n log n) array work; the bulk
+    chain's Python loop turns once per flag and per chunk, and the Python
+    chain pass runs on the QuickHull candidates or on a short list.
+    Every filtered or peeled point lies under a chord of two input
+    points, so the list keeps every vertex, and a check that passes on it
+    certifies it as the chain.  The bulk chain's result and the chain
+    pass's are _chain over the list, index for index.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -338,29 +428,39 @@ def upper_concave_majorant(
     if np.any(np.diff(ys) <= 0):
         raise InputError("y coordinates must be strictly increasing")
 
-    # one power of two for both coordinates keeps every slope and every
-    # comparison of the orientation tests
-    big = max(-ys[0], ys[-1], vs.max(), -vs.min())
-    shift = max(0, math.frexp(big)[1] - SCALE_EXPONENT)
-    sy, sv = (np.ldexp(ys, -shift), np.ldexp(vs, -shift)) if shift else (ys, vs)
+    # a positive scale per axis keeps every orientation sign, its error
+    # bound and every slope comparison; scaling only where a product could
+    # overflow keeps tiny coordinates next to huge ones distinct
+    ey = math.frexp(max(-ys[0], ys[-1]))[1]
+    ev = math.frexp(max(vs.max(), -vs.min()))[1]
+    sy, sv = ys, vs
+    if max(ey + ev, ey, ev) > 2 * SCALE_EXPONENT:
+        sy, sv = _capped(ys, ey), _capped(vs, ev)
     # a slope may overflow to inf in every stage; a chain left with one is
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
-        idx = _chord_filter(sy, sv)
-        cy, cv = sy[idx], sv[idx]
-        flags = _flags(cy, cv)
-        chain = None
+        idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
+        flags, below = _check(sy[idx], sv[idx])
+        # the peel drops only the points certainly below; other flags stay
+        n, uncertain = len(idx), len(flags) - len(below)
+        if n > _CHAIN_POINTS and uncertain * _FEW_FLAGS <= n <= len(below) * _PEEL_SHARE:
+            idx, flags = _peel(sy, sv, idx, below)
         if 0 < len(flags) * _FEW_FLAGS <= len(idx):
-            chain = _bulk_chain(cy, cv, flags)
-        if chain is not None:
-            idx = idx[chain]
-        elif len(flags):
+            chain = _bulk_chain(sy[idx], sv[idx], flags)
+            if chain is not None:
+                idx, flags = idx[chain], ()
+        if len(flags) and len(idx) > _CHAIN_POINTS:
             idx = _quickhull(sy, sv, idx)
-            cy, cv = sy[idx], sv[idx]
-            if len(_flags(cy, cv)):
-                idx = idx[_chain(cy.tolist(), cv.tolist())]
-        idx = idx.astype(np.intp)
+            flags = _check(sy[idx], sv[idx])[0]
+        if len(flags):
+            idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
+
+
+def _capped(a: np.ndarray, exponent: int) -> np.ndarray:
+    """a, whose largest magnitude has binary exponent ``exponent``, scaled
+    below 2^SCALE_EXPONENT by a power of two when it is not already."""
+    return np.ldexp(a, SCALE_EXPONENT - exponent) if exponent > SCALE_EXPONENT else a
 
 
 def query(cm: ConcaveMajorant, y: float) -> tuple[float, float, float]:

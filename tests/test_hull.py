@@ -120,6 +120,24 @@ class TestExamples:
             with pytest.raises(InputError, match="slope overflows"):
                 upper_concave_majorant([(0, 0), (1e-300, 1e10), (2e-300, 1.5e10), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1e-300, 0.0), (2e-300, 1.0), (3e-300, 0.0), (1.0, 1e200)],
+            [(0.0, 1e-300), (1.0, 2e-300), (2.0, 1e-300), (1e200, 0.0)],
+        ],
+        ids=["tiny-y-huge-v", "huge-y-tiny-v"],
+    )
+    def test_tiny_axis_next_to_huge_one(self, points):
+        """Distinct tiny coordinates on one axis next to a huge coordinate
+        are not flushed to zero by a scale the other axis needs."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = upper_concave_majorant(points)
+        assert cm.indices.tolist() == [0, 1, 3]
+        ys, vs = np.array(points).T
+        assert cm.indices.tolist() == reference_chain(ys, vs).tolist()
+
     def test_slope_overflow_on_the_bulk_chain(self, monkeypatch):
         """A step parabola with one flagged triple takes the bulk chain; a
         first point 1e150 below it at distance 1e-160 makes the chain's
@@ -241,6 +259,28 @@ def _shifted(path, t=1.0):
     return ys, path.values - ys * ys / (2.0 * t)
 
 
+def noisy_step(delta: float, past: bool = False, n: int = 65537):
+    """A downward step of delta at 0 plus Brownian noise of sigma 1e-3,
+    shifted at t = 1: the cloud of a regen step path's hull, or with
+    ``past`` its part on [0, i0), the cloud of the R scan's filter hull."""
+    grid = GridSpec(16.0, n)
+    noise = sample_path(LevyParams.brownian(1e-3), grid, 1).values
+    ys, vs = _shifted(jump_down(grid, delta))
+    end = grid.zero_index if past else n
+    return ys[:end], (vs + noise)[:end]
+
+
+NOISY_INPUTS = {
+    "step0.5": lambda: noisy_step(0.5),
+    "step0.5-past": lambda: noisy_step(0.5, past=True),
+    "step4.5": lambda: noisy_step(4.5),
+    "step4.5-past": lambda: noisy_step(4.5, past=True),
+    "sigma1e-3": lambda: _shifted(
+        sample_path(LevyParams.brownian(1e-3), GridSpec(16.0, 16385), 1)
+    ),
+}
+
+
 LEVY_FAMILIES = {
     "brownian": LevyParams.brownian(1.0),
     "stable1.5": LevyParams.stable(1.5, 0.0, 1.0),
@@ -276,6 +316,13 @@ class TestMatchesMonotoneChain:
         for seed in range(3):
             path = sample_path(LevyParams.brownian(1e-3), grid, seed)
             assert_matches_reference(*_shifted(path))
+
+    @pytest.mark.parametrize("past", [False, True], ids=["grid", "past"])
+    @pytest.mark.parametrize("delta", [0.5, 4.5])
+    def test_noisy_step(self, delta, past):
+        """A regen step path's hull on the whole grid, and on [0, i0), the
+        R scan's filter hull: thousands of survivors, half of them flagged."""
+        assert_matches_reference(*noisy_step(delta, past))
 
     @pytest.mark.parametrize("fixture", [zero_path, jump_up, jump_down])
     def test_fixtures(self, fixture):
@@ -334,8 +381,10 @@ class TestMatchesMonotoneChain:
 
 class TestCertifiedFilter:
     """The check on the chord filter's survivors certifies them as the
-    chain when no triple pops, the bulk chain runs when few pop, and
-    QuickHull runs only when many pop or the bulk chain gives up."""
+    chain when no triple pops, the peel runs when many pop and most are
+    certainly below their neighbours' chord, the bulk chain runs when few
+    pop, and QuickHull runs only when many pop after that or the bulk
+    chain gives up."""
 
     @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("source", ["zero", "sigma1e-12"])
@@ -364,6 +413,18 @@ class TestCertifiedFilter:
 
         monkeypatch.setattr(hull, "_quickhull", refuse)
         assert_matches_reference(*_shifted(fixture(GridSpec(16.0, 16385)), t))
+
+    @pytest.mark.parametrize("source", sorted(NOISY_INPUTS))
+    def test_noisy_inputs_skip_quickhull(self, source, monkeypatch):
+        """Noisy paths flag about half of their survivors, each certainly
+        below the chord of its neighbours: the peel and a second filter
+        round leave at most a few flags, which the bulk chain settles."""
+
+        def refuse(*args):
+            raise AssertionError("QuickHull ran on a noisy path")
+
+        monkeypatch.setattr(hull, "_quickhull", refuse)
+        assert_matches_reference(*NOISY_INPUTS[source]())
 
     @pytest.mark.parametrize("spikes", [1, 5])
     def test_spiked_parabolas_reach_quickhull(self, spikes, monkeypatch):
@@ -397,7 +458,7 @@ def _unlimited_bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
         mp.setattr(hull, "_CHUNKS_SHARE", 1e-9)
         mp.setattr(hull, "_FIRST_CHUNK", first_chunk)
         with np.errstate(over="ignore"):
-            chain = hull._bulk_chain(ys, vs, hull._flags(ys, vs))
+            chain = hull._bulk_chain(ys, vs, hull._check(ys, vs)[0])
     assert chain is not None
     return chain
 
@@ -431,12 +492,11 @@ class TestBulkChain:
         chain = _unlimited_bulk_chain(cy, cv, first_chunk)
         assert chain.tolist() == hull._chain(cy.tolist(), cv.tolist())
         with np.errstate(over="ignore"):
-            budgeted = hull._bulk_chain(cy, cv, hull._flags(cy, cv))
+            budgeted = hull._bulk_chain(cy, cv, hull._check(cy, cv)[0])
         assert budgeted is None or np.array_equal(budgeted, chain)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+DEFECT_PARABOLAS = dict(
     n=st.integers(min_value=3, max_value=400),
     log_t=st.floats(min_value=-2.0, max_value=3.0),
     defects=st.lists(
@@ -448,12 +508,11 @@ class TestBulkChain:
         min_size=1,
         max_size=4,
     ),
-    first_chunk=st.sampled_from([1, 2, 32]),
 )
-def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
-    """Parabola chains with 1-4 injected steps, spikes or dents: the bulk
-    chain over every point equals _chain, and the hull equals the
-    per-point reference chain."""
+
+
+def defect_parabola(n, log_t, defects):
+    """A parabola chain with injected steps, spikes or dents."""
     ys = np.linspace(-4.0, 4.0, n)
     vs = -ys * ys / (2 * 10.0**log_t)
     for kind, where, log_size in defects:
@@ -463,10 +522,39 @@ def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
             vs[k:] -= size
         else:
             vs[k] += size if kind == "spike" else -size
+    return ys, vs
+
+
+@settings(max_examples=80, deadline=None)
+@given(**DEFECT_PARABOLAS, first_chunk=st.sampled_from([1, 2, 32]))
+def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
+    """Parabola chains with 1-4 injected steps, spikes or dents: the bulk
+    chain over every point equals _chain, and the hull equals the
+    per-point reference chain."""
+    ys, vs = defect_parabola(n, log_t, defects)
     chain = _unlimited_bulk_chain(ys, vs, first_chunk)
     assert chain.tolist() == hull._chain(ys.tolist(), vs.tolist())
     cm = upper_concave_majorant(np.column_stack([ys, vs]))
     assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**DEFECT_PARABOLAS, sigma=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_hypothesis_peel_keeps_every_vertex(n, log_t, defects, sigma):
+    """The same chains, optionally noisy: the peel and the second filter
+    round, run whatever the check counts, keep every vertex of the
+    reference chain, return the check's flags on what they keep, and the
+    hull equals the reference chain."""
+    ys, vs = defect_parabola(n, log_t, defects)
+    vs += sigma * np.random.default_rng(n).standard_normal(n)
+    ref = reference_chain(ys, vs)
+    idx = hull._chord_filter(ys, vs).astype(np.intp)
+    below = hull._check(ys[idx], vs[idx])[1]
+    peeled, flags = hull._peel(ys, vs, idx, below)
+    assert np.isin(ref, peeled).all()
+    assert np.array_equal(flags, hull._check(ys[peeled], vs[peeled])[0])
+    cm = upper_concave_majorant(np.column_stack([ys, vs]))
+    assert np.array_equal(cm.indices, ref)
 
 
 def test_peak_memory_bounded():
