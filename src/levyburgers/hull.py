@@ -46,9 +46,9 @@ _EPS = float(np.finfo(float).eps)
 COLLINEAR_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
 
 # When the largest magnitudes of the two axes multiply to 2^(2 *
-# SCALE_EXPONENT) or more, or one of them does alone, each axis from
-# 2^SCALE_EXPONENT in magnitude on is scaled below it by its own power of
-# two, so that no product of two coordinate differences overflows.
+# SCALE_EXPONENT) or more, or one of them does alone, both axes are scaled
+# by one power of two that brings the larger below 2^SCALE_EXPONENT, so
+# that no product of two coordinate differences overflows.
 SCALE_EXPONENT = 500
 
 # Points per block of the chord filter: its three scratch buffers stay at
@@ -72,12 +72,15 @@ _FIRST_CHUNK = 32
 
 # The survivors are peeled when at least one in _PEEL_SHARE of them is
 # certainly below the chord of its list neighbours and at most one in
-# _FEW_FLAGS of them flags without being so, since the peel cannot drop
-# those; passes repeat while one drops one point in _PEEL_SHARE.  Noisy
-# paths have a third to a half of their survivors below; spiked
-# parabolas and compound Poisson paths one in a hundred or fewer, and they
-# go to QuickHull as before.
+# _PEEL_UNCERTAIN of them flags without being so; passes repeat while one
+# drops one point in _PEEL_SHARE.  Noisy paths have a third to a half of
+# their survivors below; spiked parabolas and compound Poisson paths one
+# in a hundred or fewer, and they go to QuickHull as before.  The peel
+# pays off only by handing its list to the bulk chain, so the flags it
+# cannot drop are held to the bulk chain's bound, and it filters again
+# only while its list is still over that bound.
 _PEEL_SHARE = 8
+_PEEL_UNCERTAIN = _FEW_FLAGS
 
 # A list of at most _CHAIN_POINTS points that still flags goes to the
 # Python chain pass at once: on a 2-core Xeon it costs about 0.5 us per
@@ -272,17 +275,25 @@ def _check(ys: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _peel(
-    ys: np.ndarray, vs: np.ndarray, idx: np.ndarray, below: np.ndarray
+    ys: np.ndarray, vs: np.ndarray, idx: np.ndarray, flags: np.ndarray, below: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(idx, flags): the sorted indices idx with certain non-vertices
-    dropped, and the check's flags on what is left.
+    dropped, and the check's flags on what is left; flags and below are
+    _check's on idx.
 
-    A pass drops the points at the positions below + 1 of the list, each
-    certainly below the chord of its two list neighbours, and checks the
-    rest; passes repeat while one drops at least one point in
-    _PEEL_SHARE.  While many triples still flag, the chord filter runs
-    again on the peeled list and one more pass follows it.
+    The list is returned as it is when it is short enough for the chain
+    pass, when fewer than one point in _PEEL_SHARE is below, or when more
+    than one point in _PEEL_UNCERTAIN flags without being below, since the
+    peel cannot drop those.  Otherwise a pass drops the points at the positions
+    below + 1 of the list, each certainly below the chord of its two list
+    neighbours, and checks the rest; passes repeat while one drops at
+    least one point in _PEEL_SHARE.  While many triples still flag, the
+    chord filter runs again on the peeled list and one more pass follows
+    it.
     """
+    n, uncertain = len(idx), len(flags) - len(below)
+    if not (n > _CHAIN_POINTS and uncertain * _PEEL_UNCERTAIN <= n <= len(below) * _PEEL_SHARE):
+        return idx, flags
     while True:
         idx = np.delete(idx, below + 1)
         flags, below = _check(ys[idx], vs[idx])
@@ -313,9 +324,10 @@ def _chain(ys: list[float], vs: list[float]) -> list[int]:
 def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray | None:
     """_chain(ys, vs) as an index array, or None once the budget runs out.
 
-    flags are the positions of the popping consecutive triples (_flags).
-    While the top two points of the stack are consecutive, every point up
-    to the last one of the next flagged triple is pushed as one slice.
+    flags are the positions of the popping consecutive triples, _check's
+    flags.  While the top two points of the stack are consecutive, every
+    point up to the last one of the next flagged triple is pushed as one
+    slice.
     That last one pops its predecessor, and then pops back through the
     stack until a triple keeps its middle point.  Where the top two
     points (a, p) are not consecutive, each next point is tested against
@@ -407,8 +419,8 @@ def upper_concave_majorant(
     the check still flags a triple of the list:
     filter, check; the peel, when at least one survivor in _PEEL_SHARE is
     certainly below the chord of its neighbours and at most one in
-    _FEW_FLAGS flags otherwise, with its passes, a second filter round,
-    one more pass and the check; the bulk chain, when at most one triple
+    _PEEL_UNCERTAIN flags otherwise, with its passes, a second filter
+    round, one more pass and the check; the bulk chain, when at most one triple
     in _FEW_FLAGS flags; QuickHull over a list of over _CHAIN_POINTS
     points, then the check; the chain pass.  The filter, the peel, the
     checks and the QuickHull levels are O(n log n) array work; the bulk
@@ -428,23 +440,21 @@ def upper_concave_majorant(
     if np.any(np.diff(ys) <= 0):
         raise InputError("y coordinates must be strictly increasing")
 
-    # a positive scale per axis keeps every orientation sign, its error
-    # bound and every slope comparison; scaling only where a product could
-    # overflow keeps tiny coordinates next to huge ones distinct
+    # one power of two for both coordinates keeps every slope and every
+    # comparison of the orientation tests; scaling only where a product
+    # could overflow keeps tiny coordinates next to huge ones distinct
     ey = math.frexp(max(-ys[0], ys[-1]))[1]
     ev = math.frexp(max(vs.max(), -vs.min()))[1]
     sy, sv = ys, vs
     if max(ey + ev, ey, ev) > 2 * SCALE_EXPONENT:
-        sy, sv = _capped(ys, ey), _capped(vs, ev)
+        shift = max(ey, ev) - SCALE_EXPONENT
+        sy, sv = np.ldexp(ys, -shift), np.ldexp(vs, -shift)
     # a slope may overflow to inf in every stage; a chain left with one is
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
         idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
         flags, below = _check(sy[idx], sv[idx])
-        # the peel drops only the points certainly below; other flags stay
-        n, uncertain = len(idx), len(flags) - len(below)
-        if n > _CHAIN_POINTS and uncertain * _FEW_FLAGS <= n <= len(below) * _PEEL_SHARE:
-            idx, flags = _peel(sy, sv, idx, below)
+        idx, flags = _peel(sy, sv, idx, flags, below)
         if 0 < len(flags) * _FEW_FLAGS <= len(idx):
             chain = _bulk_chain(sy[idx], sv[idx], flags)
             if chain is not None:
@@ -455,12 +465,6 @@ def upper_concave_majorant(
         if len(flags):
             idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
-
-
-def _capped(a: np.ndarray, exponent: int) -> np.ndarray:
-    """a, whose largest magnitude has binary exponent ``exponent``, scaled
-    below 2^SCALE_EXPONENT by a power of two when it is not already."""
-    return np.ldexp(a, SCALE_EXPONENT - exponent) if exponent > SCALE_EXPONENT else a
 
 
 def query(cm: ConcaveMajorant, y: float) -> tuple[float, float, float]:

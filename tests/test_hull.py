@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ class TestExamples:
         assert cm.indices.tolist() == [0, 1, 3]
         ys, vs = np.array(points).T
         assert cm.indices.tolist() == reference_chain(ys, vs).tolist()
+
+    def test_scale_keeps_huge_slopes_apart(self):
+        """Slopes 1e160, 5e159 and 0 make every point a vertex.  Scaling
+        the y axis alone by 2^-524 would send both slopes at point 1 to
+        +inf and drop it as a tie; one power of two for both axes keeps
+        every slope.  The reference chain's products of the raw input
+        overflow, so it runs on the input scaled by that power, which is
+        exact."""
+        points = [(0.0, 0.0), (1e-10, 1e150), (2e-10, 1.5e150), (1e308, 1.5e150)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = upper_concave_majorant(points)
+        assert cm.indices.tolist() == [0, 1, 2, 3]
+        ys, vs = np.array(points).T
+        expected = reference_chain(np.ldexp(ys, -524), np.ldexp(vs, -524))
+        assert cm.indices.tolist() == expected.tolist()
 
     def test_slope_overflow_on_the_bulk_chain(self, monkeypatch):
         """A step parabola with one flagged triple takes the bulk chain; a
@@ -542,17 +559,23 @@ def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
 @given(**DEFECT_PARABOLAS, sigma=st.sampled_from([0.0, 1e-9, 1e-3]))
 def test_hypothesis_peel_keeps_every_vertex(n, log_t, defects, sigma):
     """The same chains, optionally noisy: the peel and the second filter
-    round, run whatever the check counts, keep every vertex of the
-    reference chain, return the check's flags on what they keep, and the
-    hull equals the reference chain."""
+    round, with the peel's gate opened by enough points below, keep every
+    vertex of the reference chain, return the check's flags on what they
+    keep, and the hull equals the reference chain."""
     ys, vs = defect_parabola(n, log_t, defects)
     vs += sigma * np.random.default_rng(n).standard_normal(n)
     ref = reference_chain(ys, vs)
     idx = hull._chord_filter(ys, vs).astype(np.intp)
-    below = hull._check(ys[idx], vs[idx])[1]
-    peeled, flags = hull._peel(ys, vs, idx, below)
-    assert np.isin(ref, peeled).all()
-    assert np.array_equal(flags, hull._check(ys[peeled], vs[peeled])[0])
+    checked = hull._check(ys[idx], vs[idx])
+    # at the usual share, passes stop early and the filter runs again on
+    # any flag left; at a huge one, they run until none drops a point
+    for share in (hull._PEEL_SHARE, 2**40):
+        with mock.patch.multiple(
+            hull, _CHAIN_POINTS=-1, _PEEL_UNCERTAIN=0, _PEEL_SHARE=share, _FEW_FLAGS=2**40
+        ):
+            peeled, flags = hull._peel(ys, vs, idx, *checked)
+        assert np.isin(ref, peeled).all()
+        assert np.array_equal(flags, hull._check(ys[peeled], vs[peeled])[0])
     cm = upper_concave_majorant(np.column_stack([ys, vs]))
     assert np.array_equal(cm.indices, ref)
 
