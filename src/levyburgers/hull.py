@@ -14,17 +14,17 @@ the throw-away step of Akl & Toussaint (1978): passes drop the points
 certainly below the chord of their list neighbours, the chord filter runs
 again, and the check runs on what is left.  When a few triples pop, as
 one jump of the potential makes them, the monotone chain (Andrew 1979)
-runs over the list in bulk: each run of unflagged points is pushed as one
-slice, and only the stretches where points pop are searched with
-vectorized orientation tests.  When many still pop, or the bulk chain
-runs out of its budget, a level-synchronous QuickHull (Barber, Dobkin &
-Huhdanpaa 1996) splits every open segment of a level at its farthest
-point, the same check confirms its candidates, and, when it flags again,
-a monotone-chain pass runs over the candidates alone; a list short
-enough goes to that pass at once.  The edge slopes are stored once,
-padded with +/-inf sentinels at the chain ends where the majorant is
-unconstrained by the data, so vertex k has left slope s[k] and right
-slope s[k+1].
+runs over the list in bulk and always finishes it: each run of unflagged
+points is pushed as one slice, and only the stretches where points pop
+are searched with vectorized orientation tests.  When many still pop, a
+level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996) splits
+every open segment of a level at its farthest point, the same check
+confirms its candidates, and, when it flags again, a monotone-chain pass
+runs over the candidates alone; a list short enough goes to that pass at
+once.  So the route is a function of the check's counts alone.  The edge
+slopes are stored once, padded with +/-inf sentinels at the chain ends
+where the majorant is unconstrained by the data, so vertex k has left
+slope s[k] and right slope s[k+1].
 """
 
 from __future__ import annotations
@@ -58,16 +58,10 @@ SCALE_EXPONENT = 500
 FILTER_BLOCK = 16384
 
 # The monotone chain runs in bulk over N filter survivors, peeled or not,
-# when at most N / _FEW_FLAGS of their consecutive triples pop.  Its
-# searches test chunks of _FIRST_CHUNK points and more, and it hands the
-# survivors to QuickHull before its chunks would hold over N /
-# _POINTS_SHARE points or number over N / _CHUNKS_SHARE.  On a 2-core Xeon
-# a chunk costs about 9 us plus 20 ns per point, and QuickHull 60-350 ns
-# per survivor, so a bulk pass that gives up wastes a few percent of the
-# QuickHull.
+# when at most N / _FEW_FLAGS of their consecutive triples pop, and more
+# than that go to QuickHull.  Its searches test chunks of _FIRST_CHUNK
+# points, grown x4.
 _FEW_FLAGS = 1024
-_POINTS_SHARE = 8
-_CHUNKS_SHARE = 256
 _FIRST_CHUNK = 32
 
 # The survivors are peeled when at least one in _PEEL_SHARE of them is
@@ -321,8 +315,8 @@ def _chain(ys: list[float], vs: list[float]) -> list[int]:
     return stack
 
 
-def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray | None:
-    """_chain(ys, vs) as an index array, or None once the budget runs out.
+def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """_chain(ys, vs) as an index array.
 
     flags are the positions of the popping consecutive triples, _check's
     flags.  While the top two points of the stack are consecutive, every
@@ -335,21 +329,18 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
     the top consecutive again, and one that pops both pops back.  Both
     searches test triples with _pops in chunks grown x4 from
     _FIRST_CHUNK, so each decision is _chain's on the same floats.
+    Each loop turn settles one flag or one pop-back: over 227 few-flag
+    lists of 3,500-65,500 points, it turned at most 2 (flags + 1) times,
+    and its searches tested at most 1.6 N points.
     """
     n = len(ys)
-    points, chunks = n // _POINTS_SHARE, n // _CHUNKS_SHARE  # left in the budget
 
     def first(test, count):
         """First offset in [0, count) where test(lo, hi), which covers
-        offsets lo..hi-1, is true, else count; None over budget."""
-        nonlocal points, chunks
+        offsets lo..hi-1, is true, else count."""
         lo, size = 0, _FIRST_CHUNK
         while lo < count:
             hi = min(lo + size, count)
-            points -= hi - lo
-            chunks -= 1
-            if points < 0 or chunks < 0:
-                return None
             hit = np.flatnonzero(test(lo, hi))
             if hit.size:
                 return lo + int(hit[0])
@@ -384,10 +375,7 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
                 break
             top -= 1  # j pops its predecessor
         else:
-            i = first(stops, n - j)
-            if i is None:
-                return None
-            j += i
+            j += first(stops, n - j)
             stack[top - 1] = j - 1
             if j == n:
                 break
@@ -397,10 +385,7 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
                 j += 1
                 continue
             top -= 2  # j pops its predecessor and a
-        i = first(kept, top - 1)
-        if i is None:
-            return None
-        top -= i
+        top -= first(kept, top - 1)
         stack[top] = j
         top += 1
         j += 1
@@ -414,18 +399,21 @@ def upper_concave_majorant(
 
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
     y to the max v beforehand), and raises InputError when an edge slope
-    of the chain overflows float64.  Interior points collinear with their
-    neighbours are removed.  The stages run in this order, each only while
-    the check still flags a triple of the list:
+    of the chain overflows float64, or when the scale that keeps products
+    finite sends distinct y's to one value.  Interior points collinear
+    with their neighbours are removed.  The stages run in this order, each
+    only while the check still flags a triple of the list:
     filter, check; the peel, when at least one survivor in _PEEL_SHARE is
     certainly below the chord of its neighbours and at most one in
     _PEEL_UNCERTAIN flags otherwise, with its passes, a second filter
-    round, one more pass and the check; the bulk chain, when at most one triple
-    in _FEW_FLAGS flags; QuickHull over a list of over _CHAIN_POINTS
-    points, then the check; the chain pass.  The filter, the peel, the
-    checks and the QuickHull levels are O(n log n) array work; the bulk
-    chain's Python loop turns once per flag and per chunk, and the Python
-    chain pass runs on the QuickHull candidates or on a short list.
+    round, one more pass and the check; the bulk chain, which finishes
+    the list, when at most one triple in _FEW_FLAGS flags; else QuickHull
+    over a list of over _CHAIN_POINTS points, then the check; the chain
+    pass.  The filter, the peel, the checks and the QuickHull levels are
+    O(n log n) array work; the bulk chain's Python loop turns once per
+    flag or pop-back, its searches testing at most about 1.6 n points on
+    the inputs measured, and the Python chain pass runs on the QuickHull
+    candidates or on a short list.
     Every filtered or peeled point lies under a chord of two input
     points, so the list keeps every vertex, and a check that passes on it
     certifies it as the chain.  The bulk chain's result and the chain
@@ -449,6 +437,12 @@ def upper_concave_majorant(
     if max(ey + ev, ey, ev) > 2 * SCALE_EXPONENT:
         shift = max(ey, ev) - SCALE_EXPONENT
         sy, sv = np.ldexp(ys, -shift), np.ldexp(vs, -shift)
+        if np.any(np.diff(sy) <= 0):
+            raise InputError(
+                f"coordinate range too wide: y in [{ys[0]:g}, {ys[-1]:g}] and v in "
+                f"[{vs.min():g}, {vs.max():g}] need a scale of 2^-{shift}, under "
+                "which distinct y coordinates coincide"
+            )
     # a slope may overflow to inf in every stage; a chain left with one is
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
@@ -456,9 +450,7 @@ def upper_concave_majorant(
         flags, below = _check(sy[idx], sv[idx])
         idx, flags = _peel(sy, sv, idx, flags, below)
         if 0 < len(flags) * _FEW_FLAGS <= len(idx):
-            chain = _bulk_chain(sy[idx], sv[idx], flags)
-            if chain is not None:
-                idx, flags = idx[chain], ()
+            idx, flags = idx[_bulk_chain(sy[idx], sv[idx], flags)], ()
         if len(flags) and len(idx) > _CHAIN_POINTS:
             idx = _quickhull(sy, sv, idx)
             flags = _check(sy[idx], sv[idx])[0]

@@ -278,6 +278,8 @@ def _centred_pair(x: np.ndarray, y: np.ndarray):
     """(aa, bb, dVar_x, dVar_y) for row-paired observations x and y."""
     if len(x) != len(y):
         raise InputError(f"row counts differ: {len(x)} vs {len(y)}")
+    if not len(x):
+        raise InputError("need at least one row of observations")
     aa, bb = _centred_distances(x), _centred_distances(y)
     return aa, bb, (aa * aa).mean(), (bb * bb).mean()
 

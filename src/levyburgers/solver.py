@@ -189,13 +189,17 @@ def solve_naive(path: LevyPath, t: float, xs) -> np.ndarray:
 
     Returns the largest grid y maximizing psi0(y) - (y-x)^2/(2t); exact
     floating-point ties break to the larger index.  This is the
-    independent oracle for the hull solver.
+    independent oracle for the hull solver.  A non-finite x raises
+    OutOfDomainError.
     """
     check_time(t)
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise OutOfDomainError("every x must be finite")
     ys = path.grid.points()
     vals = path.values
     out = np.empty(len(xs))
-    for j, x in enumerate(np.asarray(xs, dtype=float)):
+    for j, x in enumerate(xs):
         obj = vals - (ys - x) ** 2 / (2.0 * t)
         best = np.flatnonzero(obj == obj.max())[-1]
         out[j] = ys[best]

@@ -139,6 +139,14 @@ class TestExamples:
         ys, vs = np.array(points).T
         assert cm.indices.tolist() == reference_chain(ys, vs).tolist()
 
+    def test_flushed_abscissae_raise(self):
+        """Both axes reach 2^665, so both are scaled by 2^-165, which sends
+        the three tiny y's to 0: that is refused, not divided by."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="coordinate range"):
+                upper_concave_majorant([(1e-300, 0), (2e-300, 1), (3e-300, 0), (1e200, 1e200)])
+
     def test_scale_keeps_huge_slopes_apart(self):
         """Slopes 1e160, 5e159 and 0 make every point a vertex.  Scaling
         the y axis alone by 2^-524 would send both slopes at point 1 to
@@ -399,9 +407,8 @@ class TestMatchesMonotoneChain:
 class TestCertifiedFilter:
     """The check on the chord filter's survivors certifies them as the
     chain when no triple pops, the peel runs when many pop and most are
-    certainly below their neighbours' chord, the bulk chain runs when few
-    pop, and QuickHull runs only when many pop after that or the bulk
-    chain gives up."""
+    certainly below their neighbours' chord, the bulk chain runs to the
+    end when few pop, and QuickHull runs only when many pop after that."""
 
     @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("source", ["zero", "sigma1e-12"])
@@ -419,11 +426,12 @@ class TestCertifiedFilter:
         cm = assert_matches_reference(*_shifted(path, t))
         assert len(cm) == grid.n
 
-    @pytest.mark.parametrize("t", [1e-3, 1.0])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("fixture", [jump_up, jump_down])
     def test_jump_fixtures_skip_quickhull(self, fixture, t, monkeypatch):
         """A step leaves one flagged survivor triple, and the bulk chain
-        settles it without QuickHull."""
+        settles it without QuickHull, also at t = 1e3, where the stretch
+        it searches after the step is half the grid."""
 
         def refuse(*args):
             raise AssertionError("QuickHull ran on a one-flag input")
@@ -443,41 +451,44 @@ class TestCertifiedFilter:
         monkeypatch.setattr(hull, "_quickhull", refuse)
         assert_matches_reference(*NOISY_INPUTS[source]())
 
-    @pytest.mark.parametrize("spikes", [1, 5])
-    def test_spiked_parabolas_reach_quickhull(self, spikes, monkeypatch):
-        """One spike leaves two flagged triples, and its tangents reach so
-        far that the bulk chain runs out of budget; five spikes flag too
-        many triples to start it.  Either way QuickHull runs once, on the
-        survivors."""
-        bulk, calls = [], []
-        bulk_chain, quickhull = hull._bulk_chain, hull._quickhull
+    @pytest.mark.parametrize("n", [4097, 65537])
+    def test_one_spike_parabola_skips_quickhull(self, n, monkeypatch):
+        """One spike leaves two flagged triples, and its tangents reach
+        across most of the list; the bulk chain settles it without
+        QuickHull."""
 
-        def counted_bulk(ys, vs, flags):
-            bulk.append(bulk_chain(ys, vs, flags))
-            return bulk[-1]
+        def refuse(*args):
+            raise AssertionError("QuickHull ran on a two-flag input")
+
+        monkeypatch.setattr(hull, "_quickhull", refuse)
+        assert_matches_reference(*spiked_parabola(n, 1))
+
+    @pytest.mark.parametrize("spikes", [5])
+    def test_spiked_parabolas_reach_quickhull(self, spikes, monkeypatch):
+        """Five spikes flag too many triples to start the bulk chain, so
+        QuickHull runs once, on the survivors."""
+        calls = []
+        quickhull = hull._quickhull
+
+        def refuse(*args):
+            raise AssertionError("the bulk chain ran on a many-flag input")
 
         def counted(ys, vs, idx):
             calls.append(idx)
             return quickhull(ys, vs, idx)
 
-        monkeypatch.setattr(hull, "_bulk_chain", counted_bulk)
+        monkeypatch.setattr(hull, "_bulk_chain", refuse)
         monkeypatch.setattr(hull, "_quickhull", counted)
         ys, vs = spiked_parabola(4097, spikes)
         assert_matches_reference(ys, vs)
         assert len(calls) == 1 and np.array_equal(calls[0], hull._chord_filter(ys, vs))
-        assert [b is None for b in bulk] == ([True] if spikes == 1 else [])
 
 
-def _unlimited_bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
-    """hull._bulk_chain on sorted points with its budget lifted."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hull, "_POINTS_SHARE", 1e-9)
-        mp.setattr(hull, "_CHUNKS_SHARE", 1e-9)
-        mp.setattr(hull, "_FIRST_CHUNK", first_chunk)
-        with np.errstate(over="ignore"):
-            chain = hull._bulk_chain(ys, vs, hull._check(ys, vs)[0])
-    assert chain is not None
-    return chain
+def _bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
+    """hull._bulk_chain on sorted points, its searches starting with
+    chunks of first_chunk points."""
+    with mock.patch.object(hull, "_FIRST_CHUNK", first_chunk), np.errstate(over="ignore"):
+        return hull._bulk_chain(ys, vs, hull._check(ys, vs)[0])
 
 
 def _compound_poisson(n: int, t: float = 1.0):
@@ -497,8 +508,8 @@ DEFECT_INPUTS = {
 
 
 class TestBulkChain:
-    """The bulk chain returns _chain over the same points, index for index,
-    or gives up (None) within its budget."""
+    """The bulk chain returns _chain over the same points, index for
+    index."""
 
     @pytest.mark.parametrize("first_chunk", [1, 32])
     @pytest.mark.parametrize("name", sorted(DEFECT_INPUTS))
@@ -506,11 +517,8 @@ class TestBulkChain:
         ys, vs = DEFECT_INPUTS[name]()
         idx = hull._chord_filter(ys, vs)
         cy, cv = ys[idx], vs[idx]
-        chain = _unlimited_bulk_chain(cy, cv, first_chunk)
+        chain = _bulk_chain(cy, cv, first_chunk)
         assert chain.tolist() == hull._chain(cy.tolist(), cv.tolist())
-        with np.errstate(over="ignore"):
-            budgeted = hull._bulk_chain(cy, cv, hull._check(cy, cv)[0])
-        assert budgeted is None or np.array_equal(budgeted, chain)
 
 
 DEFECT_PARABOLAS = dict(
@@ -549,7 +557,7 @@ def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
     chain over every point equals _chain, and the hull equals the
     per-point reference chain."""
     ys, vs = defect_parabola(n, log_t, defects)
-    chain = _unlimited_bulk_chain(ys, vs, first_chunk)
+    chain = _bulk_chain(ys, vs, first_chunk)
     assert chain.tolist() == hull._chain(ys.tolist(), vs.tolist())
     cm = upper_concave_majorant(np.column_stack([ys, vs]))
     assert np.array_equal(cm.indices, reference_chain(ys, vs))

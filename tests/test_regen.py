@@ -361,6 +361,13 @@ class TestPermutationMachinery:
         with pytest.raises(InputError):
             permutation_pvalue(x, y, rng, n_perm=9)
 
+    def test_zero_rows_raise(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(InputError):
+            distance_correlation(np.array([]), np.array([]))
+        with pytest.raises(InputError):
+            permutation_pvalue(np.empty((0, 3)), np.empty((0, 3)), rng, n_perm=9)
+
     def test_degenerate_dependence_min_pvalue(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(100, 3))

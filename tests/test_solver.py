@@ -626,3 +626,8 @@ class TestErrors:
                 evaluate_solution(zero_sol, x)
             with pytest.raises(OutOfDomainError):
                 moreau_envelope(zero_sol, x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_naive_non_finite_x(self, grid_fixture, x):
+        with pytest.raises(OutOfDomainError):
+            solve_naive(zero_path(grid_fixture), 1.0, [0.0, x])
