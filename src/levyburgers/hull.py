@@ -4,7 +4,9 @@ The majorant is the minimal concave function dominating the points.  Its
 vertex chain is found in vectorized stages.  A dyadic chord filter drops
 the points lying strictly below a chord of two other input points and
 compacts its survivors between levels, so that later levels cost only
-what is left.  One orientation check over consecutive survivor triples
+what is left; a level that drops at most one point in _FEW_FLAGS of its
+list ends it, so a near-flat input, whose points are nearly all vertices,
+pays one level.  One orientation check over consecutive survivor triples
 then tells, from one determinant per triple, which triples pop and which
 middle points lie certainly below the chord of their neighbours.  When
 none pops, the survivors are certified as the chain, which settles the
@@ -57,10 +59,13 @@ SCALE_EXPONENT = 500
 # witnesses for blocks of this many candidates, for the same reason.
 FILTER_BLOCK = 16384
 
-# The monotone chain runs in bulk over N filter survivors, peeled or not,
-# when at most N / _FEW_FLAGS of their consecutive triples pop, and more
-# than that go to QuickHull.  Its searches test chunks of _FIRST_CHUNK
-# points, grown x4.
+# The bound has two jobs.  A chord filter level over a list of N points
+# that drops at most N / _FEW_FLAGS of them ends the filter.  The monotone
+# chain runs in bulk over N filter survivors, peeled or not, when at most
+# N / _FEW_FLAGS of their consecutive triples pop, and more than that go
+# to QuickHull.  So a quiet level hands a near-flat list, whose triples
+# pop about as rarely, to the check and the bulk chain.  The bulk chain's
+# searches test chunks of _FIRST_CHUNK points, grown x4.
 _FEW_FLAGS = 1024
 _FIRST_CHUNK = 32
 
@@ -172,15 +177,17 @@ def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     point certainly below the chord of the points k places to its left and
     right in the list is dropped.  The list starts as every point and is
     compacted to the survivors once a quarter of it is gone, so a level
-    costs O(survivors) and there are at most log2(n) levels.  Every chord
-    joins two input points, and a point below such a chord is never a
-    vertex.  Each level runs over blocks of FILTER_BLOCK points with three
-    block-sized buffers.
+    costs O(survivors) and there are at most log2(n) levels.  A level that
+    drops at most one point in _FEW_FLAGS of its list ends the filter: on
+    a near-flat input, which keeps nearly every point, the first level is
+    the only one.  Every chord joins two input points, and a point below
+    such a chord is never a vertex.  Each level runs over blocks of
+    FILTER_BLOCK points with three block-sized buffers.
     """
     p, q, w, keep = _scratch(len(ys))
     idx = np.arange(len(ys), dtype=np.int32)
     alive = np.ones(len(ys), dtype=bool)
-    k = 1
+    live, k = len(ys), 1
     while 2 * k < len(idx):
         n = len(idx)
         for start in range(k, n - k, FILTER_BLOCK):
@@ -190,14 +197,18 @@ def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
             _orient(ys, vs, k, start, stop, P, q[:m], W)
             np.less_equal(W, P, out=K)
             alive[start:stop] &= K
+        left = np.count_nonzero(alive)
+        # a quiet level ends the filter; the check and the bulk chain
+        # settle what it leaves
+        if (live - left) * _FEW_FLAGS <= n:
+            break
         # a compaction costs about as much as a level, so it waits until a
-        # quarter of the list is gone: near-flat inputs, which lose a few
-        # points per level, are then never compacted
-        if 4 * np.count_nonzero(alive) <= 3 * n:
+        # quarter of the list is gone
+        if 4 * left <= 3 * n:
             kept = np.flatnonzero(alive)
             idx, ys, vs = idx[kept], ys[kept], vs[kept]
             alive = np.ones(len(idx), dtype=bool)
-        k *= 2
+        live, k = left, 2 * k
     return idx[alive]
 
 
@@ -348,8 +359,8 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
         return count
 
     def stops(lo, hi):  # offsets from j; true where a point keeps p or pops a
-        q = np.arange(j + lo, j + hi)
-        keeps = ~_pops(ys[a], vs[a], ys[q - 1], vs[q - 1], ys[q], vs[q])
+        prev, q = slice(j + lo - 1, j + hi - 1), slice(j + lo, j + hi)
+        keeps = ~_pops(ys[a], vs[a], ys[prev], vs[prev], ys[q], vs[q])
         if top < 3:
             return keeps
         b = stack[top - 3]
@@ -403,17 +414,20 @@ def upper_concave_majorant(
     finite sends distinct y's to one value.  Interior points collinear
     with their neighbours are removed.  The stages run in this order, each
     only while the check still flags a triple of the list:
-    filter, check; the peel, when at least one survivor in _PEEL_SHARE is
-    certainly below the chord of its neighbours and at most one in
-    _PEEL_UNCERTAIN flags otherwise, with its passes, a second filter
-    round, one more pass and the check; the bulk chain, which finishes
-    the list, when at most one triple in _FEW_FLAGS flags; else QuickHull
-    over a list of over _CHAIN_POINTS points, then the check; the chain
-    pass.  The filter, the peel, the checks and the QuickHull levels are
-    O(n log n) array work; the bulk chain's Python loop turns once per
-    flag or pop-back, its searches testing at most about 1.6 n points on
-    the inputs measured, and the Python chain pass runs on the QuickHull
-    candidates or on a short list.
+    filter, which ends at the first level that drops at most one point
+    in _FEW_FLAGS, check; the peel, when at least one survivor in
+    _PEEL_SHARE is certainly below the chord of its neighbours and at most
+    one in _PEEL_UNCERTAIN flags otherwise, with its passes, a second
+    filter round, one more pass and the check; the bulk chain, which
+    finishes the list, when at most one triple in _FEW_FLAGS flags; else
+    QuickHull over a list of over _CHAIN_POINTS points, then the check;
+    the chain pass.  The filter, the peel, the checks and the QuickHull
+    levels are O(n log n) array work; a near-flat input, whose first
+    filter level is quiet and whose list the check certifies or the bulk
+    chain settles, costs O(n).  The bulk chain's Python loop turns once
+    per flag or pop-back, its searches testing at most about 1.6 n points
+    on the inputs measured, and the Python chain pass runs on the
+    QuickHull candidates or on a short list.
     Every filtered or peeled point lies under a chord of two input
     points, so the list keeps every vertex, and a check that passes on it
     certifies it as the chain.  The bulk chain's result and the chain

@@ -1,0 +1,161 @@
+"""Per-input hull timing of two source trees.
+
+    python tests/hull_timing.py SRC_A SRC_B [--only TEXT]
+
+loads the ``levyburgers`` package of each ``src`` directory under its own
+alias, checks that both return the same ``indices`` on every input, then
+calls the two trees' ``upper_concave_majorant`` CALLS times each in turn,
+A first in even rounds and B first in odd ones, and prints per input the
+median ms of each and the ratio B / A.  The inputs are the corpora of
+``test_hull.py`` and the hull clouds of one item of every kind of the
+``sweep``, ``dense`` and ``regen`` benchmark workloads at seed 1,
+recorded as the solver and the regen scans hand them to the hull.  They are built with SRC_A's
+package, imported as ``levyburgers``.  ``--only`` keeps the inputs whose
+name contains TEXT, so that each can be timed in a fresh process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+CALLS = 21
+
+
+def load(alias: str, src: Path):
+    """The levyburgers package under src, imported as alias."""
+    pkg = src / "levyburgers"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_inputs() -> dict:
+    """test_hull.py's corpora, each as an (n, 2) array of points."""
+    import test_hull as th
+    from levyburgers import GridSpec, LevyParams, jump_down, jump_up, sample_path, zero_path
+
+    out = {}
+    for family, params in sorted(th.LEVY_FAMILIES.items()):
+        for n in (4097, 65537):
+            for seed in (1, 2):
+                out[f"{family}_n{n}_s{seed}"] = th._shifted(
+                    sample_path(params, GridSpec(16.0, n), seed)
+                )
+    for seed in range(3):
+        path = sample_path(LevyParams.brownian(1e-3), GridSpec(16.0, 16385), seed)
+        out[f"bm1e-3_16385_s{seed}"] = th._shifted(path)
+    for delta in (0.5, 4.5):
+        out[f"noisystep{delta}"] = th.noisy_step(delta)
+        out[f"noisystep{delta}-past"] = th.noisy_step(delta, past=True)
+    grid = GridSpec(16.0, 16385)
+    for fixture in (zero_path, jump_up, jump_down):
+        for t in (1e-3, 1.0, 1e3):
+            out[f"{fixture.__name__}_t{t:g}"] = th._shifted(fixture(grid), t)
+    for n in (4097, 65537):
+        for spikes in (1, 5, 40):
+            out[f"spike{spikes}_n{n}"] = th.spiked_parabola(n, spikes)
+    for delta in (0.5, 4.5):
+        out[f"stepparab{delta}"] = th.step_parabola(4097, delta)
+    for t in (1e-3, 1.0, 1e3):
+        out[f"cpoisson_t{t:g}"] = th._compound_poisson(4097, t)
+    for family in ("cauchy", "stable1.5"):
+        path = sample_path(th.LEVY_FAMILIES[family], GridSpec(16.0, 4097), 1)
+        out[f"{family}_t1e-6"] = th._shifted(path, 1e-6)
+    lines = {
+        "rounded-line": (0.0, 1.0, 1001, 0.1, 3.0, 0.0),
+        "rounded-steep-line": (-3.0, 7.0, 4097, np.pi, -1 / 3, 0.0),
+        "line-with-noise": (-16.0, 16.0, 4097, 0.7, 0.0, 1e-15),
+    }
+    for name, (a, b, n, slope, shift, noise) in lines.items():
+        ys = np.linspace(a, b, n)
+        out[name] = ys, slope * ys + shift + noise * np.random.default_rng(0).standard_normal(n)
+    sigma = sample_path(LevyParams.brownian(1e-12), grid, 1)
+    for t in (1e-6, 1.0, 1e6):
+        out[f"zero_t{t:g}"] = th._shifted(zero_path(grid), t)
+        out[f"bm1e-12_t{t:g}"] = th._shifted(sigma, t)
+    return {name: np.column_stack(cloud) for name, cloud in out.items()}
+
+
+def workload_inputs() -> dict:
+    """The point arrays the hull is given in one item of each kind of the
+    sweep, dense and regen workloads, in the layout it is given them."""
+    import workloads
+    from levyburgers import regen, solver
+
+    clouds = []
+    majorant = solver.upper_concave_majorant
+
+    def recorded(points):
+        cm = majorant(points)
+        clouds.append(np.array(points, order="K"))
+        return cm
+
+    out = {}
+    solver.upper_concave_majorant = regen.upper_concave_majorant = recorded
+    try:
+        for build in (workloads.build_sweep, workloads.build_dense, workloads.build_regen):
+            wl = build()
+            for ki, kind in enumerate(wl.kinds):
+                clouds.clear()
+                kind.run(kind.prepare(workloads.derived_seed(1, ki, 0)))
+                for i, cloud in enumerate(clouds):
+                    out[f"{wl.name}_{kind.name}_{i}"] = cloud
+    finally:
+        solver.upper_concave_majorant = regen.upper_concave_majorant = majorant
+    return out
+
+
+def time_pair(fa, fb, points) -> tuple[float, float]:
+    """Median seconds of fa(points) and fb(points) over CALLS interleaved
+    calls each, after one warm-up call of each."""
+    fa(points), fb(points)
+    ta, tb = [], []
+    for r in range(CALLS):
+        order = ((fa, ta), (fb, tb)) if r % 2 == 0 else ((fb, tb), (fa, ta))
+        for f, times in order:
+            t0 = time.perf_counter()
+            f(points)
+            times.append(time.perf_counter() - t0)
+    return statistics.median(ta), statistics.median(tb)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src_a", type=Path, help="src directory of tree A (the baseline)")
+    ap.add_argument("src_b", type=Path, help="src directory of tree B")
+    ap.add_argument("--only", default="", help="time only the inputs whose name holds this")
+    args = ap.parse_args(argv)
+    src_a, src_b = args.src_a.resolve(), args.src_b.resolve()
+    sys.path[:0] = [str(src_a), str(TESTS), str(PERFBENCH)]
+    inputs = {**corpus_inputs(), **workload_inputs()}
+    inputs = {name: pts for name, pts in inputs.items() if args.only in name}
+    a = load("levyburgers_a", src_a).upper_concave_majorant
+    b = load("levyburgers_b", src_b).upper_concave_majorant
+    print(f"{'input':32} {'points':>7} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
+    worst = (0.0, "")
+    for name, pts in inputs.items():
+        ia, ib = a(pts).indices, b(pts).indices
+        if not np.array_equal(ia, ib):
+            raise SystemExit(f"{name}: the trees return different indices")
+        ta, tb = time_pair(a, b, pts)
+        worst = max(worst, (tb / ta, name))
+        print(f"{name:32} {len(pts):7d} {1e3 * ta:9.3f} {1e3 * tb:9.3f} {tb / ta:6.2f}")
+    print(f"{len(inputs)} inputs, equal indices on all; largest B/A {worst[0]:.2f} ({worst[1]})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -463,6 +463,41 @@ class TestCertifiedFilter:
         monkeypatch.setattr(hull, "_quickhull", refuse)
         assert_matches_reference(*spiked_parabola(n, 1))
 
+    def test_quiet_level_ends_the_filter(self, monkeypatch):
+        """A level that drops at most one point in _FEW_FLAGS of its list
+        ends the filter.  Near-flat inputs drop at most one point at the
+        first level, so no level runs at a spacing of 2 or more; a Lévy
+        path and the noisy inputs drop about half of their points there,
+        so the filter goes on."""
+        spacings = []
+        orient = hull._orient
+
+        def recorded(ys, vs, k, *args):
+            spacings.append(k)
+            return orient(ys, vs, k, *args)
+
+        monkeypatch.setattr(hull, "_orient", recorded)
+        grid = GridSpec(16.0, 16385)
+        flat = {
+            "zero": zero_path(grid),
+            "sigma1e-12": sample_path(LevyParams.brownian(1e-12), grid, 1),
+            "jump_up": jump_up(grid),
+            "jump_down": jump_down(grid),
+        }
+        for name, path in flat.items():
+            for t in (1e-3, 1.0, 1e3):
+                spacings.clear()
+                ys, vs = _shifted(path, t)
+                cm = upper_concave_majorant(np.column_stack([ys, vs]))
+                assert max(spacings) < 2, (name, t)
+                assert np.array_equal(cm.indices, reference_chain(ys, vs)), (name, t)
+        levy_path = sample_path(LEVY_FAMILIES["brownian"], GridSpec(16.0, 65537), 1)
+        rough = {"brownian_n65537": lambda: _shifted(levy_path), **NOISY_INPUTS}
+        for name, source in rough.items():
+            spacings.clear()
+            upper_concave_majorant(np.column_stack(source()))
+            assert max(spacings) >= 2, name
+
     @pytest.mark.parametrize("spikes", [5])
     def test_spiked_parabolas_reach_quickhull(self, spikes, monkeypatch):
         """Five spikes flag too many triples to start the bulk chain, so
