@@ -260,6 +260,19 @@ class TestStartup:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_import_starts_no_thread(self):
+        # the worker that draws a long path's right side is built on first use
+        src = str(Path(levyburgers.__file__).resolve().parents[1])
+        code = (
+            "import sys, threading, levyburgers; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "1 False"
+
     def test_subcommands_load_no_numpy_ma(self, tmp_path):
         # numpy.ma costs about 13 ms of import; np.unique and np.median load
         # it.  In process scipy has loaded it already, so a fresh interpreter

@@ -1,5 +1,11 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,11 +151,17 @@ REFERENCE_LAWS = {
 }
 
 
-@pytest.mark.parametrize("n", [3, 4097, 65537])
+# the shortest path whose sides are drawn on two threads
+THREADED_N = 2 * levy._PARALLEL_SIDE + 1
+
+
+@pytest.mark.parametrize("n", [3, 4097, THREADED_N - 2, THREADED_N, 65537])
 @pytest.mark.parametrize("law", REFERENCE_LAWS)
 def test_sample_path_matches_reference(law, n):
     """Same values, jumps and seed as the reference, byte for byte, so a
-    -0.0 counts; the law flags the tagging (none, thresholded, nonzero)."""
+    -0.0 counts; the law flags the tagging (none, thresholded, nonzero).
+    The sides are drawn one after the other below THREADED_N and on two
+    threads from it."""
     grid = GridSpec(8.0, n)
     for seed in range(3):
         got = sample_path(REFERENCE_LAWS[law], grid, seed)
@@ -172,6 +184,108 @@ def test_sample_path_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2**20
+
+
+class TestThreadedSides:
+    """From THREADED_N points on, a worker thread draws the right side:
+    errors, forks and threads behave as when the sides are drawn in turn."""
+
+    @pytest.mark.parametrize("n", [THREADED_N - 2, THREADED_N], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("failing", [("right", "left"), ("left",)], ids=["both", "left"])
+    def test_draw_errors_in_serial_order(self, monkeypatch, failing, n):
+        draw = levy._cell_increments
+        drawn_on_main = {}
+
+        def failing_draw(params, h, size, rng):
+            # the right side's stream is child 0 of the seed, the left's child 1
+            side = ("right", "left")[rng.bit_generator.seed_seq.spawn_key[-1]]
+            drawn_on_main[side] = threading.current_thread() is threading.main_thread()
+            if side in failing:
+                raise ParameterError(side)
+            return draw(params, h, size, rng)
+
+        monkeypatch.setattr(levy, "_cell_increments", failing_draw)
+        with pytest.raises(ParameterError, match=f"^{failing[0]}$"):
+            sample_path(LevyParams.brownian(1.0), GridSpec(8.0, n), 0)
+        if n == THREADED_N:
+            assert drawn_on_main == {"right": False, "left": True}
+
+    @pytest.mark.parametrize(
+        "par",
+        [
+            LevyParams.brownian(1.7e308),
+            LevyParams.stable(1.5, 0.0, 1.7e308),
+            LevyParams.compound_poisson(4.0, JumpDist("normal", 1.7e308, 1.0)),
+        ],
+        ids=["sigma", "scale", "jump-a"],
+    )
+    def test_overflow_is_a_parameter_error(self, par):
+        # numpy's errstate is per thread: the worker's overflow must stay
+        # silent, not reach the warnings-as-errors filter as a RuntimeWarning
+        with pytest.raises(ParameterError) as serial:
+            sample_path(par, GridSpec(2.0, 129), seed=0)
+        with pytest.raises(ParameterError) as threaded:
+            sample_path(par, GridSpec(8.0, THREADED_N), seed=0)
+        assert str(threaded.value) == str(serial.value)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_the_same_path(self):
+        # the child inherits the worker's executor but not its thread
+        par, grid = LevyParams.stable(1.5, 0.0), GridSpec(8.0, THREADED_N)
+        want = sample_path(par, grid, 3).values.tobytes()
+        with warnings.catch_warnings():
+            # Python 3.12 on warns when a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            same = False
+            try:
+                same = sample_path(par, grid, 3).values.tobytes() == want
+            finally:
+                os._exit(0 if same else 1)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its path in 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_callers_share_one_worker(self, monkeypatch):
+        # more callers than cores, switching threads often, while the worker
+        # is first built: each gets its own path and one worker thread starts
+        par, grid = LevyParams.stable(1.5, 0.0), GridSpec(8.0, THREADED_N)
+        want = [sample_path(par, grid, seed).values.tobytes() for seed in range(4)]
+        before = threading.active_count()
+        monkeypatch.setattr(levy, "_side_pool", None)
+        got = {}
+        start = threading.Barrier(4)
+
+        def draw(seed):
+            start.wait(timeout=30.0)
+            got[seed] = sample_path(par, grid, seed).values.tobytes()
+
+        callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [got.get(seed) for seed in range(4)] == want
+        assert threading.active_count() == before + 1
+        levy._side_pool.shutdown()
+
+    def test_one_worker_thread(self):
+        before = threading.active_count()
+        for seed in range(10):
+            sample_path(LevyParams.brownian(1.0), GridSpec(8.0, THREADED_N), seed)
+        assert threading.active_count() <= before + 1
 
 
 class TestSamplePath:
