@@ -234,7 +234,7 @@ class TestThreadedSides:
         par, grid = LevyParams.stable(1.5, 0.0), GridSpec(8.0, THREADED_N)
         want = sample_path(par, grid, 3).values.tobytes()
         with warnings.catch_warnings():
-            # Python 3.12 on warns when a process with threads forks
+            # from Python 3.12 on, os.fork warns in a process with threads
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
@@ -276,10 +276,12 @@ class TestThreadedSides:
                 caller.join(timeout=30.0)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert [got.get(seed) for seed in range(4)] == want
-        assert threading.active_count() == before + 1
-        levy._side_pool.shutdown()
+        try:
+            assert not any(caller.is_alive() for caller in callers)
+            assert [got.get(seed) for seed in range(4)] == want
+            assert threading.active_count() == before + 1
+        finally:
+            levy._side_pool.shutdown()
 
     def test_one_worker_thread(self):
         before = threading.active_count()
