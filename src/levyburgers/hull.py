@@ -27,6 +27,13 @@ once.  So the route is a function of the check's counts alone.  The edge
 slopes are stored once, padded with +/-inf sentinels at the chain ends
 where the majorant is unconstrained by the data, so vertex k has left
 slope s[k] and right slope s[k+1].
+
+The stages run in _majorant, which takes the points as two columns, the
+y's and the v's.  The solver and the regen scans call it with the grid
+points, finite and strictly increasing by construction, and the shifted
+values, so only the values are checked and no (n, 2) array is built;
+upper_concave_majorant checks a point cloud of any layout and hands its
+columns to the same entry.
 """
 
 from __future__ import annotations
@@ -409,11 +416,30 @@ def upper_concave_majorant(
     """Vertex chain of the upper concave hull of points sorted by y.
 
     Needs >= 2 finite points with strictly increasing y (collapse duplicate
-    y to the max v beforehand), and raises InputError when an edge slope
-    of the chain overflows float64, or when the scale that keeps products
-    finite sends distinct y's to one value.  Interior points collinear
-    with their neighbours are removed.  The stages run in this order, each
-    only while the check still flags a triple of the list:
+    y to the max v beforehand), checks them and hands their two columns to
+    _majorant, which raises InputError when an edge slope of the chain
+    overflows float64, or when the scale that keeps products finite sends
+    distinct y's to one value.  Interior points collinear with their
+    neighbours are removed.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        raise InputError("need at least 2 points of shape (n, 2)")
+    if not np.isfinite(pts).all():
+        raise InputError("point coordinates must be finite")
+    ys, vs = np.ascontiguousarray(pts.T)  # a copy only for row-major input
+    if np.any(np.diff(ys) <= 0):
+        raise InputError("y coordinates must be strictly increasing")
+    return _majorant(ys, vs)
+
+
+def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
+    """upper_concave_majorant of the points (ys[i], vs[i]), given as two
+    columns of at least 2 floats, ys finite and strictly increasing.
+
+    Only the values are checked: a v that is not finite, as a shifted
+    potential that overflows to -inf, raises InputError.  The stages run in
+    this order, each only while the check still flags a triple of the list:
     filter, which ends at the first level that drops at most one point
     in _FEW_FLAGS, check; the peel, when at least one survivor in
     _PEEL_SHARE is certainly below the chord of its neighbours and at most
@@ -433,15 +459,8 @@ def upper_concave_majorant(
     certifies it as the chain.  The bulk chain's result and the chain
     pass's are _chain over the list, index for index.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise InputError("need at least 2 points of shape (n, 2)")
-    if not np.isfinite(pts).all():
+    if not np.isfinite(vs).all():
         raise InputError("point coordinates must be finite")
-    ys, vs = np.ascontiguousarray(pts.T)  # a copy only for row-major input
-    if np.any(np.diff(ys) <= 0):
-        raise InputError("y coordinates must be strictly increasing")
-
     # one power of two for both coordinates keeps every slope and every
     # comparison of the orientation tests; scaling only where a product
     # could overflow keeps tiny coordinates next to huge ones distinct

@@ -18,6 +18,7 @@ their order are those of the serial draw.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -89,10 +90,17 @@ class GridSpec:
         return (self.n - 1) // 2
 
     def points(self) -> np.ndarray:
-        """Grid points, anchored so that points()[zero_index] == 0.0 exactly."""
+        """Grid points, anchored so that points()[zero_index] == 0.0 exactly.
+
+        Built once per grid; the array is read-only."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         i0 = self.zero_index
         pts = _grid_floats(self, lambda: np.arange(-i0, self.n - i0, dtype=float))
         pts *= self.h
+        pts.flags.writeable = False
         return pts
 
     @classmethod

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ParameterError
-from .hull import FILTER_BLOCK, ConcaveMajorant, upper_concave_majorant
+from .hull import FILTER_BLOCK, ConcaveMajorant, _majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
 from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
@@ -81,7 +81,7 @@ def _filter_majorant(
     with np.errstate(over="ignore", invalid="ignore"):
         f = values[lo:hi] - ys[lo:hi] ** 2 / (2.0 * t)
     try:
-        return upper_concave_majorant(np.column_stack((ys[lo:hi], f)))
+        return _majorant(ys[lo:hi], f)
     except InputError:
         return None
 

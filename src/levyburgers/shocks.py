@@ -7,9 +7,10 @@ constancy (rarefaction) record.  Every plain result record of the package
 is a NamedTuple, and a row record is one CSV row under the columns
 ``_fields``; a class stays a dataclass only where it validates or derives a
 field, defines a method, is ``replace``d by the tests or builds CLI flags.
-A report's shock and rarefaction rows are ``Records``: rows of a
-NamedTuple type held as one array per field, so that extraction stays
-array work, and built as rows of Python floats and bools only when read.
+A report's shock and rarefaction rows and a sign pattern's gap stats are
+``Records``: rows of a NamedTuple type held as one array per field, so
+that extraction stays array work and builds no Python object per row, and
+built as rows of Python floats and bools only when read.
 On a finite grid every vertex has a positive-length constancy interval, so
 rarefaction claims are studied through refinement trends rather than
 per-grid booleans.
@@ -95,9 +96,13 @@ class GapStat(NamedTuple):
     has_negative_phase: bool
 
 
+# GapStat.gap as one column: a structured array whose rows read as (lo, hi)
+_GAP = np.dtype([("lo", float), ("hi", float)])
+
+
 class SignPatternReport(NamedTuple):
     violations: list[tuple[float, float, float]]  # (gap lo, gap hi, x of bad sample)
-    gap_stats: list[GapStat]
+    gap_stats: Records  # of GapStat
 
 
 class JumpSignReport(NamedTuple):
@@ -196,8 +201,11 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     z = _window_zeros(sol, *sol.window)
     g = np.flatnonzero(np.diff(sol.majorant.indices[z]) > 1)
     z1, z2 = ys[z[g]], ys[z[g + 1]]
+    gaps = np.empty(len(g), dtype=_GAP)
+    gaps["lo"], gaps["hi"] = z1, z2
     if not len(g):
-        return SignPatternReport(violations=[], gap_stats=[])
+        empty = np.empty(0, dtype=bool)
+        return SignPatternReport(violations=[], gap_stats=Records(GapStat, gaps, empty, empty))
 
     # cut the constancy intervals at the gap ends and at the shocks between
     # them: the piece right of a cut is in one interval and one gap or none
@@ -224,11 +232,11 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     bad = pos & (neg_before > 0)
     violations = list(zip(z1[gap[bad]].tolist(), z2[gap[bad]].tolist(), xs[bad].tolist()))
 
-    gap_stats = list(map(
-        GapStat, zip(z1.tolist(), z2.tolist()),
-        (np.bincount(gap[pos], minlength=len(g)) > 0).tolist(),
-        (np.bincount(gap[neg], minlength=len(g)) > 0).tolist(),
-    ))
+    gap_stats = Records(
+        GapStat, gaps,
+        np.bincount(gap[pos], minlength=len(g)) > 0,
+        np.bincount(gap[neg], minlength=len(g)) > 0,
+    )
     return SignPatternReport(violations=violations, gap_stats=gap_stats)
 
 
@@ -278,7 +286,7 @@ def _stats_window(
         if not lo < hi:
             raise ParameterError(f"window {window} misses the analysis window {analysis}")
     pts = grid.points()
-    n_pts = int(np.count_nonzero((pts >= lo) & (pts <= hi)))
+    n_pts = int(np.searchsorted(pts, hi, "right") - np.searchsorted(pts, lo, "left"))
     if not n_pts:
         raise ParameterError(f"window {window} holds no point of the grid with h={grid.h:g}")
     return lo, hi, n_pts

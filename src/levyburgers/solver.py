@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, ParameterError, WindowTooSmallError
-from .hull import ConcaveMajorant, read_only, upper_concave_majorant
+from .hull import ConcaveMajorant, _majorant, read_only
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 
 # Fraction of the grid length trimmed from each side to form the analysis
@@ -92,9 +92,12 @@ def analysis_window(grid: GridSpec) -> tuple[float, float]:
 def solve(path: LevyPath, t: float) -> BurgersSolution:
     """Build the exact grid solution at time t.
 
-    Raises WindowTooSmallError when a grid endpoint attains the maximum of
-    the shifted potential: the global argmax may then lie off-grid and no
-    window statistic would be trustworthy.
+    The shifted potential is built in one buffer, and it and the grid
+    points go to the hull as two columns, with no (n, 2) copy.  Raises
+    WindowTooSmallError when a grid endpoint attains the maximum of the
+    shifted potential: the global argmax may then lie off-grid and no
+    window statistic would be trustworthy; InputError when a shifted value
+    overflows float64.
     """
     check_time(t)
     ys = path.grid.points()
@@ -106,7 +109,12 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
             f"y^2/(2t) overflows at the grid end y={y_end:g} with t={t:g}; "
             "shrink L or raise t"
         )
-    shifted = path.values - ys * ys / (2.0 * t)
+    # values - ys * ys / (2t), the same operations in one buffer; a value
+    # that overflows to -inf is refused by the hull
+    shifted = np.multiply(ys, ys)
+    shifted /= 2.0 * t
+    with np.errstate(over="ignore"):
+        np.subtract(path.values, shifted, out=shifted)
 
     fmax = float(shifted.max())
     if not (fmax > shifted[0] and fmax > shifted[-1]):
@@ -114,8 +122,7 @@ def solve(path: LevyPath, t: float) -> BurgersSolution:
             "shifted potential is maximal at a grid endpoint; enlarge the grid"
         )
 
-    # column-major, so the hull reads both columns without a copy
-    cm = upper_concave_majorant(np.array([ys, shifted]).T)
+    cm = _majorant(ys, shifted)
     # vertex k owns -t * [s[k], s[k+1]]; t > 0 maps the sentinels to -/+inf
     with np.errstate(over="ignore"):
         breaks = -t * cm.s

@@ -9,9 +9,11 @@ A first in even rounds and B first in odd ones, and prints per input the
 median ms of each and the ratio B / A.  The inputs are the corpora of
 ``test_hull.py`` and the hull clouds of one item of every kind of the
 ``sweep``, ``dense`` and ``regen`` benchmark workloads at seed 1,
-recorded as the solver and the regen scans hand them to the hull.  They are built with SRC_A's
-package, imported as ``levyburgers``.  ``--only`` keeps the inputs whose
-name contains TEXT, so that each can be timed in a fresh process.
+recorded as the two columns the solver and the regen scans hand to the
+hull and timed as one column-major (n, 2) array, which the public entry
+reads without a copy.  They are built with SRC_A's package, imported as
+``levyburgers``.  ``--only`` keeps the inputs whose name contains TEXT,
+so that each can be timed in a fresh process.
 """
 
 from __future__ import annotations
@@ -90,21 +92,20 @@ def corpus_inputs() -> dict:
 
 
 def workload_inputs() -> dict:
-    """The point arrays the hull is given in one item of each kind of the
-    sweep, dense and regen workloads, in the layout it is given them."""
+    """The points the hull is given in one item of each kind of the sweep,
+    dense and regen workloads, as column-major (n, 2) arrays."""
     import workloads
     from levyburgers import regen, solver
 
     clouds = []
-    majorant = solver.upper_concave_majorant
+    majorant = solver._majorant
 
-    def recorded(points):
-        cm = majorant(points)
-        clouds.append(np.array(points, order="K"))
-        return cm
+    def recorded(ys, vs):
+        clouds.append(np.array([ys, vs]).T)
+        return majorant(ys, vs)
 
     out = {}
-    solver.upper_concave_majorant = regen.upper_concave_majorant = recorded
+    solver._majorant = regen._majorant = recorded
     try:
         for build in (workloads.build_sweep, workloads.build_dense, workloads.build_regen):
             wl = build()
@@ -114,7 +115,7 @@ def workload_inputs() -> dict:
                 for i, cloud in enumerate(clouds):
                     out[f"{wl.name}_{kind.name}_{i}"] = cloud
     finally:
-        solver.upper_concave_majorant = regen.upper_concave_majorant = majorant
+        solver._majorant = regen._majorant = majorant
     return out
 
 

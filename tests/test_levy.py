@@ -102,6 +102,27 @@ class TestGridSpec:
         want = (np.arange(n) - g.zero_index) * g.h
         assert g.points().tobytes() == want.tobytes()
 
+    def test_points_built_once_and_read_only(self):
+        # the float arange scaled by h, kept on the grid and shared by every
+        # caller, so no caller may write to it
+        g = GridSpec(16.0, 65537)
+        pts = g.points()
+        want = np.arange(-g.zero_index, g.n - g.zero_index, dtype=float) * g.h
+        assert pts.tobytes() == want.tobytes()
+        assert g.points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0] = 1.0
+
+    def test_points_cache_is_not_a_field(self):
+        # eq, hash and repr see L and n alone, before and after the build
+        g, h = GridSpec(16.0, 65537), GridSpec(16.0, 65537)
+        before = (hash(g), repr(g))
+        g.points()
+        assert g == h and (hash(g), repr(g)) == before == (hash(h), repr(h))
+        assert repr(g) == "GridSpec(L=16.0, n=65537)"
+        assert g != GridSpec(16.0, 16385)
+
     @pytest.mark.parametrize("n", [MAX_FLOAT64_ITEMS, 2**59 + 1], ids=["n", "h"])
     def test_points_beyond_memory(self, n):
         # 8 and 4 EiB, beyond any address space: numpy refuses them at once

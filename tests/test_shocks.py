@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestZeroPath:
     def test_no_gaps_no_violations(self, zero_report):
         sol, _ = zero_report
         sp = sign_pattern(sol)
-        assert sp.gap_stats == [] and sp.violations == []
+        assert list(sp.gap_stats) == [] and sp.violations == []
 
 
 class TestJumpUp:
@@ -412,6 +413,11 @@ def _assert_same_records(got, want):
         assert list(map(type, r_got)) == list(map(type, r_want))
 
 
+def _assert_same_sign_pattern(got, want):
+    assert got.violations == want.violations
+    _assert_same_records(got.gap_stats, want.gap_stats)
+
+
 LEVY_FAMILIES = (
     LevyParams.stable(0.75, 0.0),
     LevyParams.stable(1.5, 0.0),
@@ -444,7 +450,7 @@ def test_array_extraction_matches_per_vertex_reference():
         assert got.zero_set.dtype == want.zero_set.dtype
         assert np.array_equal(got.zero_set, want.zero_set)
 
-        assert sign_pattern(sol) == reference_sign_pattern(sol)
+        _assert_same_sign_pattern(sign_pattern(sol), reference_sign_pattern(sol))
         n_paths += 1
     assert n_paths == 106
 
@@ -478,6 +484,27 @@ def test_records_read_as_rows(make):
         assert list(records[1:]) == rows[1:]
 
 
+def test_sign_pattern_builds_no_row_objects():
+    """On the dense benchmark's near-flat Brownian input, with its 738
+    gaps, sign_pattern nets a handful of objects the collector tracks
+    (a list of GapStat rows netted over 700), so a timed item sets off no
+    collection; its rows, built when read, are the reference's."""
+    sol = solve(sample_path(LevyParams.brownian(1e-3), DENSE_GRID, derived_seed(4301, 0)), 1.0)
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        sp = sign_pattern(sol)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert grown < 50
+    assert len(sp.gap_stats) == 738
+    _assert_same_sign_pattern(sp, reference_sign_pattern(sol))
+    row = sp.gap_stats[0]
+    assert type(row) is GapStat and list(map(type, row.gap)) == [float, float]
+    assert type(row.has_positive_phase) is bool and type(row.has_negative_phase) is bool
+
+
 def test_records_quick_start():
     """The README quick start reads the first shock row by index."""
     grid = GridSpec(8.0, 4097)
@@ -504,7 +531,7 @@ def test_sign_pattern_reports_a_violation():
     shifted = replace(sol, breaks=sol.breaks + d)
     sp = sign_pattern(shifted)
     assert sp.violations
-    assert sp == reference_sign_pattern(shifted)
+    _assert_same_sign_pattern(sp, reference_sign_pattern(shifted))
 
 
 # -- the per-vertex jump-sign loop, kept as the reference for the array

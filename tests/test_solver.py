@@ -33,6 +33,7 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
+from levyburgers import regen
 from levyburgers.levy import jump_array
 from levyburgers.solver import owning_vertices
 from conftest import adversarial_params, derived_seed
@@ -448,6 +449,82 @@ def test_hypothesis_adversarial_regimes_nest_in_time(params, half, half_width, t
     _assert_hulls_nest(path, [t, t * ratio])
 
 
+def _public_route(path, t):
+    """The majorant of the shifted potential through the validating entry,
+    from an (n, 2) array of the two columns."""
+    ys = path.grid.points()
+    with np.errstate(over="ignore"):
+        vs = path.values - ys * ys / (2.0 * t)
+    return upper_concave_majorant(np.column_stack([ys, vs]))
+
+
+def _assert_routes_agree(path, t):
+    """solve hands the hull the grid points and the shifted values as two
+    columns; its majorant is the public route's, bit for bit, and a
+    shifted value that overflows raises InputError on both routes."""
+    try:
+        cm = solve(path, t).majorant
+    except InputError:
+        with pytest.raises(InputError):
+            _public_route(path, t)
+        return
+    except (ParameterError, WindowTooSmallError):
+        return
+    want = _public_route(path, t)
+    for name in ("indices", "ys", "vs", "s"):
+        assert np.array_equal(getattr(cm, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("case", ORACLE_SWEEP)
+def test_column_route_matches_public_route(case):
+    """Over the oracle sweep paths, solve's majorant and the regen filter's
+    majorant of the past of 0 equal the public route's."""
+    L, n, params, t = ORACLE_SWEEP[case]
+    grid = GridSpec(L, n)
+    path = _noisy_step(grid, 7) if params is None else sample_path(params, grid, 7)
+    _assert_routes_agree(path, t)
+    ys, i0 = grid.points(), grid.zero_index
+    got = regen._filter_majorant(path.values, ys, 0, i0, t)
+    with np.errstate(over="ignore"):
+        vs = path.values[:i0] - ys[:i0] ** 2 / (2.0 * t)
+    want = upper_concave_majorant(np.column_stack([ys[:i0], vs]))
+    assert np.array_equal(got.indices, want.indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=adversarial_params(),
+    half=st.integers(1, 32),
+    half_width=st.sampled_from([1.0, 4.0, 16.0]),
+    t=st.one_of(st.floats(1e-6, 1e6), st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308])),
+    seed=st.integers(0, 2**32),
+)
+def test_hypothesis_column_route_matches_public_route(params, half, half_width, t, seed):
+    """The adversarial regimes, extreme t included: solve's majorant is the
+    public route's, or both refuse the shifted potential."""
+    grid = GridSpec(half_width, 2 * half + 1)
+    try:
+        path = sample_path(params, grid, seed)
+    except LevyBurgersError:
+        return
+    _assert_routes_agree(path, t)
+
+
+def test_shifted_overflow_raises_input_error():
+    """A value near -1.8e308 at y = 1e151 overflows its shifted value to
+    -inf: solve refuses it with InputError, not a silently wrong hull, and
+    the regen filter has no majorant to nominate with."""
+    grid = GridSpec(1e151, 5)
+    values = np.zeros(5)
+    values[3] = -np.finfo(float).max
+    path = LevyPath(grid, values, jump_array([], []), None, None)
+    with pytest.raises(InputError, match="finite"):
+        solve(path, 1.0)
+    with pytest.raises(InputError, match="finite"):
+        _public_route(path, 1.0)
+    assert regen._filter_majorant(values, grid.points(), 1, 5, 1.0) is None
+
+
 # law: (params, b, a), the law's own self-similarity psi(2^b y) =d 2^a psi(y)
 SCALE_LAWS = {
     "brownian": (LevyParams.brownian(1.0), 2, 1),
@@ -492,11 +569,12 @@ def test_exact_scale_covariance(law, L, t):
         for col, big_col, f in zip(records.columns, big_records.columns, factors):
             assert np.array_equal(big_col, col * f)
 
-    sp = sign_pattern(sol)
-    assert sign_pattern(big_sol) == sp._replace(
-        violations=[tuple(v * cx for v in row) for row in sp.violations],
-        gap_stats=[g._replace(gap=(g.gap[0] * cx, g.gap[1] * cx)) for g in sp.gap_stats],
-    )
+    sp, big_sp = sign_pattern(sol), sign_pattern(big_sol)
+    assert big_sp.violations == [tuple(v * cx for v in row) for row in sp.violations]
+    (gap, pos, neg), (big_gap, big_pos, big_neg) = sp.gap_stats.columns, big_sp.gap_stats.columns
+    assert np.array_equal(big_gap["lo"], gap["lo"] * cx)
+    assert np.array_equal(big_gap["hi"], gap["hi"] * cx)
+    assert np.array_equal(big_pos, pos) and np.array_equal(big_neg, neg)
     assert contact_jump_signs(big_sol) == contact_jump_signs(sol)
 
     def scaled(y):
