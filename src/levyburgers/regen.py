@@ -10,14 +10,17 @@ The scans nominate, then confirm.  With f = values - y^2/(2t), a point j
 breaks the bound at i exactly when f_j + y_i y_j / t exceeds its value at
 j = i (reaches it, for the strict S bound), so the vertex of the upper
 concave majorant of f that a line of slope -y_i/t touches is the likeliest
-killer of i.  One majorant per side, of the raw path on [0, i0) for R and
-on (R, n) for S, never the solved hull, nominates that witness for every
-candidate, and a witness that breaks the bound, evaluated exactly as the
-bound itself is, rejects its candidate.  The survivors are checked in
-order against the whole bound, and the first that holds is the answer.
-A candidate is rejected only by a real violation and accepted only by the
-full check, so the majorant decides the speed, never the result; where it
-cannot be built, every candidate is a survivor.
+killer of i.  Majorants of the raw path, never the solved hull, nominate
+that witness for every candidate, each built only on the stretch of the
+grid where the witnesses lie: for R on [lo, i0), lo the first argmax of f
+on [0, i0), and for S, per block of candidates, between the vertices of
+the majorant of f on (R, n) that the block's first and last slopes touch.
+A witness that breaks the bound, evaluated exactly as the bound itself
+is, rejects its candidate.  The survivors are checked in order against
+the whole bound, and the first that holds is the answer.  A candidate is
+rejected only by a real violation and accepted only by the full check, so
+the majorants decide the speed, never the result; where one cannot be
+built, every candidate it serves is a survivor.
 
 Regenerativity of the zero set is probed statistically: low-dimensional
 features of the flow before and after T are tested for dependence across
@@ -27,6 +30,7 @@ only fail to falsify; it never proves full-process independence).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -45,6 +49,11 @@ N_FEATURE_SAMPLES = 64
 
 # The permutation test runs only on at least this many replicates.
 MIN_INDEPENDENCE_REPS = 100
+
+# The S scan nominates witnesses for its first block of this many
+# candidates, then for blocks 4x as large, up to FILTER_BLOCK: S - R is a
+# few dozen candidates on most paths and thousands on a few.
+_FIRST_S_BLOCK = 64
 
 
 class RegenReport(NamedTuple):
@@ -96,6 +105,71 @@ def _witnesses(cm: ConcaveMajorant, lo: int, y: np.ndarray, t: float) -> np.ndar
     return lo + cm.indices[k]
 
 
+def _nominator(values: np.ndarray, ys: np.ndarray, lo: int, hi: int, t: float):
+    """The witnesses of the grid stretch [lo, hi] (closed), as a function
+    from candidate y's to grid indices: _witnesses of the majorant of f
+    on the stretch, or lo for every candidate when the stretch is that one
+    point.  None where the majorant overflows and nothing is nominated."""
+    if hi == lo:
+        return lambda y: np.full(len(y), lo)
+    cm = _filter_majorant(values, ys, lo, hi + 1, t)
+    return None if cm is None else functools.partial(_witnesses, cm, lo, t=t)
+
+
+def _r_nominations(values: np.ndarray, ys: np.ndarray, i0: int, t: float):
+    """The R candidates from i0 on in blocks of FILTER_BLOCK, each as
+    (cand, j): j the witnesses in [0, i0) nominated for cand, or None.
+
+    A candidate has y_i >= 0, and its witness maximizes f_j + y_i y_j / t
+    over j < i0.  Left of lo, the first argmax of f there, f_j < f_lo and
+    y_i y_j <= y_i y_lo, so no j < lo wins, and the majorant is built on
+    [lo, i0) alone, which may be the single point i0 - 1.  As where the
+    whole majorant overflows, nothing is nominated where [0, i0) has under
+    two points.
+    """
+    nominate = None
+    if i0 > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = int(np.argmax(values[:i0] - ys[:i0] ** 2 / (2.0 * t)))
+        nominate = _nominator(values, ys, lo, i0 - 1, t)
+    for start in range(i0, len(ys), FILTER_BLOCK):
+        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
+        yield cand, None if nominate is None else nominate(ys[cand])
+
+
+def _s_nominations(values: np.ndarray, ys: np.ndarray, r: int, t: float):
+    """The S candidates from r on in blocks of _FIRST_S_BLOCK, grown x4
+    up to FILTER_BLOCK, each as (cand, j): j the witnesses in (r, n)
+    nominated for cand, or None.
+
+    As the slope -y_c/t falls with c, the vertex it touches, a(c), the
+    first argmax of f_j + y_c y_j / t over j in (r, n), moves right, and
+    the chain of an upper hull between two of its vertices is the hull of
+    the points between them.  So a block [c0, c1) needs the majorant of
+    the stretch [a(c0), a(c1 - 1)] alone, and the next block starts at
+    that end vertex.  Each a(c) is one pass over f, built once.  A future
+    of one point is its own witness, so nothing is nominated for the two
+    candidates left then.
+    """
+    if len(ys) - r < 3:
+        yield np.arange(r, len(ys)), None
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = values[r + 1 :] - ys[r + 1 :] ** 2 / (2.0 * t)
+
+    def touched(c: int) -> int:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return r + 1 + int(np.argmax(f + ys[r + 1 :] * (ys[c] / t)))
+
+    start, size, lo = r, _FIRST_S_BLOCK, touched(r)
+    while start < len(ys):
+        cand = np.arange(start, min(start + size, len(ys)))
+        hi = max(lo, touched(int(cand[-1])))
+        nominate = _nominator(values, ys, lo, hi, t)
+        yield cand, None if nominate is None else nominate(ys[cand])
+        start, size, lo = start + len(cand), min(4 * size, FILTER_BLOCK), hi
+
+
 def _past_holds(values: np.ndarray, ys: np.ndarray, i: int, lo: int, hi: int, t: float) -> bool:
     """The closed R bound values[j] - values[i] <= (y_i - y_j)^2 / (2t)
     for every j in [lo, hi)."""
@@ -114,17 +188,14 @@ def _scan_r(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None
     """First grid index i >= i0 whose entire past satisfies the closed
     parabola bound, or None.
 
-    Per block of candidates, the majorant of f on [0, i0) nominates one
-    witness j each, and a witness that breaks the bound, in the bound's
-    own arithmetic, rejects its candidate.  Each survivor in turn is then
+    Per block of candidates, _r_nominations names one witness j in
+    [0, i0) each, and a witness that breaks the bound, in the bound's own
+    arithmetic, rejects its candidate.  Each survivor in turn is then
     checked against [i0, i), where its witnesses are not nominated, and
     against [0, i0); the first that holds is R.
     """
-    cm = _filter_majorant(values, ys, 0, i0, t)
-    for start in range(i0, len(ys), FILTER_BLOCK):
-        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
-        if cm is not None:
-            j = _witnesses(cm, 0, ys[cand], t)
+    for cand, j in _r_nominations(values, ys, i0, t):
+        if j is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 kept = values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / (2.0 * t)
             cand = cand[kept]
@@ -138,15 +209,13 @@ def _scan_s(values: np.ndarray, ys: np.ndarray, r: int, t: float) -> int:
     """First grid index i >= r whose entire future satisfies the strict
     parabola bound; the last grid point, with an empty future, always does.
 
-    The mirror of _scan_r on the majorant of f on (r, n): a witness past
-    i that breaks the strict bound rejects i, a witness at or before i is
-    none, and each survivor in turn is checked against its whole future.
+    The mirror of _scan_r on the witnesses of _s_nominations in (r, n): a
+    witness past i that breaks the strict bound rejects i, a witness at or
+    before i is none, and each survivor in turn is checked against its
+    whole future.
     """
-    cm = _filter_majorant(values, ys, r + 1, len(ys), t)
-    for start in range(r, len(ys), FILTER_BLOCK):
-        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
-        if cm is not None:
-            j = _witnesses(cm, r + 1, ys[cand], t)
+    for cand, j in _s_nominations(values, ys, r, t):
+        if j is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 kept = values[j] - values[cand] < (ys[j] - ys[cand]) ** 2 / (2.0 * t)
             cand = cand[kept | (j <= cand)]
@@ -165,10 +234,12 @@ def _first_zero(sol: BurgersSolution) -> float | None:
 def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
     """(R, S) by the nominate-then-confirm scans, plus T from the zero set.
 
-    A majorant of the raw path only nominates a witness per candidate;
+    Majorants of the raw path only nominate a witness per candidate;
     every answer is confirmed by the parabola condition itself, so R and
-    S are those of the direct O(n^2) scans, index for index, for about
-    one extra hull pass per side plus the confirming checks.
+    S are those of the direct O(n^2) scans, index for index.  Each
+    majorant spans only the stretch where its witnesses lie, so beyond the
+    confirming checks a scan costs a few O(n) passes and hulls of a few
+    hundred points on the paths measured, not two hull passes of the grid.
 
     The parabola conditions compare plain grid values at their own grid
     offsets; a left limit is carried by the previous grid point, which is

@@ -10,7 +10,9 @@ first in even cycles and CHANGE first in odd ones, until S seconds have
 passed; only ``kind.run`` is timed, as in ``perfbench/run.py``, and every
 output is checked (a WindowTooSmallError is an outcome, as there).  It
 prints per kind the median ms of each tree and the ratio CHANGE / PARENT,
-then the same for whole cycles.  Separate 20 s benchmark runs on a shared
+then the same for whole cycles, and the median minor page faults of each
+tree's ``kind.run`` (``resource.getrusage``), which count in the time as
+they do in the harness.  Separate 20 s benchmark runs on a shared
 2-core host spread by 15% and more; items of the two trees interleaved in
 one process see the same host state.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -68,6 +71,7 @@ def main(argv=None) -> int:
 
     kinds = [k.name for k in wls[0].kinds]
     times = {(side, kind): [] for side in (0, 1) for kind in kinds}
+    faults = {(side, kind): [] for side in (0, 1) for kind in kinds}
     cycles = 0
     start = time.perf_counter()
     while time.perf_counter() - start < args.seconds:
@@ -76,26 +80,32 @@ def main(argv=None) -> int:
             for side in (cycles % 2, 1 - cycles % 2):
                 k = wls[side].kinds[ki]
                 inp = k.prepare(seed)
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 try:
                     out = k.run(inp)
                 except trees[side].solver.WindowTooSmallError:
                     out = None  # a typed outcome, timed as run.py times it
                 times[side, kind].append(time.perf_counter() - t0)
+                faults[side, kind].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
                 bad = out is not None and k.check(inp, out, derived_seed(args.seed, ki, cycles, 1))
                 if bad:
                     raise SystemExit(f"{'AB'[side]} {kind} cycle {cycles}: {'; '.join(bad)}")
         cycles += 1
 
     print(f"{args.workload}, seed {args.seed}, {cycles} cycles, A={args.parent} B={args.change}")
-    print(f"{'kind':16} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
+    print(f"{'kind':16} {'A ms':>9} {'B ms':>9} {'B/A':>6} {'A flt':>7} {'B flt':>7}")
     for kind in [*kinds, "cycle"]:
         if kind == "cycle":
-            a, b = ([sum(c) for c in zip(*(times[side, k] for k in kinds))] for side in (0, 1))
+            a, b, fa, fb = (
+                [sum(c) for c in zip(*(series[side, k] for k in kinds))]
+                for series in (times, faults) for side in (0, 1)
+            )
         else:
-            a, b = times[0, kind], times[1, kind]
+            a, b, fa, fb = times[0, kind], times[1, kind], faults[0, kind], faults[1, kind]
         ma, mb = statistics.median(a), statistics.median(b)
-        print(f"{kind:16} {1e3 * ma:9.3f} {1e3 * mb:9.3f} {mb / ma:6.3f}")
+        print(f"{kind:16} {1e3 * ma:9.3f} {1e3 * mb:9.3f} {mb / ma:6.3f} "
+              f"{statistics.median(fa):7.0f} {statistics.median(fb):7.0f}")
     return 0
 
 

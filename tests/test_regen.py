@@ -237,7 +237,44 @@ NAMED_SCAN_CASES = [
     # the jump of 100 at the right end breaks every strict future bound
     pytest.param(lambda: jump_up(GridSpec(4.0, 801), 100.0, 4.0), (400, 800),
                  id="S-last-point"),
+    # the jump of 100 at 12 puts S 3,074 candidates past R = 0: the S scan
+    # runs four blocks of witnesses
+    pytest.param(lambda: _noisy(GridSpec(16.0, 8193),
+                                jump_up(GridSpec(16.0, 8193), 100.0, 12.0).values, 1),
+                 (4096, 7170), id="S-four-blocks"),
 ]
+
+REAL_GRID_LAWS = [
+    pytest.param(par, id=name)
+    for par, name in [
+        (LevyParams.brownian(1.0), "brownian"),
+        (LevyParams.stable(1.5, 0.0, 0.4), "stable1.5"),
+        (LevyParams.stable(0.75, 0.0, 0.1), "stable0.75"),
+        (LevyParams.stable(0.55, 0.5, 1.0), "stable0.55"),
+        (LevyParams.cauchy(1.0), "cauchy"),
+    ]
+]
+REAL_GRID_TIMES = [1e-3, 1.0, 100.0, 1e6]
+
+
+def assert_same_nominations(path: LevyPath, t: float) -> tuple[int, int]:
+    """Wherever the full majorants of f on [0, i0) and on (R, n) exist
+    next to the scans' own, the scans' majorants nominate the same witness
+    for every candidate; returns how many R and S candidates were
+    compared."""
+    ys, values, i0 = path.grid.points(), path.values, path.grid.zero_index
+    compared = [0, 0]
+    r = regen._scan_r(values, ys, i0, t)
+    sides = [(0, i0, regen._r_nominations(values, ys, i0, t))]
+    if r is not None:
+        sides.append((r + 1, len(ys), regen._s_nominations(values, ys, r, t)))
+    for side, (lo, hi, nominations) in enumerate(sides):
+        full = regen._filter_majorant(values, ys, lo, hi, t)
+        for cand, j in nominations:
+            if full is not None and j is not None:
+                np.testing.assert_array_equal(j, regen._witnesses(full, lo, ys[cand], t))
+                compared[side] += len(cand)
+    return tuple(compared)
 
 
 class TestScanOracles:
@@ -251,18 +288,43 @@ class TestScanOracles:
         if expected is not None:
             assert found == expected
 
+    @pytest.mark.parametrize("build,expected", NAMED_SCAN_CASES)
+    def test_named_cases_nominate_the_full_majorants_witnesses(self, build, expected):
+        assert_same_nominations(build(), 1.0)
+
+    @pytest.mark.parametrize("t", REAL_GRID_TIMES)
+    @pytest.mark.parametrize("par", REAL_GRID_LAWS)
+    def test_real_grid_size_nominates_the_full_majorants_witnesses(self, par, t):
+        compared = [assert_same_nominations(sample_path(par, GridSpec(16.0, 8193), seed), t)
+                    for seed in range(3)]
+        assert all(sum(side) > 0 for side in zip(*compared))
+
     def test_step_killers_are_nominated(self):
-        # on a noisy step at 0 the killer of every candidate short of R sits
-        # left of 0, so the filter rejects them all and one candidate is
-        # confirmed
+        # on a noisy step at 0 the first argmax of f on [0, i0) sits 17
+        # points left of 0, and the R scan's majorant spans only those
+        # points: the killer of every candidate short of R is among them,
+        # so the filter rejects them all and one candidate is confirmed
         path = _noisy(STEP_GRID, jump_down(STEP_GRID, 2.0).values, 1)
         ys, values, i0 = STEP_GRID.points(), path.values, STEP_GRID.zero_index
         r = regen._scan_r(values, ys, i0, 1.0)
         assert abs(ys[r] - 2.0) < 0.05
-        cand = np.arange(i0, r)
-        cm = regen._filter_majorant(values, ys, 0, i0, 1.0)
-        j = regen._witnesses(cm, 0, ys[cand], 1.0)
+        assert np.argmax(values[:i0] - ys[:i0] ** 2 / 2.0) == i0 - 17
+        cand, j = next(regen._r_nominations(values, ys, i0, 1.0))
+        assert cand[0] == i0 and (j >= i0 - 17).all()
+        cand, j = cand[: r - i0], j[: r - i0]
         assert not (values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / 2.0).any()
+
+    def test_one_point_stretch_is_every_witness(self):
+        # with this noise the first argmax of f on [0, i0) is i0 - 1: that
+        # one point, with no majorant, is every R candidate's witness
+        path = _noisy(STEP_GRID, jump_down(STEP_GRID, 2.0).values, 3)
+        ys, values, i0 = STEP_GRID.points(), path.values, STEP_GRID.zero_index
+        assert np.argmax(values[:i0] - ys[:i0] ** 2 / 2.0) == i0 - 1
+        for _, j in regen._r_nominations(values, ys, i0, 1.0):
+            assert (j == i0 - 1).all()
+        assert assert_same_nominations(path, 1.0)[0] == len(ys) - i0
+        r, _ = assert_scans_match_oracles(path, 1.0)
+        assert abs(ys[r] - 2.0) < 0.05
 
     def test_falls_back_when_the_filter_majorant_overflows(self):
         # on a grid of h = 2.5e-301 the dip of 1e10 just left of 0 gives the
@@ -280,17 +342,60 @@ class TestScanOracles:
         rep = rst_scan(path, 1.0, solve(path, 1.0))
         assert (rep.R, rep.S) == (ys[4], ys[5])
 
-    @pytest.mark.parametrize("t", [1e-3, 1.0, 100.0, 1e6])
-    @pytest.mark.parametrize(
-        "par",
-        [LevyParams.brownian(1.0), LevyParams.stable(1.5, 0.0, 0.4),
-         LevyParams.stable(0.75, 0.0, 0.1), LevyParams.stable(0.55, 0.5, 1.0),
-         LevyParams.cauchy(1.0)],
-        ids=["brownian", "stable1.5", "stable0.75", "stable0.55", "cauchy"],
-    )
+    @pytest.mark.parametrize("t", REAL_GRID_TIMES)
+    @pytest.mark.parametrize("par", REAL_GRID_LAWS)
     def test_real_grid_size(self, par, t):
         for seed in range(3):
             assert_scans_match_oracles(sample_path(par, GridSpec(16.0, 8193), seed), t)
+
+
+class TestScanWork:
+    """The oracle tests cannot see a nomination that silently weakens, for
+    an unfiltered scan passes them too; these pin the confirming checks
+    and the majorant points the scans spend."""
+
+    @staticmethod
+    def work(monkeypatch, paths) -> dict:
+        """Calls of _past_holds and _future_holds and the points handed to
+        the majorant while both scans run at t = 1 on each path."""
+        counts = {"past": 0, "future": 0, "points": 0}
+
+        def counted(key, fn, size=lambda *a: 1):
+            def wrapper(*a):
+                counts[key] += size(*a)
+                return fn(*a)
+            return wrapper
+
+        monkeypatch.setattr(regen, "_past_holds", counted("past", regen._past_holds))
+        monkeypatch.setattr(regen, "_future_holds", counted("future", regen._future_holds))
+        monkeypatch.setattr(
+            regen, "_majorant", counted("points", regen._majorant, lambda ys, vs: len(ys))
+        )
+        for path in paths:
+            ys, values, i0 = path.grid.points(), path.values, path.grid.zero_index
+            r = regen._scan_r(values, ys, i0, 1.0)
+            if r is not None:
+                regen._scan_s(values, ys, r, 1.0)
+        return counts
+
+    @pytest.mark.parametrize("delta,past", [(0.5, 7), (2.0, 2), (4.5, 3)])
+    def test_noisy_steps(self, monkeypatch, delta, past):
+        work = self.work(monkeypatch, [_noisy(STEP_GRID, jump_down(STEP_GRID, delta).values, 1)])
+        assert (work["past"], work["future"]) == (past, 1)
+        # two full-grid majorants would take about 60,000 points
+        assert work["points"] < 0.01 * STEP_GRID.n
+
+    @pytest.mark.parametrize(
+        "par,past,found",
+        [(LevyParams.stable(1.5, 0.0, 0.4), 725, 40), (LevyParams.stable(0.75, 0.0, 0.1), 1106, 38)],
+        ids=["stable1.5", "stable0.75"],
+    )
+    def test_c04_families(self, monkeypatch, par, past, found):
+        grid = GridSpec(16.0, 8193)
+        work = self.work(monkeypatch, [sample_path(par, grid, seed) for seed in range(40)])
+        assert (work["past"], work["future"]) == (past, found)
+        # the full [0, i0) and (R, n) majorants take about n points a path
+        assert work["points"] < 0.1 * 40 * grid.n
 
 
 @settings(max_examples=150, deadline=None)
