@@ -63,7 +63,8 @@ SCALE_EXPONENT = 500
 # Points per block of the chord filter: its three scratch buffers stay at
 # 128 KiB each whatever n is, and only the compacted survivors are copied,
 # so the filter adds little to peak memory.  The regen scans nominate
-# witnesses for blocks of this many candidates, for the same reason.
+# witnesses for blocks of at most this many candidates, for the same
+# reason.
 FILTER_BLOCK = 16384
 
 # The bound has two jobs.  A chord filter level over a list of N points

@@ -10,17 +10,18 @@ The scans nominate, then confirm.  With f = values - y^2/(2t), a point j
 breaks the bound at i exactly when f_j + y_i y_j / t exceeds its value at
 j = i (reaches it, for the strict S bound), so the vertex of the upper
 concave majorant of f that a line of slope -y_i/t touches is the likeliest
-killer of i.  Majorants of the raw path, never the solved hull, nominate
-that witness for every candidate, each built only on the stretch of the
-grid where the witnesses lie: for R on [lo, i0), lo the first argmax of f
-on [0, i0), and for S, per block of candidates, between the vertices of
-the majorant of f on (R, n) that the block's first and last slopes touch.
-A witness that breaks the bound, evaluated exactly as the bound itself
-is, rejects its candidate.  The survivors are checked in order against
-the whole bound, and the first that holds is the answer.  A candidate is
-rejected only by a real violation and accepted only by the full check, so
-the majorants decide the speed, never the result; where one cannot be
-built, every candidate it serves is a survivor.
+killer of i.  One rule nominates that witness for both scans, from
+majorants of the raw path, never the solved hull: R's witnesses lie in
+[0, i0), S's in (R, n), and per block of candidates the majorant is built
+only on the stretch between the vertices that the block's first and last
+slopes touch.  For R the first slope is 0, so the stretch starts at the
+first argmax of f on [0, i0).  A witness that breaks the bound, evaluated
+exactly as the bound itself is, rejects its candidate.  The survivors are
+checked in order against the whole bound, and the first that holds is the
+answer.  A candidate is rejected only by a real violation and accepted
+only by the full check, so the majorants decide the speed, never the
+result; where one cannot be built, every candidate it serves is a
+survivor.
 
 Regenerativity of the zero set is probed statistically: low-dimensional
 features of the flow before and after T are tested for dependence across
@@ -30,7 +31,6 @@ only fail to falsify; it never proves full-process independence).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ParameterError
-from .hull import FILTER_BLOCK, ConcaveMajorant, _majorant
+from .hull import FILTER_BLOCK, _majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import macroscopic_edges, zero_set_indices
 from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
@@ -50,10 +50,11 @@ N_FEATURE_SAMPLES = 64
 # The permutation test runs only on at least this many replicates.
 MIN_INDEPENDENCE_REPS = 100
 
-# The S scan nominates witnesses for its first block of this many
-# candidates, then for blocks 4x as large, up to FILTER_BLOCK: S - R is a
-# few dozen candidates on most paths and thousands on a few.
-_FIRST_S_BLOCK = 64
+# The scans' first block of candidates ends this many past the first
+# candidate, and each later block end 4x as far past it, up to
+# FILTER_BLOCK: R - i0 and S - R are a few dozen candidates on most paths
+# and thousands on a few.
+_FIRST_BLOCK = 64
 
 
 class RegenReport(NamedTuple):
@@ -79,95 +80,52 @@ class IndependenceReport(NamedTuple):
     n_dropped: int
 
 
-def _filter_majorant(
-    values: np.ndarray, ys: np.ndarray, lo: int, hi: int, t: float
-) -> ConcaveMajorant | None:
-    """Upper concave majorant of f = values - y^2/(2t) on the grid indices
-    [lo, hi), or None where there is none to filter with: fewer than two
-    points, or an f or an edge slope that overflows (InputError)."""
-    if hi - lo < 2:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = values[lo:hi] - ys[lo:hi] ** 2 / (2.0 * t)
-    try:
-        return _majorant(ys[lo:hi], f)
-    except InputError:
-        return None
+def _nominations(values: np.ndarray, ys: np.ndarray, lo: int, hi: int, start: int, t: float):
+    """The candidates from ``start`` on in blocks, each as (cand, j): j the
+    witnesses in [lo, hi) nominated for cand, or None.
 
-
-def _witnesses(cm: ConcaveMajorant, lo: int, y: np.ndarray, t: float) -> np.ndarray:
-    """For each candidate y_i, the grid index of the vertex of ``cm`` (built
-    on [lo, hi)) that a line of slope -y_i/t touches: the j maximizing
-    f_j + y_i y_j / t, which is the j most likely to break the parabola
-    bound at i.  Only a nomination; rounding may pick a near miss."""
-    with np.errstate(over="ignore"):
-        k = np.searchsorted(-cm.s, y / t) - 1
-    return lo + cm.indices[k]
-
-
-def _nominator(values: np.ndarray, ys: np.ndarray, lo: int, hi: int, t: float):
-    """The witnesses of the grid stretch [lo, hi] (closed), as a function
-    from candidate y's to grid indices: _witnesses of the majorant of f
-    on the stretch, or lo for every candidate when the stretch is that one
-    point.  None where the majorant overflows and nothing is nominated."""
-    if hi == lo:
-        return lambda y: np.full(len(y), lo)
-    cm = _filter_majorant(values, ys, lo, hi + 1, t)
-    return None if cm is None else functools.partial(_witnesses, cm, lo, t=t)
-
-
-def _r_nominations(values: np.ndarray, ys: np.ndarray, i0: int, t: float):
-    """The R candidates from i0 on in blocks of FILTER_BLOCK, each as
-    (cand, j): j the witnesses in [0, i0) nominated for cand, or None.
-
-    A candidate has y_i >= 0, and its witness maximizes f_j + y_i y_j / t
-    over j < i0.  Left of lo, the first argmax of f there, f_j < f_lo and
-    y_i y_j <= y_i y_lo, so no j < lo wins, and the majorant is built on
-    [lo, i0) alone, which may be the single point i0 - 1.  As where the
-    whole majorant overflows, nothing is nominated where [0, i0) has under
-    two points.
+    With f = values - y^2/(2t), a(c) is the first argmax of
+    f_j + y_c y_j / t over j in [lo, hi): the vertex of the majorant of f
+    that a line of slope -y_c/t touches.  As y_c grows with c, a(c) moves
+    right, so each is searched from the previous block's end vertex on,
+    and the chain of an upper hull between two of its vertices is the hull
+    of the points between them.  So block [c0, c1) is nominated from the
+    majorant of the stretch [a(c0 - 1), a(c1 - 1)] alone (from a(c0) in
+    the first block), as that vertex for every candidate when the stretch
+    is one point, and not at all (None) where the majorant overflows.
+    Blocks end at _FIRST_BLOCK * 4^k candidates past ``start``, up to
+    FILTER_BLOCK, then at every further FILTER_BLOCK.  Nothing is
+    nominated where [lo, hi) holds under two points.
     """
-    nominate = None
-    if i0 > 1:
+
+    def touched(c: int, a: int) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
-            lo = int(np.argmax(values[:i0] - ys[:i0] ** 2 / (2.0 * t)))
-        nominate = _nominator(values, ys, lo, i0 - 1, t)
-    for start in range(i0, len(ys), FILTER_BLOCK):
-        cand = np.arange(start, min(start + FILTER_BLOCK, len(ys)))
-        yield cand, None if nominate is None else nominate(ys[cand])
+            return a + int(np.argmax(f[a - lo :] + ys[a:hi] * (ys[c] / t)))
 
-
-def _s_nominations(values: np.ndarray, ys: np.ndarray, r: int, t: float):
-    """The S candidates from r on in blocks of _FIRST_S_BLOCK, grown x4
-    up to FILTER_BLOCK, each as (cand, j): j the witnesses in (r, n)
-    nominated for cand, or None.
-
-    As the slope -y_c/t falls with c, the vertex it touches, a(c), the
-    first argmax of f_j + y_c y_j / t over j in (r, n), moves right, and
-    the chain of an upper hull between two of its vertices is the hull of
-    the points between them.  So a block [c0, c1) needs the majorant of
-    the stretch [a(c0), a(c1 - 1)] alone, and the next block starts at
-    that end vertex.  Each a(c) is one pass over f, built once.  A future
-    of one point is its own witness, so nothing is nominated for the two
-    candidates left then.
-    """
-    if len(ys) - r < 3:
-        yield np.arange(r, len(ys)), None
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = values[r + 1 :] - ys[r + 1 :] ** 2 / (2.0 * t)
-
-    def touched(c: int) -> int:
+    nominate = hi - lo >= 2
+    if nominate:
         with np.errstate(over="ignore", invalid="ignore"):
-            return r + 1 + int(np.argmax(f + ys[r + 1 :] * (ys[c] / t)))
-
-    start, size, lo = r, _FIRST_S_BLOCK, touched(r)
+            f = values[lo:hi] - ys[lo:hi] ** 2 / (2.0 * t)
+        a = touched(start, lo)
+    first, stop = start, start + _FIRST_BLOCK
     while start < len(ys):
-        cand = np.arange(start, min(start + size, len(ys)))
-        hi = max(lo, touched(int(cand[-1])))
-        nominate = _nominator(values, ys, lo, hi, t)
-        yield cand, None if nominate is None else nominate(ys[cand])
-        start, size, lo = start + len(cand), min(4 * size, FILTER_BLOCK), hi
+        cand = np.arange(start, min(stop, len(ys)))
+        j = None
+        if nominate:
+            b = touched(int(cand[-1]), a)
+            if a == b:
+                j = np.full(len(cand), a)
+            else:
+                try:
+                    cm = _majorant(ys[a : b + 1], f[a - lo : b + 1 - lo])
+                except InputError:
+                    pass
+                else:
+                    with np.errstate(over="ignore"):
+                        j = a + cm.indices[np.searchsorted(-cm.s, ys[cand] / t) - 1]
+            a = b
+        yield cand, j
+        start, stop = stop, stop + min(3 * (stop - first), FILTER_BLOCK)
 
 
 def _past_holds(values: np.ndarray, ys: np.ndarray, i: int, lo: int, hi: int, t: float) -> bool:
@@ -188,13 +146,13 @@ def _scan_r(values: np.ndarray, ys: np.ndarray, i0: int, t: float) -> int | None
     """First grid index i >= i0 whose entire past satisfies the closed
     parabola bound, or None.
 
-    Per block of candidates, _r_nominations names one witness j in
-    [0, i0) each, and a witness that breaks the bound, in the bound's own
+    Per block of candidates, _nominations names one witness j in [0, i0)
+    each, and a witness that breaks the bound, in the bound's own
     arithmetic, rejects its candidate.  Each survivor in turn is then
     checked against [i0, i), where its witnesses are not nominated, and
     against [0, i0); the first that holds is R.
     """
-    for cand, j in _r_nominations(values, ys, i0, t):
+    for cand, j in _nominations(values, ys, 0, i0, i0, t):
         if j is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 kept = values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / (2.0 * t)
@@ -209,12 +167,12 @@ def _scan_s(values: np.ndarray, ys: np.ndarray, r: int, t: float) -> int:
     """First grid index i >= r whose entire future satisfies the strict
     parabola bound; the last grid point, with an empty future, always does.
 
-    The mirror of _scan_r on the witnesses of _s_nominations in (r, n): a
-    witness past i that breaks the strict bound rejects i, a witness at or
-    before i is none, and each survivor in turn is checked against its
-    whole future.
+    The mirror of _scan_r on the witnesses that _nominations names in
+    (r, n): a witness past i that breaks the strict bound rejects i, a
+    witness at or before i is none, and each survivor in turn is checked
+    against its whole future.
     """
-    for cand, j in _s_nominations(values, ys, r, t):
+    for cand, j in _nominations(values, ys, r + 1, len(ys), r, t):
         if j is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 kept = values[j] - values[cand] < (ys[j] - ys[cand]) ** 2 / (2.0 * t)
@@ -236,10 +194,11 @@ def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
 
     Majorants of the raw path only nominate a witness per candidate;
     every answer is confirmed by the parabola condition itself, so R and
-    S are those of the direct O(n^2) scans, index for index.  Each
-    majorant spans only the stretch where its witnesses lie, so beyond the
-    confirming checks a scan costs a few O(n) passes and hulls of a few
-    hundred points on the paths measured, not two hull passes of the grid.
+    S are those of the direct O(n^2) scans, index for index.  Both scans
+    nominate by one rule, per block of candidates from a majorant of only
+    the stretch where the block's witnesses lie, so beyond the confirming
+    checks a scan costs a few O(n) passes and hulls of a few hundred
+    points on the paths measured, not two hull passes of the grid.
 
     The parabola conditions compare plain grid values at their own grid
     offsets; a left limit is carried by the previous grid point, which is

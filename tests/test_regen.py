@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from levyburgers import (
     sample_path,
     solve,
     step_path,
-    upper_concave_majorant,
     zero_path,
 )
 from levyburgers import regen, solver
+from levyburgers.hull import FILTER_BLOCK, ConcaveMajorant, _majorant
 from levyburgers.regen import independence_report, replicate_features
 from levyburgers.solver import owning_vertices, solved_replicates
 from conftest import adversarial_params, derived_seed
@@ -257,22 +258,46 @@ REAL_GRID_LAWS = [
 REAL_GRID_TIMES = [1e-3, 1.0, 100.0, 1e6]
 
 
+def _filter_majorant(
+    values: np.ndarray, ys: np.ndarray, lo: int, hi: int, t: float
+) -> ConcaveMajorant | None:
+    """Upper concave majorant of f = values - y^2/(2t) on the grid indices
+    [lo, hi), or None where there is none: fewer than two points, or an f
+    or an edge slope that overflows (InputError)."""
+    if hi - lo < 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = values[lo:hi] - ys[lo:hi] ** 2 / (2.0 * t)
+    try:
+        return _majorant(ys[lo:hi], f)
+    except InputError:
+        return None
+
+
+def _witnesses(cm: ConcaveMajorant, lo: int, y: np.ndarray, t: float) -> np.ndarray:
+    """For each candidate y_i, the grid index of the vertex of ``cm`` (built
+    on [lo, hi)) that a line of slope -y_i/t touches."""
+    with np.errstate(over="ignore"):
+        k = np.searchsorted(-cm.s, y / t) - 1
+    return lo + cm.indices[k]
+
+
 def assert_same_nominations(path: LevyPath, t: float) -> tuple[int, int]:
     """Wherever the full majorants of f on [0, i0) and on (R, n) exist
-    next to the scans' own, the scans' majorants nominate the same witness
-    for every candidate; returns how many R and S candidates were
-    compared."""
+    next to the scans' own, the scans' blockwise majorants nominate the
+    same witness for every candidate; returns how many R and S candidates
+    were compared."""
     ys, values, i0 = path.grid.points(), path.values, path.grid.zero_index
     compared = [0, 0]
     r = regen._scan_r(values, ys, i0, t)
-    sides = [(0, i0, regen._r_nominations(values, ys, i0, t))]
+    sides = [(0, i0, i0)]
     if r is not None:
-        sides.append((r + 1, len(ys), regen._s_nominations(values, ys, r, t)))
-    for side, (lo, hi, nominations) in enumerate(sides):
-        full = regen._filter_majorant(values, ys, lo, hi, t)
-        for cand, j in nominations:
+        sides.append((r + 1, len(ys), r))
+    for side, (lo, hi, start) in enumerate(sides):
+        full = _filter_majorant(values, ys, lo, hi, t)
+        for cand, j in regen._nominations(values, ys, lo, hi, start, t):
             if full is not None and j is not None:
-                np.testing.assert_array_equal(j, regen._witnesses(full, lo, ys[cand], t))
+                np.testing.assert_array_equal(j, _witnesses(full, lo, ys[cand], t))
                 compared[side] += len(cand)
     return tuple(compared)
 
@@ -301,18 +326,22 @@ class TestScanOracles:
 
     def test_step_killers_are_nominated(self):
         # on a noisy step at 0 the first argmax of f on [0, i0) sits 17
-        # points left of 0, and the R scan's majorant spans only those
-        # points: the killer of every candidate short of R is among them,
-        # so the filter rejects them all and one candidate is confirmed
+        # points left of 0, and the R scan's block majorants span only
+        # those points: the killer of every candidate short of R is among
+        # them, so the filter rejects them all and one candidate is confirmed
         path = _noisy(STEP_GRID, jump_down(STEP_GRID, 2.0).values, 1)
         ys, values, i0 = STEP_GRID.points(), path.values, STEP_GRID.zero_index
         r = regen._scan_r(values, ys, i0, 1.0)
         assert abs(ys[r] - 2.0) < 0.05
         assert np.argmax(values[:i0] - ys[:i0] ** 2 / 2.0) == i0 - 17
-        cand, j = next(regen._r_nominations(values, ys, i0, 1.0))
-        assert cand[0] == i0 and (j >= i0 - 17).all()
-        cand, j = cand[: r - i0], j[: r - i0]
-        assert not (values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / 2.0).any()
+        rejected = []
+        for cand, j in regen._nominations(values, ys, 0, i0, i0, 1.0):
+            assert (j >= i0 - 17).all() and (j < i0).all()
+            kept = values[j] - values[cand] <= (ys[cand] - ys[j]) ** 2 / 2.0
+            rejected += cand[~kept].tolist()
+            if cand[-1] >= r:
+                break
+        assert rejected[: r - i0] == list(range(i0, r))
 
     def test_one_point_stretch_is_every_witness(self):
         # with this noise the first argmax of f on [0, i0) is i0 - 1: that
@@ -320,27 +349,26 @@ class TestScanOracles:
         path = _noisy(STEP_GRID, jump_down(STEP_GRID, 2.0).values, 3)
         ys, values, i0 = STEP_GRID.points(), path.values, STEP_GRID.zero_index
         assert np.argmax(values[:i0] - ys[:i0] ** 2 / 2.0) == i0 - 1
-        for _, j in regen._r_nominations(values, ys, i0, 1.0):
+        for _, j in regen._nominations(values, ys, 0, i0, i0, 1.0):
             assert (j == i0 - 1).all()
         assert assert_same_nominations(path, 1.0)[0] == len(ys) - i0
         r, _ = assert_scans_match_oracles(path, 1.0)
         assert abs(ys[r] - 2.0) < 0.05
 
     def test_falls_back_when_the_filter_majorant_overflows(self):
-        # on a grid of h = 2.5e-301 the dip of 1e10 just left of 0 gives the
-        # majorant of [0, i0) an edge slope past float64, so the R scan runs
-        # unfiltered; the dip is no vertex of the whole grid's hull
-        grid = GridSpec(1e-300, 9)
+        # on a grid of h = 2.5e150 the drop of 1.8e308 at y = -5e150
+        # shifts to -inf.  The slope of R's first candidate touches
+        # y = -1e151 and that of its last y = -2.5e150, so the one block's
+        # stretch holds the -inf point and has no majorant: the R scan runs
+        # the block unfiltered
+        grid = GridSpec(1e151, 9)
         values = np.zeros(9)
-        values[3], values[5] = -1e10, 1.0
+        values[0], values[2] = 1e302, -np.finfo(float).max
         path = LevyPath(grid, values, (), None, None)
-        ys = grid.points()
-        with pytest.raises(InputError, match="overflows"):
-            upper_concave_majorant(np.column_stack((ys[:4], values[:4] - ys[:4] ** 2 / 2.0)))
-        assert regen._filter_majorant(values, ys, 0, 4, 1.0) is None
-        assert assert_scans_match_oracles(path, 1.0) == (4, 5)
-        rep = rst_scan(path, 1.0, solve(path, 1.0))
-        assert (rep.R, rep.S) == (ys[4], ys[5])
+        ys, i0 = grid.points(), grid.zero_index
+        ((cand, j),) = regen._nominations(values, ys, 0, i0, i0, 1.0)
+        assert cand.tolist() == [4, 5, 6, 7, 8] and j is None
+        assert assert_scans_match_oracles(path, 1.0) == (6, 6)
 
     @pytest.mark.parametrize("t", REAL_GRID_TIMES)
     @pytest.mark.parametrize("par", REAL_GRID_LAWS)
@@ -351,14 +379,22 @@ class TestScanOracles:
 
 class TestScanWork:
     """The oracle tests cannot see a nomination that silently weakens, for
-    an unfiltered scan passes them too; these pin the confirming checks
-    and the majorant points the scans spend."""
+    an unfiltered scan passes them too; these pin the confirming checks,
+    the majorant points and the R candidates nominated that the scans
+    spend."""
 
     @staticmethod
     def work(monkeypatch, paths) -> dict:
-        """Calls of _past_holds and _future_holds and the points handed to
-        the majorant while both scans run at t = 1 on each path."""
-        counts = {"past": 0, "future": 0, "points": 0}
+        """Calls of _past_holds and _future_holds, the points handed to
+        the majorant and the candidates nominated before _scan_r returns
+        while both scans run at t = 1 on each path."""
+        counts = {"past": 0, "future": 0, "points": 0, "nominated": 0, "r_nominated": 0}
+        nominations = regen._nominations
+
+        def counted_nominations(*a):
+            for cand, j in nominations(*a):
+                counts["nominated"] += len(cand)
+                yield cand, j
 
         def counted(key, fn, size=lambda *a: 1):
             def wrapper(*a):
@@ -371,9 +407,12 @@ class TestScanWork:
         monkeypatch.setattr(
             regen, "_majorant", counted("points", regen._majorant, lambda ys, vs: len(ys))
         )
+        monkeypatch.setattr(regen, "_nominations", counted_nominations)
         for path in paths:
             ys, values, i0 = path.grid.points(), path.values, path.grid.zero_index
+            before = counts["nominated"]
             r = regen._scan_r(values, ys, i0, 1.0)
+            counts["r_nominated"] += counts["nominated"] - before
             if r is not None:
                 regen._scan_s(values, ys, r, 1.0)
         return counts
@@ -384,6 +423,9 @@ class TestScanWork:
         assert (work["past"], work["future"]) == (past, 1)
         # two full-grid majorants would take about 60,000 points
         assert work["points"] < 0.01 * STEP_GRID.n
+        # R - i0 is up to 6,144 candidates: blocks that end at 64 * 4^k
+        # past i0 nominate no more than one FILTER_BLOCK to reach it
+        assert work["r_nominated"] <= FILTER_BLOCK
 
     @pytest.mark.parametrize(
         "par,past,found",
@@ -414,6 +456,27 @@ def test_hypothesis_adversarial_regimes_match_oracles(params, half, half_width, 
     except LevyBurgersError:
         return
     assert_scans_match_oracles(path, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=adversarial_params(),
+    half=st.integers(1, 32),
+    half_width=st.sampled_from([1.0, 4.0, 16.0]),
+    t=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32),
+)
+def test_hypothesis_adversarial_block_ends_match_oracles(params, half, half_width, t, seed):
+    """The adversarial regimes with a first block of one candidate, so
+    that the scans cross the block ends at 1, 4, 16 and 64: the oracles'
+    indices, and the full majorants' witnesses."""
+    try:
+        path = sample_path(params, GridSpec(half_width, 2 * half + 1), seed)
+    except LevyBurgersError:
+        return
+    with mock.patch.object(regen, "_FIRST_BLOCK", 1):
+        assert_scans_match_oracles(path, t)
+        assert_same_nominations(path, t)
 
 
 class TestPermutationMachinery:

@@ -477,16 +477,17 @@ def _assert_routes_agree(path, t):
 
 @pytest.mark.parametrize("case", ORACLE_SWEEP)
 def test_column_route_matches_public_route(case):
-    """Over the oracle sweep paths, solve's majorant and the regen filter's
-    majorant of the past of 0 equal the public route's."""
+    """Over the oracle sweep paths, solve's majorant and the column route's
+    majorant of the past of 0, as the regen scans build theirs, equal the
+    public route's."""
     L, n, params, t = ORACLE_SWEEP[case]
     grid = GridSpec(L, n)
     path = _noisy_step(grid, 7) if params is None else sample_path(params, grid, 7)
     _assert_routes_agree(path, t)
     ys, i0 = grid.points(), grid.zero_index
-    got = regen._filter_majorant(path.values, ys, 0, i0, t)
     with np.errstate(over="ignore"):
         vs = path.values[:i0] - ys[:i0] ** 2 / (2.0 * t)
+    got = regen._majorant(ys[:i0], vs)
     want = upper_concave_majorant(np.column_stack([ys[:i0], vs]))
     assert np.array_equal(got.indices, want.indices)
 
@@ -511,9 +512,10 @@ def test_hypothesis_column_route_matches_public_route(params, half, half_width, 
 
 
 def test_shifted_overflow_raises_input_error():
-    """A value near -1.8e308 at y = 1e151 overflows its shifted value to
-    -inf: solve refuses it with InputError, not a silently wrong hull, and
-    the regen filter has no majorant to nominate with."""
+    """A value near -1.8e308 at y = 5e150 overflows its shifted value to
+    -inf: solve refuses it with InputError, not a silently wrong hull, a
+    regen block whose stretch holds it has no majorant to nominate with,
+    and the scans still find R and S."""
     grid = GridSpec(1e151, 5)
     values = np.zeros(5)
     values[3] = -np.finfo(float).max
@@ -522,7 +524,10 @@ def test_shifted_overflow_raises_input_error():
         solve(path, 1.0)
     with pytest.raises(InputError, match="finite"):
         _public_route(path, 1.0)
-    assert regen._filter_majorant(values, grid.points(), 1, 5, 1.0) is None
+    # candidates 2 to 4 touch the witnesses 2 and 4 of [1, 5), around the -inf
+    ys = grid.points()
+    assert [j for _, j in regen._nominations(values, ys, 1, 5, 2, 1.0)] == [None]
+    assert regen._scan_r(values, ys, 2, 1.0) == 2 and regen._scan_s(values, ys, 2, 1.0) == 2
 
 
 # law: (params, b, a), the law's own self-similarity psi(2^b y) =d 2^a psi(y)
