@@ -5,28 +5,26 @@ vertex chain is found in vectorized stages.  A dyadic chord filter drops
 the points lying strictly below a chord of two other input points and
 compacts its survivors between levels, so that later levels cost only
 what is left; a level that drops at most one point in _FEW_FLAGS of its
-list ends it, so a near-flat input, whose points are nearly all vertices,
-pays one level.  One orientation check over consecutive survivor triples
-then tells, from one determinant per triple, which triples pop and which
-middle points lie certainly below the chord of their neighbours.  When
-none pops, the survivors are certified as the chain, which settles the
-near-flat inputs whose every point is a vertex.  When many pop and most
-of them are certainly below, as on noisy paths, the survivors are peeled,
-the throw-away step of Akl & Toussaint (1978): passes drop the points
-certainly below the chord of their list neighbours, the chord filter runs
-again, and the check runs on what is left.  When a few triples pop, as
-one jump of the potential makes them, the monotone chain (Andrew 1979)
-runs over the list in bulk and always finishes it: each run of unflagged
-points is pushed as one slice, and only the stretches where points pop
-are searched with vectorized orientation tests.  When many still pop, a
-level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996) splits
-every open segment of a level at its farthest point, the same check
-confirms its candidates, and, when it flags again, a monotone-chain pass
-runs over the candidates alone; a list short enough goes to that pass at
-once.  So the route is a function of the check's counts alone.  The edge
-slopes are stored once, padded with +/-inf sentinels at the chain ends
-where the majorant is unconstrained by the data, so vertex k has left
-slope s[k] and right slope s[k+1].
+list ends a round, so a near-flat input, whose points are nearly all
+vertices, pays one level.  While a round's first level drops many points,
+as on noisy paths, the filter starts again at spacing 1 over the
+survivors, and it ends with one last level there, the throw-away step of
+Akl & Toussaint (1978).  One orientation check over consecutive survivor
+triples then tells, from one determinant per triple, which triples pop.
+When none pops, the survivors are certified as the chain, which settles
+the near-flat inputs whose every point is a vertex.  When a few triples
+pop, as one jump of the potential makes them, the monotone chain (Andrew
+1979) runs over the list in bulk and always finishes it: each run of
+unflagged points is pushed as one slice, and only the stretches where
+points pop are searched with vectorized orientation tests.  When many
+pop, a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996)
+splits every open segment of a level at its farthest point, the same
+check confirms its candidates, and, when it flags again, a
+monotone-chain pass runs over the candidates alone; a list short enough
+goes to that pass at once.  So the route is a function of the check's
+counts alone.  The edge slopes are stored once, padded with +/-inf
+sentinels at the chain ends where the majorant is unconstrained by the
+data, so vertex k has left slope s[k] and right slope s[k+1].
 
 The stages run in _majorant, which takes the points as two columns, the
 y's and the v's.  The solver and the regen scans call it with the grid
@@ -68,8 +66,9 @@ SCALE_EXPONENT = 500
 FILTER_BLOCK = 16384
 
 # The bound has two jobs.  A chord filter level over a list of N points
-# that drops at most N / _FEW_FLAGS of them ends the filter.  The monotone
-# chain runs in bulk over N filter survivors, peeled or not, when at most
+# that drops at most N / _FEW_FLAGS of them ends its round, and a round
+# that drops at most that share of its list ends the filter.  The
+# monotone chain runs in bulk over N filter survivors when at most
 # N / _FEW_FLAGS of their consecutive triples pop, and more than that go
 # to QuickHull.  So a quiet level hands a near-flat list, whose triples
 # pop about as rarely, to the check and the bulk chain.  The bulk chain's
@@ -77,17 +76,12 @@ FILTER_BLOCK = 16384
 _FEW_FLAGS = 1024
 _FIRST_CHUNK = 32
 
-# The survivors are peeled when at least one in _PEEL_SHARE of them is
-# certainly below the chord of its list neighbours and at most one in
-# _PEEL_UNCERTAIN of them flags without being so; passes repeat while one
-# drops one point in _PEEL_SHARE.  Noisy paths have a third to a half of
-# their survivors below; spiked parabolas and compound Poisson paths one
-# in a hundred or fewer, and they go to QuickHull as before.  The peel
-# pays off only by handing its list to the bulk chain, so the flags it
-# cannot drop are held to the bulk chain's bound, and it filters again
-# only while its list is still over that bound.
-_PEEL_SHARE = 8
-_PEEL_UNCERTAIN = _FEW_FLAGS
+# The chord filter restarts at spacing 1 with a full round after a round
+# whose first level dropped at least one point in _ROUND_SHARE of its
+# list.  Noisy and Levy paths drop a quarter to a half of their points
+# there; spiked parabolas and compound Poisson paths one in fifty or
+# fewer, so their filter ends after its first round.
+_ROUND_SHARE = 8
 
 # A list of at most _CHAIN_POINTS points that still flags goes to the
 # Python chain pass at once: on a 2-core Xeon it costs about 0.5 us per
@@ -181,43 +175,66 @@ def _scratch(n: int):
 def _chord_filter(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Sorted int32 indices of the points that survive the dyadic filter.
 
-    For k = 1, 2, 4, ... while 2k is below the length of the list, every
-    point certainly below the chord of the points k places to its left and
-    right in the list is dropped.  The list starts as every point and is
-    compacted to the survivors once a quarter of it is gone, so a level
-    costs O(survivors) and there are at most log2(n) levels.  A level that
-    drops at most one point in _FEW_FLAGS of its list ends the filter: on
-    a near-flat input, which keeps nearly every point, the first level is
-    the only one.  Every chord joins two input points, and a point below
-    such a chord is never a vertex.  Each level runs over blocks of
-    FILTER_BLOCK points with three block-sized buffers.
+    The filter runs in rounds over a list that starts as every point.  A
+    round runs levels k = 1, 2, 4, ... while 2k is below the length of the
+    list: every point certainly below the chord of the points k places to
+    its left and right in the list is dropped.  The list is compacted to
+    the survivors once a quarter of it is gone, so a level costs
+    O(survivors), and a level that drops at most one point in _FEW_FLAGS
+    of its list ends the round: a near-flat input pays one level.
+
+    The filter ends after a round that leaves at most _CHAIN_POINTS
+    points, drops at most one point in _FEW_FLAGS of its list, or was a
+    last round.  Otherwise the survivors are compacted and a new round
+    starts at k = 1: a full one when the round's first level dropped at
+    least one point in _ROUND_SHARE of the list, so that the list shrinks
+    by that share a round and there are O(log n) rounds; else none after
+    a first round, and after a later one a last round of the one level
+    k = 1, the throw-away step of Akl & Toussaint (1978).  Every chord
+    joins two input points, and a point below such a chord is never a
+    vertex.  Each level runs over blocks of FILTER_BLOCK points with three
+    block-sized buffers.
     """
     p, q, w, keep = _scratch(len(ys))
     idx = np.arange(len(ys), dtype=np.int32)
-    alive = np.ones(len(ys), dtype=bool)
-    live, k = len(ys), 1
-    while 2 * k < len(idx):
-        n = len(idx)
-        for start in range(k, n - k, FILTER_BLOCK):
-            stop = min(start + FILTER_BLOCK, n - k)
-            m = stop - start
-            P, W, K = p[:m], w[:m], keep[:m]
-            _orient(ys, vs, k, start, stop, P, q[:m], W)
-            np.less_equal(W, P, out=K)
-            alive[start:stop] &= K
-        left = np.count_nonzero(alive)
-        # a quiet level ends the filter; the check and the bulk chain
-        # settle what it leaves
-        if (live - left) * _FEW_FLAGS <= n:
-            break
-        # a compaction costs about as much as a level, so it waits until a
-        # quarter of the list is gone
-        if 4 * left <= 3 * n:
-            kept = np.flatnonzero(alive)
-            idx, ys, vs = idx[kept], ys[kept], vs[kept]
-            alive = np.ones(len(idx), dtype=bool)
-        live, k = left, 2 * k
-    return idx[alive]
+    restarted = last_round = False
+    while True:
+        alive = np.ones(len(idx), dtype=bool)
+        size = live = len(idx)
+        k, first = 1, 0  # first: the drop of the round's first level
+        while 2 * k < len(idx):
+            n = len(idx)
+            for start in range(k, n - k, FILTER_BLOCK):
+                stop = min(start + FILTER_BLOCK, n - k)
+                m = stop - start
+                P, W, K = p[:m], w[:m], keep[:m]
+                _orient(ys, vs, k, start, stop, P, q[:m], W)
+                np.less_equal(W, P, out=K)
+                alive[start:stop] &= K
+            left = np.count_nonzero(alive)
+            quiet = (live - left) * _FEW_FLAGS <= n
+            if k == 1:
+                first = live - left
+            live, k = left, 2 * k
+            if quiet or last_round:
+                break
+            # a compaction costs about as much as a level, so it waits until a
+            # quarter of the list is gone
+            if 4 * left <= 3 * n:
+                kept = np.flatnonzero(alive)
+                idx, ys, vs = idx[kept], ys[kept], vs[kept]
+                alive = np.ones(len(idx), dtype=bool)
+        full = first * _ROUND_SHARE >= size
+        if (
+            last_round
+            or live <= _CHAIN_POINTS
+            or (size - live) * _FEW_FLAGS <= size
+            or not (full or restarted)
+        ):
+            return idx[alive]
+        kept = np.flatnonzero(alive)
+        idx, ys, vs = idx[kept], ys[kept], vs[kept]
+        restarted, last_round = True, not full
 
 
 def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -252,28 +269,24 @@ def _quickhull(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return verts
 
 
-def _check(ys: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, below) over the consecutive triples k, k+1, k+2 of sorted
-    points: flags are the positions k where the triple pops (_pops), and
-    below those where point k+1 is certainly below the chord of k and k+2,
-    the chord filter's test.
+def _check(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Flags over the consecutive triples k, k+1, k+2 of sorted points:
+    the positions k where the triple pops (_pops).
 
-    One orientation per triple serves both, in blocks of FILTER_BLOCK
-    points; the slope-tie test runs after it and can only add flags.
-    When there are no flags, the chain of the points has strictly
-    decreasing slopes, so it is locally and hence globally concave; if
-    the points hold every vertex of the hull, they are the hull's vertex
-    chain.  A point below is never a vertex.
+    One orientation per triple, in blocks of FILTER_BLOCK points; the
+    slope-tie test runs after it and can only add flags.  When there are
+    no flags, the chain of the points has strictly decreasing slopes, so
+    it is locally and hence globally concave; if the points hold every
+    vertex of the hull, they are the hull's vertex chain.
     """
     n = max(len(ys) - 2, 0)
     p, q, w, t = _scratch(n)
-    keeps, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    keeps = np.empty(n, dtype=bool)
     for start in range(1, n + 1, FILTER_BLOCK):
         stop = min(start + FILTER_BLOCK, n + 1)
         m = stop - start
         P, Q, W, out = p[:m], q[:m], w[:m], slice(start - 1, stop - 1)
         _orient(ys, vs, 1, start, stop, P, Q, W)
-        np.greater(W, P, out=below[out])
         np.negative(P, out=P)
         np.less(W, P, out=keeps[out])
         # edge slopes start-1 .. stop-1; the middle point keeps only where
@@ -284,41 +297,7 @@ def _check(ys: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S /= D
         np.greater(S[:-1], S[1:], out=t[:m])
         keeps[out] &= t[:m]
-    return np.flatnonzero(~keeps), np.flatnonzero(below)
-
-
-def _peel(
-    ys: np.ndarray, vs: np.ndarray, idx: np.ndarray, flags: np.ndarray, below: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, flags): the sorted indices idx with certain non-vertices
-    dropped, and the check's flags on what is left; flags and below are
-    _check's on idx.
-
-    The list is returned as it is when it is short enough for the chain
-    pass, when fewer than one point in _PEEL_SHARE is below, or when more
-    than one point in _PEEL_UNCERTAIN flags without being below, since the
-    peel cannot drop those.  Otherwise a pass drops the points at the positions
-    below + 1 of the list, each certainly below the chord of its two list
-    neighbours, and checks the rest; passes repeat while one drops at
-    least one point in _PEEL_SHARE.  While many triples still flag, the
-    chord filter runs again on the peeled list and one more pass follows
-    it.
-    """
-    n, uncertain = len(idx), len(flags) - len(below)
-    if not (n > _CHAIN_POINTS and uncertain * _PEEL_UNCERTAIN <= n <= len(below) * _PEEL_SHARE):
-        return idx, flags
-    while True:
-        idx = np.delete(idx, below + 1)
-        flags, below = _check(ys[idx], vs[idx])
-        if len(below) * _PEEL_SHARE < len(idx):
-            break
-    if len(flags) * _FEW_FLAGS > len(idx):
-        idx = idx[_chord_filter(ys[idx], vs[idx])]
-        flags, below = _check(ys[idx], vs[idx])
-        if len(below):
-            idx = np.delete(idx, below + 1)
-            flags = _check(ys[idx], vs[idx])[0]
-    return idx, flags
+    return np.flatnonzero(~keeps)
 
 
 def _chain(ys: list[float], vs: list[float]) -> list[int]:
@@ -441,24 +420,19 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     Only the values are checked: a v that is not finite, as a shifted
     potential that overflows to -inf, raises InputError.  The stages run in
     this order, each only while the check still flags a triple of the list:
-    filter, which ends at the first level that drops at most one point
-    in _FEW_FLAGS, check; the peel, when at least one survivor in
-    _PEEL_SHARE is certainly below the chord of its neighbours and at most
-    one in _PEEL_UNCERTAIN flags otherwise, with its passes, a second
-    filter round, one more pass and the check; the bulk chain, which
-    finishes the list, when at most one triple in _FEW_FLAGS flags; else
-    QuickHull over a list of over _CHAIN_POINTS points, then the check;
-    the chain pass.  The filter, the peel, the checks and the QuickHull
-    levels are O(n log n) array work; a near-flat input, whose first
-    filter level is quiet and whose list the check certifies or the bulk
-    chain settles, costs O(n).  The bulk chain's Python loop turns once
-    per flag or pop-back, its searches testing at most about 1.6 n points
-    on the inputs measured, and the Python chain pass runs on the
-    QuickHull candidates or on a short list.
-    Every filtered or peeled point lies under a chord of two input
-    points, so the list keeps every vertex, and a check that passes on it
-    certifies it as the chain.  The bulk chain's result and the chain
-    pass's are _chain over the list, index for index.
+    filter, whose rounds end as _chord_filter says, check; the bulk chain,
+    which finishes the list, when at most one triple in _FEW_FLAGS flags;
+    else QuickHull over a list of over _CHAIN_POINTS points, then the
+    check; the chain pass.  The filter, the checks and the QuickHull levels
+    are O(n log n) array work; a near-flat input, whose first filter level
+    is quiet and whose list the check certifies or the bulk chain settles,
+    costs O(n).  The bulk chain's Python loop turns once per flag or
+    pop-back, its searches testing at most about 1.6 n points on the
+    inputs measured, and the Python chain pass runs on the QuickHull
+    candidates or on a short list.  Every filtered point lies under a
+    chord of two input points, so the list keeps every vertex, and a check
+    that passes on it certifies it as the chain.  The bulk chain's result
+    and the chain pass's are _chain over the list, index for index.
     """
     if not np.isfinite(vs).all():
         raise InputError("point coordinates must be finite")
@@ -481,13 +455,12 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
         idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
-        flags, below = _check(sy[idx], sv[idx])
-        idx, flags = _peel(sy, sv, idx, flags, below)
+        flags = _check(sy[idx], sv[idx])
         if 0 < len(flags) * _FEW_FLAGS <= len(idx):
             idx, flags = idx[_bulk_chain(sy[idx], sv[idx], flags)], ()
         if len(flags) and len(idx) > _CHAIN_POINTS:
             idx = _quickhull(sy, sv, idx)
-            flags = _check(sy[idx], sv[idx])[0]
+            flags = _check(sy[idx], sv[idx])
         if len(flags):
             idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)

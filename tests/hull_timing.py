@@ -1,6 +1,6 @@
 """Per-input hull timing of two source trees.
 
-    python tests/hull_timing.py SRC_A SRC_B [--only TEXT]
+    python tests/hull_timing.py SRC_A SRC_B [--only TEXT] [--routes]
 
 loads the ``levyburgers`` package of each ``src`` directory under its own
 alias, checks that both return the same ``indices`` on every input, then
@@ -13,7 +13,12 @@ recorded as the two columns the solver and the regen scans hand to the
 hull and timed as one column-major (n, 2) array, which the public entry
 reads without a copy.  They are built with SRC_A's package, imported as
 ``levyburgers``.  ``--only`` keeps the inputs whose name contains TEXT,
-so that each can be timed in a fresh process.
+so that each can be timed in a fresh process.  ``--routes`` prints, in
+place of the times, the route each tree's hull takes on each input: the
+chord filter's rounds as size at the start / first-level drop / round's
+drop (a peel's second filter call shows as one more round), the flag
+count of each check, and the stages after the first check, each with the
+length of the list it was given; the last one finished the list.
 """
 
 from __future__ import annotations
@@ -119,6 +124,72 @@ def workload_inputs() -> dict:
     return out
 
 
+def route(hull, points) -> str:
+    """The route of one upper_concave_majorant call of the module hull.
+
+    It wraps the module's stages for the call.  The filter's levels are
+    read from its count of the survivors of each level, which is the only
+    np.count_nonzero call in the module, together with the spacing and
+    the list length of the level's last _orient call; a level at spacing
+    1 starts a round.
+    """
+    names = ("np", "_orient", "_check", "_bulk_chain", "_quickhull", "_chain")
+    saved = {name: getattr(hull, name) for name in names}
+    levels, checks, stages, spacing = [], [], [], [1, 0]
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def count_nonzero(a):
+            left = np.count_nonzero(a)
+            levels.append((*spacing, left))
+            return left
+
+    def orient(ys, vs, k, *args):
+        spacing[:] = k, len(ys)
+        return saved["_orient"](ys, vs, k, *args)
+
+    def check(ys, vs):
+        out = saved["_check"](ys, vs)
+        checks.append(len(out[0] if isinstance(out, tuple) else out))
+        return out
+
+    def stage(name, size):
+        def run(*args):
+            stages.append(f"{name.strip('_')}({size(*args)})")
+            return saved[name](*args)
+
+        return run
+
+    wraps = {
+        "np": Numpy(),
+        "_orient": orient,
+        "_check": check,
+        "_bulk_chain": stage("_bulk_chain", lambda ys, vs, flags: len(ys)),
+        "_quickhull": stage("_quickhull", lambda ys, vs, idx: len(idx)),
+        "_chain": stage("_chain", lambda ys, vs: len(ys)),
+    }
+    try:
+        for name, wrap in wraps.items():
+            setattr(hull, name, wrap)
+        hull.upper_concave_majorant(points)
+    finally:
+        for name, fn in saved.items():
+            setattr(hull, name, fn)
+    rounds = []
+    for k, n, left in levels:
+        if k == 1:
+            rounds.append([n, n - left, n - left])
+        else:
+            rounds[-1][2] = rounds[-1][0] - left
+    return (
+        f"rounds {' '.join('/'.join(map(str, r)) for r in rounds) or '-'}"
+        f" | flags {','.join(map(str, checks))} | {' > '.join(stages) or 'check'}"
+    )
+
+
 def time_pair(fa, fb, points) -> tuple[float, float]:
     """Median seconds of fa(points) and fb(points) over CALLS interleaved
     calls each, after one warm-up call of each."""
@@ -138,23 +209,33 @@ def main(argv=None) -> int:
     ap.add_argument("src_a", type=Path, help="src directory of tree A (the baseline)")
     ap.add_argument("src_b", type=Path, help="src directory of tree B")
     ap.add_argument("--only", default="", help="time only the inputs whose name holds this")
+    ap.add_argument("--routes", action="store_true", help="print each hull's route, not times")
     args = ap.parse_args(argv)
     src_a, src_b = args.src_a.resolve(), args.src_b.resolve()
     sys.path[:0] = [str(src_a), str(TESTS), str(PERFBENCH)]
     inputs = {**corpus_inputs(), **workload_inputs()}
     inputs = {name: pts for name, pts in inputs.items() if args.only in name}
-    a = load("levyburgers_a", src_a).upper_concave_majorant
-    b = load("levyburgers_b", src_b).upper_concave_majorant
-    print(f"{'input':32} {'points':>7} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
+    hull_a = load("levyburgers_a", src_a).hull
+    hull_b = load("levyburgers_b", src_b).hull
+    a, b = hull_a.upper_concave_majorant, hull_b.upper_concave_majorant
+    if not args.routes:
+        print(f"{'input':32} {'points':>7} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
     worst = (0.0, "")
     for name, pts in inputs.items():
         ia, ib = a(pts).indices, b(pts).indices
         if not np.array_equal(ia, ib):
             raise SystemExit(f"{name}: the trees return different indices")
+        if args.routes:
+            print(f"{name:32} {len(pts):7d}  A {route(hull_a, pts)}")
+            print(f"{'':32} {'':7}  B {route(hull_b, pts)}")
+            continue
         ta, tb = time_pair(a, b, pts)
         worst = max(worst, (tb / ta, name))
         print(f"{name:32} {len(pts):7d} {1e3 * ta:9.3f} {1e3 * tb:9.3f} {tb / ta:6.2f}")
-    print(f"{len(inputs)} inputs, equal indices on all; largest B/A {worst[0]:.2f} ({worst[1]})")
+    if args.routes:
+        print(f"{len(inputs)} inputs, equal indices on all")
+    else:
+        print(f"{len(inputs)} inputs, equal indices on all; largest B/A {worst[0]:.2f} ({worst[1]})")
     return 0
 
 

@@ -406,9 +406,9 @@ class TestMatchesMonotoneChain:
 
 class TestCertifiedFilter:
     """The check on the chord filter's survivors certifies them as the
-    chain when no triple pops, the peel runs when many pop and most are
-    certainly below their neighbours' chord, the bulk chain runs to the
-    end when few pop, and QuickHull runs only when many pop after that."""
+    chain when no triple pops, the bulk chain runs to the end when few
+    pop, and QuickHull runs only when many pop.  The filter's rounds drop
+    enough of a noisy or Levy path that one check settles it."""
 
     @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("source", ["zero", "sigma1e-12"])
@@ -441,15 +441,36 @@ class TestCertifiedFilter:
 
     @pytest.mark.parametrize("source", sorted(NOISY_INPUTS))
     def test_noisy_inputs_skip_quickhull(self, source, monkeypatch):
-        """Noisy paths flag about half of their survivors, each certainly
-        below the chord of its neighbours: the peel and a second filter
-        round leave at most a few flags, which the bulk chain settles."""
+        """Noisy paths drop about half of their points at each round's
+        first level: the filter restarts at spacing 1 until a round drops
+        few, and a last level at spacing 1 leaves at most a few flags,
+        which the bulk chain settles."""
 
         def refuse(*args):
             raise AssertionError("QuickHull ran on a noisy path")
 
         monkeypatch.setattr(hull, "_quickhull", refuse)
         assert_matches_reference(*NOISY_INPUTS[source]())
+
+    @pytest.mark.parametrize("source", sorted(LEVY_FAMILIES) + sorted(NOISY_INPUTS))
+    def test_rough_inputs_check_once(self, source, monkeypatch):
+        """A Levy path at n = 65537 and a noisy path leave the filter's
+        rounds with a list that one check routes to the chain pass or the
+        bulk chain, so QuickHull and its second check never run."""
+        calls = []
+        check = hull._check
+
+        def counted(ys, vs):
+            calls.append(len(ys))
+            return check(ys, vs)
+
+        monkeypatch.setattr(hull, "_check", counted)
+        if source in LEVY_FAMILIES:
+            path = sample_path(LEVY_FAMILIES[source], GridSpec(16.0, 65537), 1)
+            assert_matches_reference(*_shifted(path))
+        else:
+            assert_matches_reference(*NOISY_INPUTS[source]())
+        assert len(calls) == 1, calls
 
     @pytest.mark.parametrize("n", [4097, 65537])
     def test_one_spike_parabola_skips_quickhull(self, n, monkeypatch):
@@ -523,7 +544,7 @@ def _bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
     """hull._bulk_chain on sorted points, its searches starting with
     chunks of first_chunk points."""
     with mock.patch.object(hull, "_FIRST_CHUNK", first_chunk), np.errstate(over="ignore"):
-        return hull._bulk_chain(ys, vs, hull._check(ys, vs)[0])
+        return hull._bulk_chain(ys, vs, hull._check(ys, vs))
 
 
 def _compound_poisson(n: int, t: float = 1.0):
@@ -600,27 +621,20 @@ def test_hypothesis_bulk_chain_matches_chain(n, log_t, defects, first_chunk):
 
 @settings(max_examples=80, deadline=None)
 @given(**DEFECT_PARABOLAS, sigma=st.sampled_from([0.0, 1e-9, 1e-3]))
-def test_hypothesis_peel_keeps_every_vertex(n, log_t, defects, sigma):
-    """The same chains, optionally noisy: the peel and the second filter
-    round, with the peel's gate opened by enough points below, keep every
-    vertex of the reference chain, return the check's flags on what they
-    keep, and the hull equals the reference chain."""
+def test_hypothesis_rounds_keep_every_vertex(n, log_t, defects, sigma):
+    """The same chains, optionally noisy, with no list short enough to
+    end the filter: its rounds keep every vertex of the reference chain,
+    and the hull equals that chain.  The usual share restarts after a
+    round whose first level drops one point in 8; a huge one after any
+    drop there, and a share of 1 never."""
     ys, vs = defect_parabola(n, log_t, defects)
     vs += sigma * np.random.default_rng(n).standard_normal(n)
     ref = reference_chain(ys, vs)
-    idx = hull._chord_filter(ys, vs).astype(np.intp)
-    checked = hull._check(ys[idx], vs[idx])
-    # at the usual share, passes stop early and the filter runs again on
-    # any flag left; at a huge one, they run until none drops a point
-    for share in (hull._PEEL_SHARE, 2**40):
-        with mock.patch.multiple(
-            hull, _CHAIN_POINTS=-1, _PEEL_UNCERTAIN=0, _PEEL_SHARE=share, _FEW_FLAGS=2**40
-        ):
-            peeled, flags = hull._peel(ys, vs, idx, *checked)
-        assert np.isin(ref, peeled).all()
-        assert np.array_equal(flags, hull._check(ys[peeled], vs[peeled])[0])
-    cm = upper_concave_majorant(np.column_stack([ys, vs]))
-    assert np.array_equal(cm.indices, ref)
+    for share in (hull._ROUND_SHARE, 2**40, 1):
+        with mock.patch.multiple(hull, _CHAIN_POINTS=-1, _ROUND_SHARE=share):
+            assert np.isin(ref, hull._chord_filter(ys, vs)).all()
+            cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert np.array_equal(cm.indices, ref)
 
 
 def test_peak_memory_bounded():
