@@ -1,7 +1,14 @@
 """Upper concave majorant of a finite point cloud.
 
 The majorant is the minimal concave function dominating the points.  Its
-vertex chain is found in vectorized stages.  A dyadic chord filter drops
+vertex chain is found in vectorized stages.  On a long input whose block
+maxima are rough, as a Levy path's are, whole blocks of _BLOCK points go
+first: the chain of the block maxima is built by the stages below, and a
+block that lies under the edge of that coarse chain above it, by more
+than rounding, is thrown away, by buckets as in Devroye & Toussaint
+(1981), so the later stages see a few thousand of 65,537 points.  A
+gate that reads only the middle FILTER_BLOCK points turns smooth and
+near-flat inputs away from it.  A dyadic chord filter drops
 the points lying strictly below a chord of two other input points and
 compacts its survivors between levels, so that later levels cost only
 what is left; a level that drops at most one point in _FEW_FLAGS of its
@@ -87,6 +94,13 @@ _ROUND_SHARE = 8
 # Python chain pass at once: on a 2-core Xeon it costs about 0.5 us per
 # point, and QuickHull with its check 90-310 us on lists of 20-450 points.
 _CHAIN_POINTS = 256
+
+# Points per block of the throw-away stage, which runs on inputs of at
+# least 2 * FILTER_BLOCK points: 1,024 blocks at n = 65537.  Blocks of 32
+# points make the coarse chain dearer and blocks of 128 keep more points;
+# over eight Levy hulls at n = 65537 they read 16% and 4-8% slower on a
+# 2-core Xeon.
+_BLOCK = 64
 
 
 def read_only(a) -> np.ndarray:
@@ -390,6 +404,103 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
     return stack[:top]
 
 
+def _finish(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The chain among the points at the sorted intp indices idx, which
+    hold every vertex of the hull of the points: the check, then the
+    bulk chain, which finishes the list, when at most one triple in
+    _FEW_FLAGS flags; else QuickHull over a list of over _CHAIN_POINTS
+    points, then the check; the chain pass while the check flags."""
+    flags = _check(ys[idx], vs[idx])
+    if 0 < len(flags) * _FEW_FLAGS <= len(idx):
+        idx, flags = idx[_bulk_chain(ys[idx], vs[idx], flags)], ()
+    if len(flags) and len(idx) > _CHAIN_POINTS:
+        idx = _quickhull(ys, vs, idx)
+        flags = _check(ys[idx], vs[idx])
+    if len(flags):
+        idx = idx[_chain(ys[idx].tolist(), vs[idx].tolist())]
+    return idx
+
+
+def _gate_share(ys: np.ndarray, vs: np.ndarray, nb: int) -> float:
+    """Share of the maxima of the blocks of _BLOCK points among the
+    FILTER_BLOCK points in the middle of the nb whole blocks that one
+    chord filter level at spacing 1 drops.  It reads those points only."""
+    g = FILTER_BLOCK // _BLOCK
+    lo = (nb - g) // 2 * _BLOCK
+    at = vs[lo : lo + g * _BLOCK].reshape(g, _BLOCK).argmax(axis=1)
+    at += np.arange(lo, lo + g * _BLOCK, _BLOCK)
+    P, Q, W = np.empty(g - 2), np.empty(g - 2), np.empty(g - 2)
+    _orient(ys[at], vs[at], 1, 1, g - 1, P, Q, W)
+    return int(np.less(P, W).sum()) / g
+
+
+def _tilted_max(Y: np.ndarray, V: np.ndarray, blocks: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """max of V[b] - s[j] * Y[b] over the row b = blocks[j] of the block
+    views Y and V, for each j."""
+    tilt = Y[blocks]
+    tilt *= -s[:, None]
+    tilt += V[blocks]
+    return tilt.max(axis=1)
+
+
+def _block_prune(ys: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
+    """Sorted intp indices of the points that survive the throw-away of
+    whole blocks, or None where the stage turns the input away.
+
+    The points [0, nb * _BLOCK) fall into nb blocks of _BLOCK points, and
+    the tail [nb * _BLOCK, n) holds 1 to _BLOCK points, point n - 1 among
+    them.  The stage runs on inputs of at least 2 * FILTER_BLOCK points
+    whose block maxima are rough, by the restart rule of the chord filter
+    read one scale up (_gate_share), so that near-flat and smooth inputs
+    pay only the gate.  It builds the chain of the block maxima and the
+    tail points with the filter and the finishing stages, and keeps the
+    tail and every block that holds a vertex of that coarse chain, block 0
+    among them, as its maximum starts the chain.  Every other block lies
+    strictly inside one coarse edge (a, c), and is thrown away when every
+    point of it lies under the line through a with the edge's slope s by
+    more than the forward error bound of the test.
+    The block maximum minus the smaller of s * y at the block's two ends
+    bounds the tilted maximum from above, so only the blocks this bound
+    leaves open pay for the exact one.  A dropped point lies under the
+    chord of the input points a and c, as one the filter drops does, so
+    the list keeps every vertex.  A coarse edge slope or error bound that
+    overflows turns the input away, and the full route decides on it.
+    """
+    n = len(ys)
+    nb = (n - 1) // _BLOCK
+    if n < 2 * FILTER_BLOCK or _gate_share(ys, vs, nb) * _ROUND_SHARE < 1:
+        return None
+    top = nb * _BLOCK
+    Y, V = ys[:top].reshape(nb, _BLOCK), vs[:top].reshape(nb, _BLOCK)
+    at = V.argmax(axis=1)
+    at += np.arange(0, top, _BLOCK)
+    at = np.concatenate([at, np.arange(top, n)])
+    cy, cv = ys[at], vs[at]
+    chain = _finish(cy, cv, _chord_filter(cy, cv).astype(np.intp))
+    a = at[chain]
+    s = np.diff(vs[a]) / np.diff(ys[a])
+    # Every tested value and line value lies within K = max|v| + |s| max|y|
+    # of zero, max|v| taken over the block maxima and the tail, and the
+    # rounding of s, of the two tilts and of the cut stays under about
+    # 14 eps K; a K that overflows is refused with its slope.
+    tol = 32 * _EPS * (np.abs(cv).max() + np.abs(s) * max(-ys[0], ys[-1]))
+    if not np.isfinite(tol).all():
+        return None
+    cut = vs[a[:-1]] - s * ys[a[:-1]] - tol
+    keep = np.zeros(nb, dtype=bool)
+    keep[chain[chain < nb]] = True
+    blocks = np.flatnonzero(~keep)
+    first = blocks * _BLOCK
+    edge = np.searchsorted(a, first) - 1
+    se = s[edge]
+    ends = np.minimum(se * ys[first], se * ys[first + _BLOCK - 1])
+    left = cv[blocks] - ends >= cut[edge]
+    blocks, edge = blocks[left], edge[left]
+    keep[blocks[_tilted_max(Y, V, blocks, s[edge]) >= cut[edge]]] = True
+    kept = np.flatnonzero(keep) * _BLOCK
+    return np.concatenate([(kept[:, None] + np.arange(_BLOCK)).ravel(), np.arange(top, n)])
+
+
 def upper_concave_majorant(
     points: list[tuple[float, float]] | np.ndarray,
 ) -> ConcaveMajorant:
@@ -420,19 +531,25 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     Only the values are checked: a v that is not finite, as a shifted
     potential that overflows to -inf, raises InputError.  The stages run in
     this order, each only while the check still flags a triple of the list:
-    filter, whose rounds end as _chord_filter says, check; the bulk chain,
-    which finishes the list, when at most one triple in _FEW_FLAGS flags;
-    else QuickHull over a list of over _CHAIN_POINTS points, then the
-    check; the chain pass.  The filter, the checks and the QuickHull levels
-    are O(n log n) array work; a near-flat input, whose first filter level
-    is quiet and whose list the check certifies or the bulk chain settles,
-    costs O(n).  The bulk chain's Python loop turns once per flag or
-    pop-back, its searches testing at most about 1.6 n points on the
-    inputs measured, and the Python chain pass runs on the QuickHull
-    candidates or on a short list.  Every filtered point lies under a
-    chord of two input points, so the list keeps every vertex, and a check
-    that passes on it certifies it as the chain.  The bulk chain's result
-    and the chain pass's are _chain over the list, index for index.
+    the throw-away of whole blocks under the chain of the block maxima
+    (_block_prune), on inputs of at least 2 * FILTER_BLOCK points that its
+    gate lets in; filter, whose rounds end as _chord_filter says, check;
+    the bulk chain, which finishes the list, when at most one triple in
+    _FEW_FLAGS flags; else QuickHull over a list of over _CHAIN_POINTS
+    points, then the check; the chain pass.  _finish runs the stages from
+    the first check on, here and on the coarse chain.  The filter, the
+    checks and the QuickHull levels are O(n log n) array work; a near-flat
+    input, whose first filter level is quiet and whose list the check
+    certifies or the bulk chain settles, costs O(n).  The bulk chain's
+    Python loop turns once per flag or pop-back, its searches testing at
+    most about 1.6 n points on the inputs measured, and the Python chain
+    pass runs on the QuickHull candidates or on a short list.  The
+    throw-away costs one argmax pass and the hull of about n / _BLOCK
+    block maxima, and hands the filter 2,900-5,300 of the 65,537 points
+    of a Levy path.  Every dropped or filtered point lies under a chord of
+    two input points, so the list keeps every vertex, and a check that
+    passes on it certifies it as the chain.  The bulk chain's result and
+    the chain pass's are _chain over the list, index for index.
     """
     if not np.isfinite(vs).all():
         raise InputError("point coordinates must be finite")
@@ -454,15 +571,12 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     # a slope may overflow to inf in every stage; a chain left with one is
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
-        idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
-        flags = _check(sy[idx], sv[idx])
-        if 0 < len(flags) * _FEW_FLAGS <= len(idx):
-            idx, flags = idx[_bulk_chain(sy[idx], sv[idx], flags)], ()
-        if len(flags) and len(idx) > _CHAIN_POINTS:
-            idx = _quickhull(sy, sv, idx)
-            flags = _check(sy[idx], sv[idx])
-        if len(flags):
-            idx = idx[_chain(sy[idx].tolist(), sv[idx].tolist())]
+        idx = _block_prune(sy, sv)
+        if idx is None:
+            idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
+        else:
+            idx = idx[_chord_filter(sy[idx], sv[idx])]
+        idx = _finish(sy, sv, idx)
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 
 

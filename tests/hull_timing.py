@@ -15,10 +15,16 @@ reads without a copy.  They are built with SRC_A's package, imported as
 ``levyburgers``.  ``--only`` keeps the inputs whose name contains TEXT,
 so that each can be timed in a fresh process.  ``--routes`` prints, in
 place of the times, the route each tree's hull takes on each input: the
-chord filter's rounds as size at the start / first-level drop / round's
-drop (a peel's second filter call shows as one more round), the flag
-count of each check, and the stages after the first check, each with the
-length of the list it was given; the last one finished the list.
+throw-away of whole blocks, where the tree has it and the input is long
+enough for its gate (the share of the middle block maxima the gate's
+level drops; then, where the gate let it run, the blocks, the vertices
+of the coarse chain, the blocks dropped by the end bound + by the exact
+tilt, and the points kept), the chord filter's rounds as size at the
+start / first-level drop / round's drop (a peel's second filter call
+shows as one more round), the flag count of each check, and the stages
+after the first check, each with the length of the list it was given;
+the last one finished the list.  The coarse chain's own filter rounds,
+checks and stages are not shown.
 """
 
 from __future__ import annotations
@@ -134,8 +140,10 @@ def route(hull, points) -> str:
     1 starts a round.
     """
     names = ("np", "_orient", "_check", "_bulk_chain", "_quickhull", "_chain")
-    saved = {name: getattr(hull, name) for name in names}
+    names += ("_block_prune", "_gate_share", "_finish", "_tilted_max")
+    saved = {name: getattr(hull, name) for name in names if hasattr(hull, name)}
     levels, checks, stages, spacing = [], [], [], [1, 0]
+    prune, inside = {}, [False]  # the throw-away's readings; inside it
 
     class Numpy:
         def __getattr__(self, name):
@@ -144,7 +152,8 @@ def route(hull, points) -> str:
         @staticmethod
         def count_nonzero(a):
             left = np.count_nonzero(a)
-            levels.append((*spacing, left))
+            if not inside[0]:
+                levels.append((*spacing, left))
             return left
 
     def orient(ys, vs, k, *args):
@@ -153,15 +162,40 @@ def route(hull, points) -> str:
 
     def check(ys, vs):
         out = saved["_check"](ys, vs)
-        checks.append(len(out[0] if isinstance(out, tuple) else out))
+        if not inside[0]:
+            checks.append(len(out[0] if isinstance(out, tuple) else out))
         return out
 
     def stage(name, size):
         def run(*args):
-            stages.append(f"{name.strip('_')}({size(*args)})")
+            if not inside[0]:
+                stages.append(f"{name.strip('_')}({size(*args)})")
             return saved[name](*args)
 
         return run
+
+    def block_prune(ys, vs):
+        inside[0] = True
+        try:
+            kept = saved["_block_prune"](ys, vs)
+        finally:
+            inside[0] = False
+        prune["kept"] = kept
+        return kept
+
+    def gate_share(*args):
+        prune["share"] = saved["_gate_share"](*args)
+        return prune["share"]
+
+    def finish(ys, vs, idx):
+        out = saved["_finish"](ys, vs, idx)
+        if inside[0]:
+            prune["chain"] = out
+        return out
+
+    def tilted_max(Y, V, blocks, s):
+        prune["open"] = len(blocks)
+        return saved["_tilted_max"](Y, V, blocks, s)
 
     wraps = {
         "np": Numpy(),
@@ -170,10 +204,15 @@ def route(hull, points) -> str:
         "_bulk_chain": stage("_bulk_chain", lambda ys, vs, flags: len(ys)),
         "_quickhull": stage("_quickhull", lambda ys, vs, idx: len(idx)),
         "_chain": stage("_chain", lambda ys, vs: len(ys)),
+        "_block_prune": block_prune,
+        "_gate_share": gate_share,
+        "_finish": finish,
+        "_tilted_max": tilted_max,
     }
     try:
         for name, wrap in wraps.items():
-            setattr(hull, name, wrap)
+            if name in saved:
+                setattr(hull, name, wrap)
         hull.upper_concave_majorant(points)
     finally:
         for name, fn in saved.items():
@@ -185,8 +224,31 @@ def route(hull, points) -> str:
         else:
             rounds[-1][2] = rounds[-1][0] - left
     return (
+        f"{throw_away(prune, len(points), getattr(hull, '_BLOCK', 0))}"
         f"rounds {' '.join('/'.join(map(str, r)) for r in rounds) or '-'}"
         f" | flags {','.join(map(str, checks))} | {' > '.join(stages) or 'check'}"
+    )
+
+
+def throw_away(prune: dict, n: int, block: int) -> str:
+    """The throw-away's readings of one hull of n points, from the wraps
+    of route, as a prefix of its route: '' where the gate did not run."""
+    if "share" not in prune:
+        return ""
+    text = f"gate {prune['share']:.3f}"
+    if "chain" not in prune:
+        return text + " | "
+    nb = (n - 1) // block
+    chain = prune["chain"]
+    if prune["kept"] is None:
+        return text + f" coarse {len(chain)} slope overflows | "
+    fixed = int((chain < nb).sum())  # blocks holding a coarse vertex
+    end_drop = nb - fixed - prune["open"]
+    kept_blocks = (len(prune["kept"]) - (n - nb * block)) // block
+    tilt_drop = prune["open"] - (kept_blocks - fixed)
+    return (
+        f"{text} blocks {nb} coarse {len(chain)} dropped {end_drop}+{tilt_drop}"
+        f" kept {len(prune['kept'])} | "
     )
 
 

@@ -456,21 +456,29 @@ class TestCertifiedFilter:
     def test_rough_inputs_check_once(self, source, monkeypatch):
         """A Levy path at n = 65537 and a noisy path leave the filter's
         rounds with a list that one check routes to the chain pass or the
-        bulk chain, so QuickHull and its second check never run."""
-        calls = []
+        bulk chain, so QuickHull and its second check never run on the
+        full-resolution list.  A Levy path at n = 65537 also builds the
+        chain of its block maxima first, whose list the same stages
+        settle with at most one check of their own."""
+        calls = []  # (filter calls so far, length) per check
         check = hull._check
+        filters = _filter_calls(monkeypatch)
 
         def counted(ys, vs):
-            calls.append(len(ys))
+            calls.append((len(filters), len(ys)))
             return check(ys, vs)
 
         monkeypatch.setattr(hull, "_check", counted)
         if source in LEVY_FAMILIES:
             path = sample_path(LEVY_FAMILIES[source], GridSpec(16.0, 65537), 1)
-            assert_matches_reference(*_shifted(path))
+            ys, vs = _shifted(path)
         else:
-            assert_matches_reference(*NOISY_INPUTS[source]())
-        assert len(calls) == 1, calls
+            ys, vs = NOISY_INPUTS[source]()
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+        full = [c for c in calls if c[0] == len(filters)]
+        coarse = [c for c in calls if c[0] < len(filters)]
+        assert len(full) == 1 and len(coarse) <= 1, (filters, calls)
 
     @pytest.mark.parametrize("n", [4097, 65537])
     def test_one_spike_parabola_skips_quickhull(self, n, monkeypatch):
@@ -538,6 +546,133 @@ class TestCertifiedFilter:
         ys, vs = spiked_parabola(4097, spikes)
         assert_matches_reference(ys, vs)
         assert len(calls) == 1 and np.array_equal(calls[0], hull._chord_filter(ys, vs))
+
+
+def _filter_calls(monkeypatch) -> list:
+    """The lengths of the lists handed to hull._chord_filter from now on."""
+    calls = []
+    chord_filter = hull._chord_filter
+
+    def counted(ys, vs):
+        calls.append(len(ys))
+        return chord_filter(ys, vs)
+
+    monkeypatch.setattr(hull, "_chord_filter", counted)
+    return calls
+
+
+def _levy_shifted(family: str, seed: int, n: int = 65537):
+    return _shifted(sample_path(LEVY_FAMILIES[family], GridSpec(16.0, n), seed))
+
+
+class TestBlockPrune:
+    """On inputs of at least 2 * FILTER_BLOCK points whose block maxima
+    are rough, whole blocks under the chain of the block maxima are thrown
+    away before the chord filter runs at full resolution; smooth and
+    near-flat inputs are turned away by the gate and run the filter over
+    every point."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(LEVY_FAMILIES))
+    def test_levy_paths_filter_few_points(self, family, seed, monkeypatch):
+        """The four Levy families at n = 65537, the sweep benchmark's
+        paths: the full-resolution filter gets at most n / 8 points, after
+        one coarse filter call over the block maxima and the tail."""
+        ys, vs = _levy_shifted(family, seed)
+        calls = _filter_calls(monkeypatch)
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+        n = len(ys)
+        assert len(calls) == 2, calls
+        assert calls[0] == (n - 1) // hull._BLOCK + 1
+        assert calls[1] <= n // 8, calls
+
+    @pytest.mark.parametrize(
+        "source",
+        sorted(NOISY_INPUTS)
+        + [f"spike{k}" for k in (1, 5, 40)]
+        + [
+            f"{f.__name__}_t{t:g}"
+            for f in (zero_path, jump_up, jump_down)
+            for t in (1e-3, 1.0, 1e3)
+        ],
+    )
+    def test_gate_turns_smooth_inputs_away(self, source, monkeypatch):
+        """Noisy steps, whose block maxima lie on a parabola but for one
+        step, spiked parabolas and the fixtures on a 65537-point grid build
+        no coarse chain: the filter runs once, over every point."""
+        if source in NOISY_INPUTS:
+            ys, vs = NOISY_INPUTS[source]()
+        elif source.startswith("spike"):
+            ys, vs = spiked_parabola(65537, int(source[5:]))
+        else:
+            name, t = source.rsplit("_t", 1)
+            fixtures = {f.__name__: f for f in (zero_path, jump_up, jump_down)}
+            ys, vs = _shifted(fixtures[name](GridSpec(16.0, 65537)), float(t))
+        calls = _filter_calls(monkeypatch)
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+        assert calls == [len(ys)]
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+    def test_scaled_input(self, monkeypatch):
+        """A Levy path whose axes need the power-of-two scale: the stage
+        runs on the scaled columns and returns the reference indices,
+        which the exact scale leaves as they are."""
+        ys, vs = _levy_shifted("cauchy", 1)
+        calls = _filter_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = upper_concave_majorant(np.column_stack([np.ldexp(ys, 600), np.ldexp(vs, 500)]))
+        assert len(calls) == 2
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+    def test_flushed_abscissae_raise(self):
+        """A Levy path whose scale sends its three tiny y's to 0 is refused
+        before the stage, as on a short input."""
+        ys, vs = _levy_shifted("brownian", 1)
+        ys = np.concatenate([[1e-300, 2e-300, 3e-300], 1e199 * (ys[3:] + 17.0)])
+        vs = vs.copy()
+        vs[-1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="coordinate range"):
+                upper_concave_majorant(np.column_stack([ys, vs]))
+
+    def test_coarse_slope_overflow_falls_back(self, monkeypatch):
+        """Block 1's maximum sits 1e-300 right of block 0's maximum and
+        1e10 above it, so the coarse chain's first edge slope overflows.  The
+        stage turns the input away after its coarse chain, and the full
+        route finds the chain, whose first edge runs from point 0."""
+        ys, vs = _levy_shifted("brownian", 1)
+        ys = np.ldexp(np.arange(len(ys)) - 64.0, -11)
+        ys[63] = -1e-300
+        vs = vs.copy()
+        vs[63], vs[64] = vs.max() + 1.0, vs.max() + 1e10
+        calls = _filter_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = upper_concave_majorant(np.column_stack([ys, vs]))
+            with np.errstate(over="ignore"):
+                assert hull._block_prune(ys, vs) is None
+        assert calls[:2] == [(len(ys) - 1) // hull._BLOCK + 1, len(ys)]
+        assert np.array_equal(cm.indices, reference_chain(ys, vs))
+
+    def test_chain_slope_overflow_raises(self, monkeypatch):
+        """Points 0, 1e-300 and 2e-300 rise by 1e10 and 1.5e10 and start
+        the chain, whose first edge slope overflows; the coarse chain
+        starts at block 0's maximum, point 2, so the stage runs, keeps
+        block 0, and the full route raises."""
+        ys, vs = _levy_shifted("stable1.5", 1)
+        ys = ys - ys[0]
+        ys[1:3] = 1e-300, 2e-300
+        vs = vs.copy()
+        vs[0:3] = 0.0, 1e10, 1.5e10
+        calls = _filter_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="slope overflows"):
+                upper_concave_majorant(np.column_stack([ys, vs]))
+        assert len(calls) == 2 and calls[1] < len(ys) // 8, calls
 
 
 def _bulk_chain(ys, vs, first_chunk=hull._FIRST_CHUNK):
@@ -635,6 +770,36 @@ def test_hypothesis_rounds_keep_every_vertex(n, log_t, defects, sigma):
             assert np.isin(ref, hull._chord_filter(ys, vs)).all()
             cm = upper_concave_majorant(np.column_stack([ys, vs]))
         assert np.array_equal(cm.indices, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    **DEFECT_PARABOLAS,
+    sigma=st.sampled_from([0.0, 1e-9, 1e-3]),
+    block=st.sampled_from([1, 3, 8]),
+)
+def test_hypothesis_block_prune_keeps_every_vertex(n, log_t, defects, sigma, block):
+    """The same chains, optionally noisy, with blocks of 1, 3 or 8 points
+    and the stage run from 32 points on with its gate held open (the gate
+    still runs): the kept list holds every vertex of the reference chain,
+    and the hull equals that chain."""
+    ys, vs = defect_parabola(n, log_t, defects)
+    vs += sigma * np.random.default_rng(n).standard_normal(n)
+    ref = reference_chain(ys, vs)
+    gate = hull._gate_share
+
+    def opened(*args):
+        return 1.0 + gate(*args)
+
+    with mock.patch.multiple(hull, FILTER_BLOCK=16, _BLOCK=block, _gate_share=opened):
+        with np.errstate(over="ignore"):
+            kept = hull._block_prune(ys, vs)
+        cm = upper_concave_majorant(np.column_stack([ys, vs]))
+    if n >= 32:
+        assert np.isin(ref, kept).all()
+    else:
+        assert kept is None
+    assert np.array_equal(cm.indices, ref)
 
 
 def test_peak_memory_bounded():
