@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError, ParameterError
 from .hull import FILTER_BLOCK, _majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
-from .shocks import macroscopic_edges, zero_set_indices
+from .shocks import _macroscopic_edges, _window_zeros
 from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
 
 # u is sampled at this many equispaced points on each side of T when
@@ -184,9 +184,8 @@ def _scan_s(values: np.ndarray, ys: np.ndarray, r: int, t: float) -> int:
 
 def _first_zero(sol: BurgersSolution) -> float | None:
     """Smallest nonnegative element of the zero set, over the whole grid."""
-    zy = sol.majorant.ys[zero_set_indices(sol)]
-    zy = zy[zy >= 0.0]
-    return float(zy[0]) if len(zy) else None
+    z = _window_zeros(sol, 0.0, math.inf)
+    return float(sol.majorant.ys[z[0]]) if len(z) else None
 
 
 def rst_scan(path: LevyPath, t: float, sol: BurgersSolution) -> RegenReport:
@@ -305,17 +304,21 @@ def _dcor(aa: np.ndarray, bb: np.ndarray, dvar_x: float, dvar_y: float) -> float
 
 
 def _centred_pair(x: np.ndarray, y: np.ndarray):
-    """(aa, bb, dVar_x, dVar_y) for row-paired observations x and y."""
+    """(aa, bb, dVar_x, dVar_y) for row-paired observations x and y;
+    InputError unless every observation is finite."""
     if len(x) != len(y):
         raise InputError(f"row counts differ: {len(x)} vs {len(y)}")
     if not len(x):
         raise InputError("need at least one row of observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InputError("every observation must be finite")
     aa, bb = _centred_distances(x), _centred_distances(y)
     return aa, bb, (aa * aa).mean(), (bb * bb).mean()
 
 
 def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample distance correlation between row-paired observations."""
+    """Sample distance correlation between row-paired observations, which
+    must be finite."""
     return _dcor(*_centred_pair(x, y))
 
 
@@ -326,7 +329,8 @@ def permutation_pvalue(
     n_perm: int = 999,
 ) -> tuple[float, float]:
     """(dcor, permutation p-value) for dependence between the rows of
-    f_pre and f_post; f_post rows are permuted across replicates.
+    f_pre and f_post, which must be finite; f_post rows are permuted
+    across replicates.
 
     Exact under the null by construction: p = (1 + #{perm >= obs}) /
     (1 + n_perm), so p-values are approximately uniform for independent
@@ -353,11 +357,10 @@ def _side_features(
     macroscopic edges."""
     j = np.arange(N_FEATURE_SAMPLES) + float(closed_right)
     xs = lo + (hi - lo) * j / N_FEATURE_SAMPLES
-    # edge_x is nondecreasing (t > 0): a range of it counts the shocks
-    side = "right" if closed_right else "left"
-    lo_k, hi_k = np.searchsorted(sol.edge_x[macroscopic_edges(sol)], [lo, hi], side=side)
+    # edge_x is nondecreasing (t > 0): the side's edges are a range of it
+    lo_k, hi_k = np.searchsorted(sol.edge_x, [lo, hi], side="right" if closed_right else "left")
     u = (xs - sol.majorant.ys[owning_vertices(sol, xs)]) / sol.t
-    return np.array([u.mean(), u.min(), float(hi_k - lo_k)])
+    return np.array([u.mean(), u.min(), float(len(_macroscopic_edges(sol, lo_k, hi_k)))])
 
 
 def replicate_features(

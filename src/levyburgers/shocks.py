@@ -3,7 +3,12 @@
 A shock is a macroscopic hull edge at location -t * edge slope; vertices
 whose own X-interval contains them form the zero set (zero-velocity
 points); each vertex's X-interval, clipped to the analysis window, is its
-constancy (rarefaction) record.  Every plain result record of the package
+constancy (rarefaction) record.  Owners are read by vertex index, not
+searched for among floats: ys and the breaks are nondecreasing, so a
+window is one index range of each, and a cut at edge k has left owner k
+and right owner k + 1.  A zero point lying exactly on a break belongs to
+the right vertex, as every break point does.
+Every plain result record of the package
 is a NamedTuple, and a row record is one CSV row under the columns
 ``_fields``; a class stays a dataclass only where it validates or derives a
 field, defines a method, is ``replace``d by the tests or builds CLI flags.
@@ -127,9 +132,7 @@ def zero_set_indices(sol: BurgersSolution) -> np.ndarray:
     The closed slope interval keeps tie vertices, mirroring the closure in
     the definition of the zero-velocity set.
     """
-    target = -sol.majorant.ys / sol.t
-    s = sol.majorant.s
-    return np.flatnonzero((s[1:] <= target) & (target <= s[:-1]))
+    return _window_zeros(sol, -math.inf, math.inf)
 
 
 def epsilon_regular_indices(sol: BurgersSolution) -> np.ndarray:
@@ -142,17 +145,25 @@ def epsilon_regular_indices(sol: BurgersSolution) -> np.ndarray:
     return np.flatnonzero(close[:-1] & close[1:]) + 1
 
 
-def macroscopic_edges(sol: BurgersSolution) -> np.ndarray:
-    """Mask of the hull edges whose interval swallows at least one interior
-    grid point (grid-index gap >= 2): single-cell edges are the
-    discretization of a continuous increase of a(.), not discontinuities."""
-    return np.diff(sol.majorant.indices) >= 2
+def _macroscopic_edges(sol: BurgersSolution, k0: int, k1: int) -> np.ndarray:
+    """Indices k0 <= k < k1 of the hull edges whose interval swallows at
+    least one interior grid point (grid-index gap >= 2): single-cell edges
+    are the discretization of a continuous increase of a(.), not
+    discontinuities."""
+    return k0 + np.flatnonzero(np.diff(sol.majorant.indices[k0 : k1 + 1]) >= 2)
 
 
 def _window_zeros(sol: BurgersSolution, lo: float, hi: float) -> np.ndarray:
-    """zero_set_indices restricted to vertices in [lo, hi]."""
-    z = zero_set_indices(sol)
-    return z[(sol.majorant.ys[z] >= lo) & (sol.majorant.ys[z] <= hi)]
+    """zero_set_indices restricted to, and tested only on, vertices in [lo, hi]."""
+    ys, s = sol.majorant.ys, sol.majorant.s
+    i0, i1 = np.searchsorted(ys, lo, "left"), np.searchsorted(ys, hi, "right")
+    target = ys[i0:i1] / -sol.t
+    return i0 + np.flatnonzero((s[i0 + 1 : i1 + 1] <= target) & (target <= s[i0:i1]))
+
+
+def _overlapping(sol: BurgersSolution, lo: float, hi: float) -> slice:
+    """The vertices whose X-intervals overlap (lo, hi): x_hi > lo and x_lo < hi."""
+    return slice(np.searchsorted(sol.x_hi, lo, "right"), np.searchsorted(sol.x_lo, hi, "left"))
 
 
 def extract_shocks(sol: BurgersSolution) -> ShockReport:
@@ -165,21 +176,18 @@ def extract_shocks(sol: BurgersSolution) -> ShockReport:
     recomputed here.
     """
     lo, hi = sol.window
-    ys = sol.majorant.ys
-    gidx = sol.majorant.indices
-    ba = sol.boundary_affected
+    ys, gidx, ba, edge_x = sol.majorant.ys, sol.majorant.indices, sol.boundary_affected, sol.edge_x
 
-    k = np.flatnonzero((sol.edge_x >= lo) & (sol.edge_x <= hi) & macroscopic_edges(sol))
+    k0, k1 = np.searchsorted(edge_x, lo, "left"), np.searchsorted(edge_x, hi, "right")
+    k = _macroscopic_edges(sol, k0, k1)
     a_minus, a_plus = ys[k], ys[k + 1]
     mass = a_plus - a_minus
     dpsi = sol.path.values[gidx[k + 1]] - sol.path.values[gidx[k]]
-    shocks = Records(
-        Shock, sol.edge_x[k], a_minus, a_plus, mass, -dpsi / mass, ba[k] | ba[k + 1]
-    )
+    shocks = Records(Shock, edge_x[k], a_minus, a_plus, mass, -dpsi / mass, ba[k] | ba[k + 1])
 
-    r_lo, r_hi = np.clip(sol.x_lo, lo, hi), np.clip(sol.x_hi, lo, hi)
-    r = np.flatnonzero(r_hi > r_lo)
-    r_lo, r_hi = r_lo[r], r_hi[r]
+    v = _overlapping(sol, lo, hi)  # those of positive length overlap the window
+    r = v.start + np.flatnonzero(sol.x_hi[v] > sol.x_lo[v])
+    r_lo, r_hi = np.maximum(sol.x_lo[r], lo), np.minimum(sol.x_hi[r], hi)
     rarefactions = Records(Rarefaction, ys[r], r_lo, r_hi, r_hi - r_lo, ba[r])
 
     zero_set = ys[_window_zeros(sol, lo, hi)]
@@ -203,41 +211,48 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     z1, z2 = ys[z[g]], ys[z[g + 1]]
     gaps = np.empty(len(g), dtype=_GAP)
     gaps["lo"], gaps["hi"] = z1, z2
-    if not len(g):
-        empty = np.empty(0, dtype=bool)
-        return SignPatternReport(violations=[], gap_stats=Records(GapStat, gaps, empty, empty))
 
-    # cut the constancy intervals at the gap ends and at the shocks between
-    # them: the piece right of a cut is in one interval and one gap or none
-    span = np.searchsorted(edge_x, [z1[0], z2[-1]])
-    cuts = np.sort(np.concatenate([edge_x[span[0] : span[1]], z1, z2]))
-    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]  # each point once
-    gap = np.searchsorted(z1, cuts, side="right") - 1  # cuts[0] is z1[0]
-    piece = cuts < z2[gap]  # the piece right of the cut is in its gap
-    shock = piece & (cuts > z1[gap])  # the cut is a shock inside its gap
+    # a gap is cut at z1 and at the edges k0 <= k < k1 strictly inside it;
+    # the piece right of edge k is owned by k + 1, and the one right of z1
+    # by k0, as a zero point on a break belongs to the right vertex
+    k0 = np.searchsorted(edge_x, z1, "right")
+    n = np.searchsorted(edge_x, z2, "left") - k0
+    start = np.arange(len(g)) + np.cumsum(n) - n  # each gap's cut at z1
+    right = np.arange(len(g) + n.sum()) + np.repeat(k0 - start, n + 1)
+    left = right - 1
+    x = edge_x[left]
+    x[start] = z1
+    if (x[1:] == x[:-1]).any():
+        # each point once: equal edges are one cut, with the left owner of
+        # the first and the right owner of the last
+        cut = np.flatnonzero(np.diff(x, append=np.inf) > 0)
+        left = left[np.append(0, cut[:-1] + 1)]
+        x, right, start = x[cut], right[cut], np.searchsorted(cut, start)
+    end = np.append(x[1:], z2[-1:])
+    end[start[1:] - 1] = z2[:-1]
 
-    # per cut: u(x-) and u(x) at a shock, then u at the piece midpoint
-    keep = np.column_stack([shock, shock, piece])
-    mids = 0.5 * (cuts + np.append(cuts[1:], cuts[-1]))
-    xs = np.column_stack([cuts, cuts, mids])[keep]
-    right = np.searchsorted(edge_x, cuts, side="right")
-    a = ys[np.column_stack([np.searchsorted(edge_x, cuts, side="left"), right, right])[keep]]
-    gap = np.column_stack([gap, gap, gap])[keep]
-    us = (xs - a) / sol.t
-    neg, pos = us < 0, us > 0
+    # per cut: u(x-) and u(x) at a shock, then u at the piece midpoint, as
+    # 1 where u > 0 and 2 where u < 0; a cut at z1 is no shock, so its shock
+    # samples read 4, which opens the gap, and 0
+    mid = 0.5 * (x + end)
+    us = (np.column_stack([x, x, mid]) - ys[np.column_stack([left, right, right])]) / sol.t
+    sign = ((us > 0).view(np.uint8) | (us < 0).view(np.uint8) << 1).ravel()
+    first = 3 * start  # each gap's first sample
+    sign[first], sign[first + 1] = 4, 0
+    seen = np.bitwise_or.reduceat(sign, first)
 
-    # negatives seen earlier in the same gap
-    neg_before = np.cumsum(neg) - neg
-    neg_before -= neg_before[np.searchsorted(gap, gap)]
-    bad = pos & (neg_before > 0)
-    violations = list(zip(z1[gap[bad]].tolist(), z2[gap[bad]].tolist(), xs[bad].tolist()))
-
-    gap_stats = Records(
-        GapStat, gaps,
-        np.bincount(gap[pos], minlength=len(g)) > 0,
-        np.bincount(gap[neg], minlength=len(g)) > 0,
-    )
-    return SignPatternReport(violations=violations, gap_stats=gap_stats)
+    # a violation is a positive after a negative in one gap; where there is
+    # one, a positive directly follows a negative among the signed samples
+    violations = []
+    signed = sign[sign > 0]
+    if ((signed[:-1] == 2) & (signed[1:] == 1)).any():
+        neg = np.cumsum(sign == 2)
+        neg -= np.repeat(neg[first], np.diff(first, append=len(sign)))  # in the gap
+        bad = np.flatnonzero((sign == 1) & (neg > 0))
+        gap = np.searchsorted(first, bad, "right") - 1
+        xs = np.where(bad % 3 == 2, mid[bad // 3], x[bad // 3])
+        violations = list(zip(z1[gap].tolist(), z2[gap].tolist(), xs.tolist()))
+    return SignPatternReport(violations, Records(GapStat, gaps, seen & 1 > 0, seen & 2 > 0))
 
 
 def contact_jump_signs(sol: BurgersSolution) -> JumpSignReport:
@@ -304,12 +319,13 @@ def window_stats(
     """
     lo, hi, n_pts = _stats_window(window, sol.path.grid)
     ys = sol.majorant.ys
-    n_contacts = int(np.count_nonzero((ys >= lo) & (ys <= hi)))
+    n_contacts = int(np.searchsorted(ys, hi, "right") - np.searchsorted(ys, lo, "left"))
     n_zero = len(_window_zeros(sol, lo, hi))
 
-    # x_lo <= x_hi and clipping is monotone, so no length is negative
-    lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)
-    lengths[sol.boundary_affected] = 0.0
+    # every other vertex has length 0 in the window, and these are >= 0
+    v = _overlapping(sol, lo, hi)
+    lengths = np.minimum(sol.x_hi[v], hi) - np.maximum(sol.x_lo[v], lo)
+    lengths[sol.boundary_affected[v]] = 0.0
     max_rare = float(lengths.max())
     return n_contacts, n_zero, max_rare, n_contacts / n_pts
 

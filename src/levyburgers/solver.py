@@ -232,12 +232,13 @@ def lagrangian_position(sol: BurgersSolution, a: float) -> float:
 def moreau_envelope(sol: BurgersSolution, x: float) -> float:
     """M(x) = sup_y psi0(y) - (y-x)^2/(2t), exactly the grid supremum.
 
-    Evaluated as C(a(x)) + x a(x)/t - x^2/(2t) with C the shifted-potential
-    majorant value at the selected vertex.
+    Evaluated at the selected vertex a(x) as psi0(a) - (a-x)^2/(2t), the
+    oracle's own arithmetic; the shifted value plus x a/t - x^2/(2t) would
+    cancel digits away at large L and small t.
     """
     k = _owning_vertex(sol, x)
-    t = sol.t
-    return float(sol.majorant.vs[k] + x * sol.majorant.ys[k] / t - x * x / (2.0 * t))
+    d = sol.majorant.ys[k] - x
+    return float(sol.path.values[sol.majorant.indices[k]] - d * d / (2.0 * sol.t))
 
 
 def prox_fixed_points(sol: BurgersSolution) -> np.ndarray:

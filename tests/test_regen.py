@@ -536,6 +536,21 @@ class TestPermutationMachinery:
         with pytest.raises(InputError):
             permutation_pvalue(np.empty((0, 3)), np.empty((0, 3)), rng, n_perm=9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        # one NaN row gave p = 1/(1 + n_perm), the strongest dependence the
+        # test can report, as no permuted statistic compares >= NaN
+        rng = np.random.default_rng(10)
+        x, y = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        x_bad, y_bad = x.copy(), y[:, 0].copy()
+        x_bad[7, 1] = y_bad[30] = bad
+        for a, b in ((x_bad, y), (x, y_bad), (y_bad, x[:, 0])):
+            with pytest.raises(InputError):
+                permutation_pvalue(a, b, rng, n_perm=999)
+            with pytest.raises(InputError):
+                distance_correlation(a, b)
+
     def test_degenerate_dependence_min_pvalue(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(100, 3))

@@ -27,9 +27,10 @@ from levyburgers import (
     zero_path,
     zero_set_indices,
 )
-from levyburgers import solver
+from levyburgers import regen, solver
 from levyburgers.levy import jump_array
-from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport
+from levyburgers.regen import N_FEATURE_SAMPLES
+from levyburgers.shocks import ONE_SIDED_TOL_CELLS, GapStat, JumpSignReport, _stats_window
 from conftest import derived_seed
 
 
@@ -373,10 +374,12 @@ def reference_gap_samples(sol, z1, z2):
     ys = sol.majorant.ys
     t = sol.t
     samples = []
-    for k in np.flatnonzero((sol.edge_x > z1) & (sol.edge_x < z2)):
-        x = float(sol.edge_x[k])
-        samples.append((x, (x - float(ys[k])) / t))
-        samples.append((x, (x - float(ys[k + 1])) / t))
+    # each point once: equal edges are one shock, from the left vertex of
+    # the first to the right vertex of the last
+    for x in np.unique(sol.edge_x[(sol.edge_x > z1) & (sol.edge_x < z2)]).tolist():
+        k = np.flatnonzero(sol.edge_x == x)
+        samples.append((x, (x - float(ys[k[0]])) / t))
+        samples.append((x, (x - float(ys[k[-1] + 1])) / t))
     for k in np.flatnonzero((sol.x_hi > z1) & (sol.x_lo < z2)):
         o_lo = max(float(sol.x_lo[k]), z1)
         o_hi = min(float(sol.x_hi[k]), z2)
@@ -418,6 +421,68 @@ def _assert_same_sign_pattern(got, want):
     _assert_same_records(got.gap_stats, want.gap_stats)
 
 
+# -- window_stats and the regen readers as masks over every vertex, kept
+# as references for the index ranges of the library
+
+
+def reference_zero_mask(sol) -> np.ndarray:
+    target = -sol.majorant.ys / sol.t
+    s = sol.majorant.s
+    return (s[1:] <= target) & (target <= s[:-1])
+
+
+def reference_window_stats(sol, window):
+    lo, hi, n_pts = _stats_window(window, sol.path.grid)
+    ys = sol.majorant.ys
+    inside = (ys >= lo) & (ys <= hi)
+    n_contacts = int(np.count_nonzero(inside))
+    n_zero = int(np.count_nonzero(inside & reference_zero_mask(sol)))
+    lengths = np.clip(sol.x_hi, lo, hi) - np.clip(sol.x_lo, lo, hi)
+    lengths[sol.boundary_affected] = 0.0
+    return n_contacts, n_zero, float(lengths.max()), n_contacts / n_pts
+
+
+def reference_first_zero(sol):
+    zy = sol.majorant.ys[reference_zero_mask(sol)]
+    zy = zy[zy >= 0.0]
+    return float(zy[0]) if len(zy) else None
+
+
+def reference_side_features(sol, lo, hi, closed_right):
+    j = np.arange(N_FEATURE_SAMPLES) + float(closed_right)
+    xs = lo + (hi - lo) * j / N_FEATURE_SAMPLES
+    shock_x = sol.edge_x[np.diff(sol.majorant.indices) >= 2]
+    if closed_right:
+        n_shocks = np.count_nonzero((shock_x > lo) & (shock_x <= hi))
+    else:
+        n_shocks = np.count_nonzero((shock_x >= lo) & (shock_x < hi))
+    u = (xs - sol.majorant.ys[np.searchsorted(sol.edge_x, xs, "right")]) / sol.t
+    return np.array([u.mean(), u.min(), float(n_shocks)])
+
+
+def _assert_window_readers_match(sol) -> int:
+    """window_stats and the regen readers against their references on
+    three windows; returns how many windows miss the analysis window."""
+    n_refused = 0
+    for window in (None, (1.0, 2.0), (0.0, 1.0)):
+        try:
+            want = reference_window_stats(sol, window)
+        except ParameterError:
+            n_refused += 1
+            with pytest.raises(ParameterError):
+                window_stats(sol, window)
+            continue
+        got = window_stats(sol, window)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+        lo, hi = sol.window if window is None else window
+        for closed_right in (False, True):
+            got = regen._side_features(sol, lo, hi, closed_right)
+            assert np.array_equal(got, reference_side_features(sol, lo, hi, closed_right))
+    assert regen._first_zero(sol) == reference_first_zero(sol)
+    return n_refused
+
+
 LEVY_FAMILIES = (
     LevyParams.stable(0.75, 0.0),
     LevyParams.stable(1.5, 0.0),
@@ -428,22 +493,34 @@ LEVY_FAMILIES = (
 DENSE_GRID = GridSpec(16.0, 16385)
 
 
-def _equivalence_paths():
+def _equivalence_cases():
+    """(path, t): five Levy laws and the dense benchmark's inputs at t = 1,
+    then the laws and two jump fixtures at extreme t on tiny and huge
+    domains, where rounding can put a window zero point on its own break."""
     grid = GridSpec(8.0, 4097)
     for fi, par in enumerate(LEVY_FAMILIES):
         for rep in range(20):
-            yield sample_path(par, grid, derived_seed(4300, fi, rep))
-    yield zero_path(DENSE_GRID)
-    yield jump_up(DENSE_GRID, 0.5)
-    yield jump_down(DENSE_GRID, 0.5)
+            yield sample_path(par, grid, derived_seed(4300, fi, rep)), 1.0
+    yield zero_path(DENSE_GRID), 1.0
+    yield jump_up(DENSE_GRID, 0.5), 1.0
+    yield jump_down(DENSE_GRID, 0.5), 1.0
     for rep in range(3):
-        yield sample_path(LevyParams.brownian(1e-3), DENSE_GRID, derived_seed(4301, rep))
+        yield sample_path(LevyParams.brownian(1e-3), DENSE_GRID, derived_seed(4301, rep)), 1.0
+    for L in (1e-3, 1e3):
+        grid = GridSpec(L, 2049)
+        paths = [sample_path(par, grid, derived_seed(4303, fi, rep))
+                 for fi, par in enumerate(LEVY_FAMILIES) for rep in range(2)]
+        for path in paths + [jump_up(grid, 0.5 * L), jump_down(grid, 0.5 * L)]:
+            for t in (1e-6, 1e6, 1e12):
+                yield path, t
 
 
 def test_array_extraction_matches_per_vertex_reference():
-    n_paths = 0
-    for path in _equivalence_paths():
-        sol = solve(path, 1.0)
+    """extract_shocks, sign_pattern, window_stats and the regen readers
+    against their references on every case of the corpus."""
+    n_cases = n_on_break = n_refused = 0
+    for path, t in _equivalence_cases():
+        sol = solve(path, t)
         got, want = extract_shocks(sol), reference_extract_shocks(sol)
         _assert_same_records(got.shocks, want.shocks)
         _assert_same_records(got.rarefactions, want.rarefactions)
@@ -451,8 +528,53 @@ def test_array_extraction_matches_per_vertex_reference():
         assert np.array_equal(got.zero_set, want.zero_set)
 
         _assert_same_sign_pattern(sign_pattern(sol), reference_sign_pattern(sol))
-        n_paths += 1
-    assert n_paths == 106
+        n_refused += _assert_window_readers_match(sol)
+        z = np.searchsorted(sol.majorant.ys, want.zero_set)
+        n_on_break += bool((want.zero_set == sol.x_hi[z]).any())
+        n_cases += 1
+    assert n_cases == 178 and 0 < n_refused < 2 * n_cases
+    # the tie rule's case: a window zero point exactly on its right break
+    assert n_on_break >= 1
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2])
+def test_readers_on_rounded_breaks(decimals):
+    """Breaks rounded to a few decimals, still nondecreasing, put equal
+    shocks side by side, breaks on the window ends and zero points on
+    breaks: each point is cut once, ties go to the right vertex, and every
+    reader equals its reference."""
+    grid = GridSpec(8.0, 4097)
+    n_equal = 0
+    for fi, par in enumerate(LEVY_FAMILIES):
+        sol = solve(sample_path(par, grid, derived_seed(4304, fi, 1)), 1.0)
+        sol = replace(sol, breaks=np.round(sol.breaks, decimals))
+        got, want = extract_shocks(sol), reference_extract_shocks(sol)
+        _assert_same_records(got.shocks, want.shocks)
+        _assert_same_records(got.rarefactions, want.rarefactions)
+        _assert_same_sign_pattern(sign_pattern(sol), reference_sign_pattern(sol))
+        _assert_window_readers_match(sol)
+        n_equal += int(np.count_nonzero(np.diff(sol.edge_x) == 0))
+    assert n_equal > 0
+
+
+def test_a_break_on_a_gap_end_is_no_shock_of_the_gap():
+    """Moving a vertex's left break onto the vertex itself, where that
+    vertex is a zero point ending a gap with vertices inside it, puts an
+    edge exactly on the gap's end: it lies in no gap, as in the reference,
+    which takes the edges strictly inside."""
+    grid = GridSpec(8.0, 4097)
+    sol = solve(sample_path(LEVY_FAMILIES[4], grid, derived_seed(4300, 4, 0)), 1.0)
+    ys, gidx = sol.majorant.ys, sol.majorant.indices
+    z = np.searchsorted(ys, reference_extract_shocks(sol).zero_set)
+    # ends of gaps with a vertex inside, followed by a zero point one grid
+    # index on, so that no gap starts there
+    za, zb, zc = z[:-2], z[1:-1], z[2:]
+    ends = zb[(gidx[zb] - gidx[za] > 1) & (zb - za > 1) & (gidx[zc] - gidx[zb] == 1)]
+    assert len(ends)
+    breaks = sol.breaks.copy()
+    breaks[ends] = ys[ends]
+    moved = replace(sol, breaks=breaks)
+    _assert_same_sign_pattern(sign_pattern(moved), reference_sign_pattern(moved))
 
 
 @pytest.mark.parametrize(
