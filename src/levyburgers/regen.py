@@ -305,15 +305,19 @@ def _dcor(aa: np.ndarray, bb: np.ndarray, dvar_x: float, dvar_y: float) -> float
 
 def _centred_pair(x: np.ndarray, y: np.ndarray):
     """(aa, bb, dVar_x, dVar_y) for row-paired observations x and y;
-    InputError unless every observation is finite."""
+    InputError unless every observation is finite and dVar_x * dVar_y
+    does not overflow (a NaN statistic would give the smallest p-value)."""
     if len(x) != len(y):
         raise InputError(f"row counts differ: {len(x)} vs {len(y)}")
     if not len(x):
         raise InputError("need at least one row of observations")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InputError("every observation must be finite")
-    aa, bb = _centred_distances(x), _centred_distances(y)
-    return aa, bb, (aa * aa).mean(), (bb * bb).mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa, bb = _centred_distances(x), _centred_distances(y)
+        dvar_x, dvar_y = (aa * aa).mean(), (bb * bb).mean()
+        finite = np.isfinite(dvar_x * dvar_y)
+    if not finite:
+        raise InputError("observations must be finite and their distances must not overflow")
+    return aa, bb, dvar_x, dvar_y
 
 
 def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:

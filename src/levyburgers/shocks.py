@@ -3,22 +3,24 @@
 A shock is a macroscopic hull edge at location -t * edge slope; vertices
 whose own X-interval contains them form the zero set (zero-velocity
 points); each vertex's X-interval, clipped to the analysis window, is its
-constancy (rarefaction) record.  Owners are read by vertex index, not
-searched for among floats: ys and the breaks are nondecreasing, so a
-window is one index range of each, and a cut at edge k has left owner k
-and right owner k + 1.  A zero point lying exactly on a break belongs to
-the right vertex, as every break point does.
-Every plain result record of the package
-is a NamedTuple, and a row record is one CSV row under the columns
-``_fields``; a class stays a dataclass only where it validates or derives a
-field, defines a method, is ``replace``d by the tests or builds CLI flags.
-A report's shock and rarefaction rows and a sign pattern's gap stats are
-``Records``: rows of a NamedTuple type held as one array per field, so
-that extraction stays array work and builds no Python object per row, and
-built as rows of Python floats and bools only when read.
-On a finite grid every vertex has a positive-length constancy interval, so
-rarefaction claims are studied through refinement trends rather than
-per-grid booleans.
+constancy (rarefaction) record.
+
+Owners are read by vertex index, not searched for among floats: ys and
+the breaks are nondecreasing, so a window is one index range of each, and
+a cut at edge k has left owner k and right owner k + 1.  A zero point
+lying exactly on a break belongs to the right vertex, as every break
+point does.
+
+Every plain result record of the package is a NamedTuple, and a row record
+is one CSV row under the columns ``_fields``; a class stays a dataclass
+only where it validates or derives a field, defines a method, is
+``replace``d by the tests or builds CLI flags.  A report's shock and
+rarefaction rows and a sign pattern's gap stats are ``Records``: rows of a
+NamedTuple type held as one array per field, so that extraction stays
+array work and builds no Python object per row, and built as rows of
+Python floats and bools only when read.  On a finite grid every vertex has
+a positive-length constancy interval, so rarefaction claims are studied
+through refinement trends rather than per-grid booleans.
 """
 
 from __future__ import annotations
@@ -212,9 +214,11 @@ def sign_pattern(sol: BurgersSolution) -> SignPatternReport:
     gaps = np.empty(len(g), dtype=_GAP)
     gaps["lo"], gaps["hi"] = z1, z2
 
-    # a gap is cut at z1 and at the edges k0 <= k < k1 strictly inside it;
-    # the piece right of edge k is owned by k + 1, and the one right of z1
-    # by k0, as a zero point on a break belongs to the right vertex
+    # a gap is cut at z1 and at the n edges k0 <= k < k0 + n strictly inside
+    # it: edges z[g] ... z[g + 1] - 1 but for a break rounded onto a gap end,
+    # so only the gap ends are searched for.  The piece right of edge k is
+    # owned by k + 1, and the one right of z1 by k0, as a zero point on a
+    # break belongs to the right vertex
     k0 = np.searchsorted(edge_x, z1, "right")
     n = np.searchsorted(edge_x, z2, "left") - k0
     start = np.arange(len(g)) + np.cumsum(n) - n  # each gap's cut at z1

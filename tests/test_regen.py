@@ -537,10 +537,11 @@ class TestPermutationMachinery:
             permutation_pvalue(np.empty((0, 3)), np.empty((0, 3)), rng, n_perm=9)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e154])
     def test_non_finite_rows_raise(self, bad):
-        # one NaN row gave p = 1/(1 + n_perm), the strongest dependence the
-        # test can report, as no permuted statistic compares >= NaN
+        # one NaN row, or one whose distances overflow, gave p = 1/(1 + n_perm),
+        # the strongest dependence the test can report, as no permuted
+        # statistic compares >= NaN
         rng = np.random.default_rng(10)
         x, y = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
         x_bad, y_bad = x.copy(), y[:, 0].copy()
