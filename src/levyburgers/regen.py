@@ -322,7 +322,7 @@ def _centred_pair(x: np.ndarray, y: np.ndarray):
 
 def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Sample distance correlation between row-paired observations, which
-    must be finite."""
+    must be finite and small enough that their distances do not overflow."""
     return _dcor(*_centred_pair(x, y))
 
 
@@ -333,8 +333,8 @@ def permutation_pvalue(
     n_perm: int = 999,
 ) -> tuple[float, float]:
     """(dcor, permutation p-value) for dependence between the rows of
-    f_pre and f_post, which must be finite; f_post rows are permuted
-    across replicates.
+    f_pre and f_post, which must be finite and small enough that their
+    distances do not overflow; f_post rows are permuted across replicates.
 
     Exact under the null by construction: p = (1 + #{perm >= obs}) /
     (1 + n_perm), so p-values are approximately uniform for independent
