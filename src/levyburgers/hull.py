@@ -1,37 +1,32 @@
 """Upper concave majorant of a finite point cloud.
 
 The majorant is the minimal concave function dominating the points.  Its
-vertex chain is found in vectorized stages.  On a long input whose block
-maxima are rough, as a Levy path's are, whole blocks of _BLOCK points go
-first: the chain of the block maxima is built by the stages below, and a
-block that lies under the edge of that coarse chain above it, by more
-than rounding, is thrown away, by buckets as in Devroye & Toussaint
-(1981), so the later stages see a few thousand of 65,537 points.  A
-gate that reads only the middle FILTER_BLOCK points turns smooth and
-near-flat inputs away from it.  A dyadic chord filter drops
-the points lying strictly below a chord of two other input points and
-compacts its survivors between levels, so that later levels cost only
-what is left; a level that drops at most one point in _FEW_FLAGS of its
-list ends a round, so a near-flat input, whose points are nearly all
-vertices, pays one level.  While a round's first level drops many points,
-as on noisy paths, the filter starts again at spacing 1 over the
-survivors, and it ends with one last level there, the throw-away step of
-Akl & Toussaint (1978).  One orientation check over consecutive survivor
-triples then tells, from one determinant per triple, which triples pop.
-When none pops, the survivors are certified as the chain, which settles
-the near-flat inputs whose every point is a vertex.  When a few triples
-pop, as one jump of the potential makes them, the monotone chain (Andrew
-1979) runs over the list in bulk and always finishes it: each run of
-unflagged points is pushed as one slice, and only the stretches where
-points pop are searched with vectorized orientation tests.  When many
-pop, a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996)
-splits every open segment of a level at its farthest point, the same
-check confirms its candidates, and, when it flags again, a
-monotone-chain pass runs over the candidates alone; a list short enough
-goes to that pass at once.  So the route is a function of the check's
-counts alone.  The edge slopes are stored once, padded with +/-inf
-sentinels at the chain ends where the majorant is unconstrained by the
-data, so vertex k has left slope s[k] and right slope s[k+1].
+vertex chain is found in vectorized stages, each of which keeps every
+vertex.  They run in this order, each only while the check still flags a
+triple of the list:
+- the throw-away of whole blocks (_block_prune): on a long input whose
+  block maxima are rough, as a Levy path's are, the chain of the maxima
+  of blocks of _BLOCK points is built by the stages below, and a block
+  under the coarse edge above it is thrown away, by buckets as in Devroye
+  & Toussaint (1981), so the later stages see a few thousand of 65,537
+  points;
+- the dyadic chord filter (_chord_filter), whose rounds drop the points
+  below a chord of two other input points and end with the throw-away
+  step of Akl & Toussaint (1978);
+- the check (_check), one orientation determinant per consecutive
+  survivor triple, which certifies the survivors as the chain when no
+  triple pops, as on near-flat inputs whose every point is a vertex;
+- the monotone chain (Andrew 1979) in bulk (_bulk_chain), which finishes
+  a list whose triples pop rarely, as one jump of the potential makes
+  them;
+- a level-synchronous QuickHull (Barber, Dobkin & Huhdanpaa 1996;
+  _quickhull) on a longer list whose triples pop often, then the check;
+- the monotone-chain pass in Python (_chain) over what still flags.
+_chain_indices runs the filter and the stages after it on one sorted
+list, so the route is a function of the check's counts alone.  The edge
+slopes are stored once, padded with +/-inf sentinels at the chain ends
+where the majorant is unconstrained by the data, so vertex k has left
+slope s[k] and right slope s[k+1].
 
 The stages run in _majorant, which takes the points as two columns, the
 y's and the v's.  The solver and the regen scans call it with the grid
@@ -404,12 +399,13 @@ def _bulk_chain(ys: np.ndarray, vs: np.ndarray, flags: np.ndarray) -> np.ndarray
     return stack[:top]
 
 
-def _finish(ys: np.ndarray, vs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The chain among the points at the sorted intp indices idx, which
-    hold every vertex of the hull of the points: the check, then the
-    bulk chain, which finishes the list, when at most one triple in
-    _FEW_FLAGS flags; else QuickHull over a list of over _CHAIN_POINTS
-    points, then the check; the chain pass while the check flags."""
+def _chain_indices(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Positions of the chain vertices among the sorted points (ys, vs):
+    the chord filter, the check, then, while the check flags, the bulk
+    chain, which finishes the list, when at most one triple in _FEW_FLAGS
+    flags; else QuickHull over a list of over _CHAIN_POINTS points, then
+    the check; the chain pass."""
+    idx = _chord_filter(ys, vs).astype(np.intp)  # intp gathers are faster
     flags = _check(ys[idx], vs[idx])
     if 0 < len(flags) * _FEW_FLAGS <= len(idx):
         idx, flags = idx[_bulk_chain(ys[idx], vs[idx], flags)], ()
@@ -453,12 +449,12 @@ def _block_prune(ys: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
     whose block maxima are rough, by the restart rule of the chord filter
     read one scale up (_gate_share), so that near-flat and smooth inputs
     pay only the gate.  It builds the chain of the block maxima and the
-    tail points with the filter and the finishing stages, and keeps the
-    tail and every block that holds a vertex of that coarse chain, block 0
-    among them, as its maximum starts the chain.  Every other block lies
-    strictly inside one coarse edge (a, c), and is thrown away when every
-    point of it lies under the line through a with the edge's slope s by
-    more than the forward error bound of the test.
+    tail points with _chain_indices, and keeps the tail and every block
+    that holds a vertex of that coarse chain, block 0 among them, as its
+    maximum starts the chain.  Every other block lies strictly inside one
+    coarse edge (a, c), and is thrown away when every point of it lies
+    under the line through a with the edge's slope s by more than the
+    forward error bound of the test.
     The block maximum minus the smaller of s * y at the block's two ends
     bounds the tilted maximum from above, so only the blocks this bound
     leaves open pay for the exact one.  A dropped point lies under the
@@ -476,7 +472,7 @@ def _block_prune(ys: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
     at += np.arange(0, top, _BLOCK)
     at = np.concatenate([at, np.arange(top, n)])
     cy, cv = ys[at], vs[at]
-    chain = _finish(cy, cv, _chord_filter(cy, cv).astype(np.intp))
+    chain = _chain_indices(cy, cv)
     a = at[chain]
     s = np.diff(vs[a]) / np.diff(ys[a])
     # Every tested value and line value lies within K = max|v| + |s| max|y|
@@ -529,27 +525,22 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     columns of at least 2 floats, ys finite and strictly increasing.
 
     Only the values are checked: a v that is not finite, as a shifted
-    potential that overflows to -inf, raises InputError.  The stages run in
-    this order, each only while the check still flags a triple of the list:
-    the throw-away of whole blocks under the chain of the block maxima
-    (_block_prune), on inputs of at least 2 * FILTER_BLOCK points that its
-    gate lets in; filter, whose rounds end as _chord_filter says, check;
-    the bulk chain, which finishes the list, when at most one triple in
-    _FEW_FLAGS flags; else QuickHull over a list of over _CHAIN_POINTS
-    points, then the check; the chain pass.  _finish runs the stages from
-    the first check on, here and on the coarse chain.  The filter, the
-    checks and the QuickHull levels are O(n log n) array work; a near-flat
-    input, whose first filter level is quiet and whose list the check
-    certifies or the bulk chain settles, costs O(n).  The bulk chain's
-    Python loop turns once per flag or pop-back, its searches testing at
-    most about 1.6 n points on the inputs measured, and the Python chain
-    pass runs on the QuickHull candidates or on a short list.  The
-    throw-away costs one argmax pass and the hull of about n / _BLOCK
-    block maxima, and hands the filter 2,900-5,300 of the 65,537 points
-    of a Levy path.  Every dropped or filtered point lies under a chord of
-    two input points, so the list keeps every vertex, and a check that
-    passes on it certifies it as the chain.  The bulk chain's result and
-    the chain pass's are _chain over the list, index for index.
+    potential that overflows to -inf, raises InputError.  The stages run
+    in the order of the module docstring: the throw-away of whole blocks
+    on the inputs its gate lets in, then _chain_indices over the whole
+    list or over the kept points.  The filter, the checks and the
+    QuickHull levels are O(n log n) array work; a near-flat input, whose
+    first filter level is quiet and whose list the check certifies or the
+    bulk chain settles, costs O(n).  The bulk chain's Python loop turns
+    once per flag or pop-back, its searches testing at most about 1.6 n
+    points on the inputs measured, and the Python chain pass runs on the
+    QuickHull candidates or on a short list.  The throw-away costs one
+    argmax pass and the hull of about n / _BLOCK block maxima, and hands
+    the filter 2,900-5,300 of the 65,537 points of a Levy path.  Every
+    dropped or filtered point lies under a chord of two input points, so
+    the list keeps every vertex, and a check that passes on it certifies
+    it as the chain.  The bulk chain's result and the chain pass's are
+    _chain over the list, index for index.
     """
     if not np.isfinite(vs).all():
         raise InputError("point coordinates must be finite")
@@ -571,12 +562,11 @@ def _majorant(ys: np.ndarray, vs: np.ndarray) -> ConcaveMajorant:
     # a slope may overflow to inf in every stage; a chain left with one is
     # refused by ConcaveMajorant
     with np.errstate(over="ignore"):
-        idx = _block_prune(sy, sv)
-        if idx is None:
-            idx = _chord_filter(sy, sv).astype(np.intp)  # intp gathers are faster
+        kept = _block_prune(sy, sv)
+        if kept is None:
+            idx = _chain_indices(sy, sv)
         else:
-            idx = idx[_chord_filter(sy[idx], sv[idx])]
-        idx = _finish(sy, sv, idx)
+            idx = kept[_chain_indices(sy[kept], sv[kept])]
         return ConcaveMajorant(ys=ys[idx], vs=vs[idx], indices=idx)
 
 

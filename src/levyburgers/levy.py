@@ -137,12 +137,13 @@ class JumpDist:
             raise ParameterError("jump law parameters must be finite")
         if self.kind == "normal" and self.b < 0:
             raise ParameterError("normal jump std must be >= 0")
-        if self.kind == "uniform" and not self.a < self.b:
-            raise ParameterError("uniform jump law needs a < b")
+        if self.kind == "uniform" and not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ParameterError("uniform jump law needs a < b with b - a finite")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "normal":
-            return rng.normal(self.a, self.b, size)
+            # abs: a std of -0.0 passes the check above, numpy refuses it
+            return rng.normal(self.a, abs(self.b), size)
         if self.kind == "uniform":
             return rng.uniform(self.a, self.b, size)
         return np.full(size, self.a)
@@ -291,7 +292,23 @@ def stable_increments(
 
     Chambers-Mallows-Stuck transform of one uniform and one exponential
     variate, in the 1-parametrization; alpha=2 reduces to Normal(0, 2c^2h).
+    ParameterError where a draw overflows float64.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _stable_draws(alpha, beta, c, h, size, rng)
+    if not np.isfinite(x).all():
+        raise ParameterError(
+            f"a stable increment overflows float64 (c={c:g}, h={h:g}, alpha={alpha:g}); "
+            "shrink the scale or the step"
+        )
+    return x
+
+
+def _stable_draws(
+    alpha: float, beta: float, c: float, h: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """stable_increments with no check of the draws: a path sampler
+    refuses its own overflow, which a sum of finite draws can reach too."""
     _check_stable(alpha, beta, c)
     if h <= 0:
         raise ParameterError(f"step h must be > 0, got {h}")
@@ -329,9 +346,10 @@ def _cell_increments(
 ) -> np.ndarray:
     """i.i.d. increments of the step-h law for one side of the path."""
     if params.family == "brownian":
-        return rng.normal(0.0, params.sigma * math.sqrt(h), size)
+        # abs: a sigma of -0.0 passes the check, numpy refuses it
+        return rng.normal(0.0, abs(params.sigma) * math.sqrt(h), size)
     if params.family == "stable":
-        return stable_increments(params.alpha, params.beta, params.scale, h, size, rng)
+        return _stable_draws(params.alpha, params.beta, params.scale, h, size, rng)
     # compound Poisson: jump times snapped to the owning cell, multiple
     # jumps in one cell summed
     lam = params.rate * h
@@ -349,15 +367,13 @@ def _cell_increments(
     )
     if n_jumps > MAX_FLOAT64_ITEMS:
         raise ParameterError(too_many)
-    sums = np.zeros(size)
-    if n_jumps:
-        try:
-            sizes = params.jump_dist.sample(rng, int(counts.sum()))
-            cells = np.repeat(np.arange(size), counts)
-        except MemoryError as exc:
-            raise ParameterError(too_many) from exc
-        np.add.at(sums, cells, sizes)
-    return sums
+    try:
+        sizes = params.jump_dist.sample(rng, int(counts.sum()))
+        cells = np.repeat(np.arange(size), counts)
+    except MemoryError as exc:
+        raise ParameterError(too_many) from exc
+    # each cell's jumps added in order from 0.0; float even with no jumps
+    return np.bincount(cells, weights=sizes, minlength=size).astype(float, copy=False)
 
 
 def _jump_cells(params: LevyParams, incr: np.ndarray, h: float) -> np.ndarray:

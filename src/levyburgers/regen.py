@@ -41,7 +41,9 @@ from .errors import InputError, InsufficientDataError, ParameterError
 from .hull import FILTER_BLOCK, _majorant
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed
 from .shocks import _macroscopic_edges, _window_zeros
-from .solver import BurgersSolution, check_time, owning_vertices, solved_replicates
+from .solver import (
+    BurgersSolution, _largest_argmax, check_time, owning_vertices, solved_replicates,
+)
 
 # u is sampled at this many equispaced points on each side of T when
 # building the feature vectors.
@@ -262,8 +264,7 @@ def rk_sequence(path: LevyPath, t: float, k_max: int = 64, *, r0: float) -> RkRe
     rk = [float(ys[i])]
     converged = False
     for _ in range(k_max):
-        obj = values[i:] - (ys[i:] - ys[i]) ** 2 / (2.0 * t)
-        step = int(np.flatnonzero(obj == obj.max())[-1])
+        step = _largest_argmax(values[i:], ys[i:], float(ys[i]), t)
         if step == 0:
             converged = True
             break
@@ -283,8 +284,13 @@ def regen_report(sol: BurgersSolution, k_max: int = 64) -> RegenReport:
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    """The columns of x centred and scaled to unit spread (a constant one
+    only centred); InputError where their spread overflows float64, as a
+    velocity u = (x - a)/t does at a tiny t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = x.mean(axis=0), x.std(axis=0)
+    if not np.isfinite(sd).all():
+        raise InputError("replicate features overflow float64 when standardized; raise t")
     sd[sd == 0] = 1.0
     return (x - mu) / sd
 

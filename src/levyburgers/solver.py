@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfDomainError, ParameterError, WindowTooSmallError
+from .errors import InputError, OutOfDomainError, ParameterError, WindowTooSmallError
 from .hull import ConcaveMajorant, _majorant, read_only
 from .levy import GridSpec, LevyParams, LevyPath, derived_seed, sample_path
 
@@ -191,26 +191,53 @@ def evaluate_solution(sol: BurgersSolution, x: float) -> EulerianValues:
     )
 
 
+def _largest_argmax(values: np.ndarray, ys: np.ndarray, x: float, t: float) -> int:
+    """Largest index i maximizing values[i] - (ys[i] - x)^2/(2t), by brute
+    force over the increasing points ys; exact floating-point ties break
+    to the larger index.
+
+    Checked in Python floats, which overflow to inf without a warning,
+    before any array work: ParameterError when the squared width of ys
+    over 2t overflows (t too small for the points), OutOfDomainError when
+    only the squared distance from an x outside them does.  InputError
+    when every objective overflows to -inf, as the hull refuses a shifted
+    potential that does.
+    """
+    lo, hi = float(ys[0]), float(ys[-1])
+    if not math.isfinite((hi - lo) * (hi - lo) / (2.0 * t)):
+        raise ParameterError(
+            f"(y - x)^2/(2t) overflows on [{lo:g}, {hi:g}] with t={t:g}; shrink L or raise t"
+        )
+    d = max(x - lo, hi - x)
+    if not math.isfinite(d * d / (2.0 * t)):
+        raise OutOfDomainError(
+            f"(y - x)^2/(2t) overflows at x={x:g}, outside [{lo:g}, {hi:g}], with t={t:g}"
+        )
+    # an objective below -max float overflows to -inf, under the maximum
+    with np.errstate(over="ignore"):
+        obj = values - (ys - x) ** 2 / (2.0 * t)
+    top = obj.max()
+    if top == -np.inf:
+        raise InputError(f"psi0(y) - (y - x)^2/(2t) overflows at every y for x={x:g}")
+    return int(np.flatnonzero(obj == top)[-1])
+
+
 def solve_naive(path: LevyPath, t: float, xs) -> np.ndarray:
     """Brute-force a(x) by scanning every grid point, for each x in xs.
 
     Returns the largest grid y maximizing psi0(y) - (y-x)^2/(2t); exact
     floating-point ties break to the larger index.  This is the
     independent oracle for the hull solver.  A non-finite x raises
-    OutOfDomainError.
+    OutOfDomainError, and so does an x whose distance to the grid
+    overflows the parabola; a t too small for the grid's width raises
+    ParameterError (_largest_argmax).
     """
     check_time(t)
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise OutOfDomainError("every x must be finite")
     ys = path.grid.points()
-    vals = path.values
-    out = np.empty(len(xs))
-    for j, x in enumerate(xs):
-        obj = vals - (ys - x) ** 2 / (2.0 * t)
-        best = np.flatnonzero(obj == obj.max())[-1]
-        out[j] = ys[best]
-    return out
+    return ys[[_largest_argmax(path.values, ys, float(x), t) for x in xs]]
 
 
 def lagrangian_position(sol: BurgersSolution, a: float) -> float:

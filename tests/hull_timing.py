@@ -20,11 +20,12 @@ enough for its gate (the share of the middle block maxima the gate's
 level drops; then, where the gate let it run, the blocks, the vertices
 of the coarse chain, the blocks dropped by the end bound + by the exact
 tilt, and the points kept), the chord filter's rounds as size at the
-start / first-level drop / round's drop (a peel's second filter call
-shows as one more round), the flag count of each check, and the stages
-after the first check, each with the length of the list it was given;
-the last one finished the list.  The coarse chain's own filter rounds,
-checks and stages are not shown.
+start / first-level drop / round's drop, the flag count of each check,
+and the stages after the first check, each with the length of the list
+it was given; the last one finished the list.  The coarse chain's own
+filter rounds, checks and stages are not shown; the coarse chain is read
+from the chain entry (``_chain_indices``, or ``_finish`` in a tree that
+has it) called inside the throw-away.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def route(hull, points) -> str:
     1 starts a round.
     """
     names = ("np", "_orient", "_check", "_bulk_chain", "_quickhull", "_chain")
-    names += ("_block_prune", "_gate_share", "_finish", "_tilted_max")
+    names += ("_block_prune", "_gate_share", "_chain_indices", "_finish", "_tilted_max")
     saved = {name: getattr(hull, name) for name in names if hasattr(hull, name)}
     levels, checks, stages, spacing = [], [], [], [1, 0]
     prune, inside = {}, [False]  # the throw-away's readings; inside it
@@ -187,11 +188,14 @@ def route(hull, points) -> str:
         prune["share"] = saved["_gate_share"](*args)
         return prune["share"]
 
-    def finish(ys, vs, idx):
-        out = saved["_finish"](ys, vs, idx)
-        if inside[0]:
-            prune["chain"] = out
-        return out
+    def chain_entry(name):
+        def run(*args):
+            out = saved[name](*args)
+            if inside[0]:
+                prune["chain"] = out
+            return out
+
+        return run
 
     def tilted_max(Y, V, blocks, s):
         prune["open"] = len(blocks)
@@ -206,7 +210,8 @@ def route(hull, points) -> str:
         "_chain": stage("_chain", lambda ys, vs: len(ys)),
         "_block_prune": block_prune,
         "_gate_share": gate_share,
-        "_finish": finish,
+        "_chain_indices": chain_entry("_chain_indices"),
+        "_finish": chain_entry("_finish"),
         "_tilted_max": tilted_max,
     }
     try:

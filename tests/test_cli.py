@@ -97,6 +97,24 @@ class TestSimulate:
         assert len(rows) == 65
         assert all(float(v) == 0.0 for _, v in rows)
 
+    @pytest.mark.parametrize(
+        "flags", [["--family", "brownian"], ["--family", "cpoisson", "--jump-kind", "normal"]],
+        ids=["sigma", "jump-b"],
+    )
+    def test_negative_zero_spread_is_zero(self, tmp_path, flags):
+        """-0 for sigma or for a normal jump std passes the check that it
+        be >= 0 and writes the path and jumps of 0."""
+        flag = "--sigma" if "brownian" in flags else "--jump-b"
+        rows = {}
+        for value in ("-0", "0"):
+            out = tmp_path / value
+            argv = ["simulate", *flags, f"{flag}={value}", "--n", "65", "--out-dir", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == EXIT_OK
+            rows[value] = [read_csv(out / f)[1:] for f in ("path.csv", "jumps.csv")]
+        assert rows["-0"] == rows["0"]
+
     def test_jumps_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig(family="stable", alpha=0.75, n=2049, L=4.0, seed=5)
         run_experiment(cfg, "simulate", tmp_path)

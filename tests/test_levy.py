@@ -172,6 +172,21 @@ REFERENCE_LAWS = {
 }
 
 
+@pytest.mark.parametrize("law", ["cp-normal", "cp-uniform", "cp-fixed"])
+def test_cpoisson_cells_sum_jumps_in_draw_order(law):
+    """A compound Poisson cell's increment is its jumps added in draw
+    order from 0.0, bit for bit as np.add.at adds them; at a rate of 1e3
+    a cell of width 0.25 sums about 250 jumps."""
+    params, size, h = REFERENCE_LAWS[law], 4096, 0.25
+    got = levy._cell_increments(params, h, size, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(params.rate * h, size)
+    sizes = params.jump_dist.sample(rng, counts.sum())
+    want = np.zeros(size)
+    np.add.at(want, np.repeat(np.arange(size), counts), sizes)
+    assert got.tobytes() == want.tobytes()
+
+
 # the shortest path whose sides are drawn on two threads
 THREADED_N = 2 * levy._PARALLEL_SIDE + 1
 
@@ -607,5 +622,31 @@ class TestParams:
             JumpDist("normal", 0.0, -1.0)
         with pytest.raises(ParameterError):
             JumpDist("uniform", 0.0, math.inf)
+        with pytest.raises(ParameterError, match="b - a finite"):
+            # numpy refuses to draw from a range wider than float64 holds
+            JumpDist("uniform", -1e308, 1e308)
         with pytest.raises(ParameterError):
             LevyParams("cpoisson")
+
+    @pytest.mark.parametrize(
+        "law, zero",
+        [
+            (LevyParams.brownian(-0.0), LevyParams.brownian(0.0)),
+            (
+                LevyParams.compound_poisson(3.0, JumpDist("normal", 1.0, -0.0)),
+                LevyParams.compound_poisson(3.0, JumpDist("normal", 1.0, 0.0)),
+            ),
+        ],
+        ids=["brownian", "cp-normal"],
+    )
+    def test_negative_zero_spread_is_zero(self, law, zero):
+        """-0.0 passes the checks of sigma and of a normal jump std, as
+        0.0 <= -0.0; it samples the path of 0.0, byte for byte."""
+        grid = GridSpec(4.0, 513)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = sample_path(law, grid, 7), sample_path(zero, grid, 7)
+            estimate = abruptness_integral_estimate(law, -1.0, 1.0, [0.1], 1000, seed=3)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tracked_jumps.tobytes() == want.tracked_jumps.tobytes()
+        assert estimate == abruptness_integral_estimate(zero, -1.0, 1.0, [0.1], 1000, seed=3)

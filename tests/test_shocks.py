@@ -721,3 +721,56 @@ def test_contact_jump_signs_matches_per_vertex_reference():
         n_paths += 1
         n_judged += got.agreements + got.disagreements
     assert n_paths == 125 and n_judged > 1000
+
+
+
+ZERO_SET_PATHS = {
+    "zero": zero_path,
+    "jump_up": jump_up,
+    "jump_down": jump_down,
+    **{
+        f"{name}_s{seed}": lambda grid, law=law, seed=seed: sample_path(law, grid, seed)
+        for name, law in {
+            "brownian": LevyParams.brownian(1.0),
+            "cauchy": LevyParams.cauchy(),
+            "stable1.5": LevyParams.stable(1.5, 0.0),
+            "stable0.75": LevyParams.stable(0.75, 0.3),
+            "cpoisson": LevyParams.compound_poisson(3.0, JumpDist("normal", 0.0, 1.0)),
+        }.items()
+        for seed in (1, 2)
+    },
+}
+# jump_up's plateau on L = 1e-3 at t = 1e6: the parabola's curvature per
+# cell, h^2/t, is below the rounding step of psi0 there, so the hull
+# flattens the plateau and keeps 95 of its 257 fixed points
+PLATEAU_BELOW_ROUNDING = pytest.mark.xfail(
+    strict=True, reason="the hull flattens a plateau below the float resolution of psi0"
+)
+
+
+@pytest.mark.parametrize(
+    "name, L, t",
+    [
+        pytest.param(
+            name, L, t, id=f"{name}-L{L:g}-t{t:g}",
+            marks=PLATEAU_BELOW_ROUNDING if (name, L, t) == ("jump_up", 1e-3, 1e6) else (),
+        )
+        for name in ZERO_SET_PATHS
+        for L in (1e-3, 1.0, 16.0, 1e3)
+        for t in (1e-6, 1e-2, 1.0, 1e2, 1e6)
+    ],
+)
+def test_zero_set_is_the_brute_force_fixed_points(name, L, t):
+    """The zero set read off the hull is the set of grid points y_i where
+    the objective of x = y_i peaks at y_i itself: psi0(y_i) equals
+    max_j psi0(y_j) - (y_j - y_i)^2/(2t), built here in O(n^2) at
+    n = 513."""
+    grid = GridSpec(L, 513)
+    path = ZERO_SET_PATHS[name](grid)
+    try:
+        sol = solve(path, t)
+    except solver.WindowTooSmallError:
+        pytest.skip("the shifted potential peaks at a grid end: no solution to compare")
+    ys, v = grid.points(), path.values
+    best = (v[None, :] - (ys[None, :] - ys[:, None]) ** 2 / (2.0 * t)).max(axis=1)
+    assert np.array_equal(sol.majorant.ys[zero_set_indices(sol)], ys[v == best])

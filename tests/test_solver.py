@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -734,3 +735,40 @@ class TestErrors:
     def test_naive_non_finite_x(self, grid_fixture, x):
         with pytest.raises(OutOfDomainError):
             solve_naive(zero_path(grid_fixture), 1.0, [0.0, x])
+
+    @pytest.mark.parametrize("x", [-1e308, -1e155, 1e200])
+    def test_naive_overflowing_x(self, x):
+        """An x whose squared distance to the grid overflows is refused:
+        every objective would read -inf, and the tie rule would pick the
+        last grid point, where the largest argmax tends to the first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError, match="outside"):
+                solve_naive(zero_path(GridSpec(16.0, 65)), 1.0, [x])
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_brute_force_refuses_tiny_t(self, t):
+        """A t whose grid width squared over 2t overflows is refused by the
+        brute force as by solve, with a typed error and no warning."""
+        path = zero_path(GridSpec(16.0, 65))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: solve(path, t),
+                lambda: solve_naive(path, t, [0.0]),
+                lambda: rk_sequence(path, t, r0=0.0),
+            ):
+                with pytest.raises(ParameterError):
+                    call()
+
+    def test_naive_objectives_past_float64(self):
+        """Objectives below -max float read -inf and lose to the finite
+        maximum; when every objective does, the oracle refuses, as the
+        hull refuses a shifted potential that overflows."""
+        path = jump_down(GridSpec(1e153, 5), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_naive(path, 1.0, [-1e154]).tolist() == [-1e153]
+            flat = step_path(GridSpec(1.0, 5), -1.7e308, -1.0)
+            with pytest.raises(InputError, match="every y"):
+                solve_naive(flat, 1.0, [1e154])

@@ -24,7 +24,8 @@ from levyburgers import GridSpec, LevyBurgersError, cli, solver
 from levyburgers.cli import EXIT_OK, ExperimentConfig, _field_type, main
 
 SUBCOMMANDS = tuple(cli.SUBCOMMANDS)
-FLOATS = ("0", "-1", "5e-324", "1e300", "1.7e308", "inf", "-inf", "nan")
+# -0 passes every check that a value be >= 0, as 0.0 <= -0.0
+FLOATS = ("0", "-1", "5e-324", "1e300", "1.7e308", "inf", "-inf", "nan", "-0")
 VALUES = {
     float: FLOATS,
     int: ("0", "-1", str(2**64)),
@@ -66,7 +67,9 @@ def _sweep():
                 sub = SUBCOMMANDS[(k + 3 * j) % 6]
                 family = FAMILY_OF.get(f.name, FAMILIES[(k // 6 + j) % len(FAMILIES)])
                 yield _param(sub, {"family": family, f.name: value}, family, f.name, value)
-            k += 1
+            # -0 shares the subcommands of the value after it, so that
+            # the other values keep theirs
+            k += value != "-0"
     # below alpha = 1 the stable step scale c*h^(1/alpha) can overflow
     # where it does not at the default alpha = 1.5
     for name in ("L", "scale"):
@@ -129,4 +132,4 @@ def test_extreme_value(tmp_path, sweep_setup, argv):
 
 
 def test_sweep_size():
-    assert 390 <= len(SWEEP) <= 430
+    assert 436 <= len(SWEEP) <= 476
